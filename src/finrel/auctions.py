@@ -24,7 +24,6 @@ from .values import (
     Value,
     as_fraction,
     canonicalize,
-    difference,
     fset,
     intersection,
     member,
@@ -363,6 +362,14 @@ def _welfare(inst: CombinatorialInstance, alloc: Value) -> Fraction:
     )
 
 
+def won_value(inst: CombinatorialInstance, alloc: Value, bidder: Value) -> Fraction:
+    """The bidder's reported value for the bundles the allocation gives them."""
+    return sum(
+        (inst.value(bidder, p.first) for p in alloc.payload if p.second == bidder),
+        Fraction(0),
+    )
+
+
 def clear_vickrey(inst: CombinatorialInstance) -> Outcome:
     """Welfare-maximizing allocation plus exclusion-formula payments.
 
@@ -370,7 +377,9 @@ def clear_vickrey(inst: CombinatorialInstance) -> Outcome:
     canonical order.  Bidder n pays the best total the others could reach
     without n, minus what the others actually get under the chosen
     allocation; bidders assigned nothing pay by the same formula (which
-    works out to zero).
+    works out to zero).  "Without n" is the best welfare over the
+    allocations that give n nothing: these are exactly the allocations
+    into the other bidders, so the one enumeration serves every payment.
     """
     _check_caps(inst.goods, inst.bidders)
     allocations = possible_allocations(inst.goods, inst.bidders)
@@ -379,18 +388,11 @@ def clear_vickrey(inst: CombinatorialInstance) -> Outcome:
     chosen = min(a for w, a in scored if w == best)
     payments = []
     for n in inst.bidders.payload:
-        own = sum(
-            (inst.value(n, p.first) for p in chosen.payload if p.second == n),
-            Fraction(0),
+        others = best - won_value(inst, chosen, n)
+        excluded_best = max(
+            (w for w, a in scored if all(p.second != n for p in a.payload)),
+            default=Fraction(0),
         )
-        others = best - own
-        rest = difference(inst.bidders, fset([n]))
-        if rest.payload:
-            excluded_best = max(
-                _welfare(inst, a) for a in possible_allocations(inst.goods, rest)
-            )
-        else:
-            excluded_best = Fraction(0)
         payments.append(pair(n, num(excluded_best - others)))
     return Outcome(chosen, fset(payments), best)
 

@@ -25,6 +25,7 @@ from .relations import (
     image,
     outside,
     paste,
+    single_outside,
     single_paste,
 )
 from .quotients import kernel, projector, quotient
@@ -36,15 +37,11 @@ def _infix_single_paste(left: Value, right: Value) -> Value:
     return single_paste(left, right.first, right.second)
 
 
-def _infix_single_outside(left: Value, right: Value) -> Value:
-    return outside(left, fset([right]))
-
-
 INFIX = {
     "outside": outside,
     "+*": paste,
     "+<": _infix_single_paste,
-    "--": _infix_single_outside,
+    "--": single_outside,
     ",,": eval_rel,
     ",,,": eval_rel_union,
     "O": compose,
@@ -53,7 +50,7 @@ INFIX = {
 FUNCTIONS = {
     "outside": (2, outside),
     "paste": (2, paste),
-    "single_paste": (3, lambda f, x, y: single_paste(f, x, y)),
+    "single_paste": (3, single_paste),
     "eval": (2, eval_rel),
     "eval2": (2, eval_rel_union),
     "image": (2, image),

@@ -94,6 +94,7 @@ from .auctions import (
     reduced_price_map,
     second_price_single_good,
     vickrey_payment_form_check,
+    won_value,
 )
 
 PROFILES = ("quick", "full")
@@ -847,11 +848,7 @@ def _payment_bounds_check(case):
         return False
     for entry in out.payments.payload:
         n, paid = entry.first, as_fraction(entry.second)
-        own = sum(
-            (inst.value(n, p.first) for p in out.allocation.payload if p.second == n),
-            Fraction(0),
-        )
-        if paid < 0 or paid > own:
+        if paid < 0 or paid > won_value(inst, out.allocation, n):
             return False
     return True
 
@@ -905,11 +902,7 @@ def _oracle_match_check(case):
         return False
     for entry in out.payments.payload:
         n, paid = entry.first, as_fraction(entry.second)
-        own = sum(
-            (inst.value(n, p.first) for p in out.allocation.payload if p.second == n),
-            Fraction(0),
-        )
-        others = out.welfare - own
+        others = out.welfare - won_value(inst, out.allocation, n)
         rest = [m for m in all_bidders if m != n]
         if paid != _oracle_best_value(inst, rest) - others:
             return False

@@ -10,10 +10,10 @@ equivalences or functions; the hypotheses only matter for the laws.
 
 from __future__ import annotations
 
-from .values import Value, fset, pair, union, _require_set
+from .values import Value, fset, pair, _require_set
 from .relations import (
+    _by_first,
     _require_relation,
-    domain_of,
     range_of,
     relation,
     right_unique,
@@ -22,22 +22,17 @@ from .relations import (
 
 def projector(R: Value) -> Value:
     """The relation { (x, image of x through R) | x in Domain R }."""
-    _require_relation(R)
-    groups: dict = {}
-    for p in R.payload:
-        groups.setdefault(p.first, []).append(p.second)
-    return fset(pair(x, fset(ys)) for x, ys in groups.items())
+    return fset(pair(x, fset(ys)) for x, ys in _by_first(R).items())
 
 
 def quotient(R: Value, P: Value, Q: Value) -> Value:
     """Relation between P-classes and Q-classes whose product meets R."""
-    _require_relation(R)
+    r_images = _by_first(R)
     pclasses = range_of(projector(P)).payload
     qclasses = range_of(projector(Q)).payload
     out = []
     for pc in pclasses:
-        pmembers = frozenset(pc.payload)
-        touching = frozenset(p.second for p in R.payload if p.first in pmembers)
+        touching = frozenset(y for x in pc.payload for y in r_images.get(x, ()))
         if not touching:
             continue
         for qc in qclasses:
@@ -50,34 +45,15 @@ def compatible(R: Value, P: Value, Q: Value) -> bool:
     """True iff R maps P-related points into Q-related images.
 
     The defining inclusion is image(R, image(P, {x})) within
-    image(Q, image(R, {x})) for every x; quantifying over
-    Domain P union Domain R suffices, since elsewhere the left side
-    is empty.
+    image(Q, image(R, {x})) for every x; quantifying over Domain P
+    suffices, since elsewhere the left side is empty.
     """
-    _require_relation(R)
-    _require_relation(P)
-    _require_relation(Q)
-    r_by_first: dict = {}
-    for p in R.payload:
-        r_by_first.setdefault(p.first, []).append(p.second)
-    p_by_first: dict = {}
-    for p in P.payload:
-        p_by_first.setdefault(p.first, []).append(p.second)
-    q_by_first: dict = {}
-    for p in Q.payload:
-        q_by_first.setdefault(p.first, []).append(p.second)
-
-    for x in union(domain_of(P), domain_of(R)).payload:
-        lhs = {
-            y
-            for mid in p_by_first.get(x, ())
-            for y in r_by_first.get(mid, ())
-        }
-        rhs = {
-            y
-            for mid in r_by_first.get(x, ())
-            for y in q_by_first.get(mid, ())
-        }
+    r_images = _by_first(R)
+    p_images = _by_first(P)
+    q_images = _by_first(Q)
+    for x, mids in p_images.items():
+        lhs = {y for mid in mids for y in r_images.get(mid, ())}
+        rhs = {y for mid in r_images.get(x, ()) for y in q_images.get(mid, ())}
         if not lhs <= rhs:
             return False
     return True
@@ -102,7 +78,7 @@ def kernel(f: Value) -> Value:
 def is_equivalence(E: Value, carrier: Value) -> bool:
     """True iff E is reflexive on carrier, symmetric, transitive, and
     contained in carrier x carrier."""
-    _require_relation(E)
+    images = _by_first(E)
     _require_set(carrier)
     ckeys = frozenset(carrier.payload)
     pairs = {(p.first, p.second) for p in E.payload}
@@ -112,12 +88,7 @@ def is_equivalence(E: Value, carrier: Value) -> bool:
         return False
     if not all((b, a) in pairs for a, b in pairs):
         return False
-    by_first: dict = {}
-    for a, b in pairs:
-        by_first.setdefault(a, []).append(b)
-    return all(
-        (a, c) in pairs for a, b in pairs for c in by_first.get(b, ())
-    )
+    return all((a, c) in pairs for a, b in pairs for c in images.get(b, ()))
 
 
 def identity_on(X: Value) -> Value:

@@ -16,6 +16,7 @@ from .values import (
     as_fraction,
     canonicalize,
     fset,
+    is_subset,
     pair,
     the_elem,
     _require_set,
@@ -38,6 +39,15 @@ def _require_relation(v, what: str = "relation") -> Value:
         if not e.is_pair:
             raise TypeError(f"{what} contains a non-pair member: {e!r}")
     return v
+
+
+def _by_first(R: Value) -> dict:
+    """Validate R and map each domain point to its images, in canonical order."""
+    _require_relation(R)
+    index: dict = {}
+    for p in R.payload:
+        index.setdefault(p.first, []).append(p.second)
+    return index
 
 
 def domain_of(R: Value) -> Value:
@@ -70,15 +80,8 @@ def converse(R: Value) -> Value:
 def compose(R: Value, S: Value) -> Value:
     """Left-to-right composition: { (x, z) | (x, y) in R and (y, z) in S }."""
     _require_relation(R)
-    _require_relation(S)
-    by_first: dict = {}
-    for q in S.payload:
-        by_first.setdefault(q.first, []).append(q.second)
-    out = []
-    for p in R.payload:
-        for z in by_first.get(p.second, ()):
-            out.append(pair(p.first, z))
-    return fset(out)
+    s_images = _by_first(S)
+    return fset(pair(p.first, z) for p in R.payload for z in s_images.get(p.second, ()))
 
 
 def outside(R: Value, X: Value) -> Value:
@@ -140,7 +143,7 @@ def _ru_pairwise(R: Value) -> bool:
 
 def _ru_eval_bounds(R: Value) -> bool:
     return all(
-        is_sub(image(R, fset([x])), fset([eval_rel(R, x)]))
+        is_subset(image(R, fset([x])), fset([eval_rel(R, x)]))
         for x in domain_of(R).payload
     )
 
@@ -176,11 +179,6 @@ RIGHT_UNIQUE_CHARACTERIZATIONS = {
     "canonical_witness": _ru_canonical_witness,
     "first_injective": _ru_first_injective,
 }
-
-
-def is_sub(a: Value, b: Value) -> bool:
-    members = frozenset(b.payload)
-    return all(e in members for e in a.payload)
 
 
 def eval_rel(R: Value, x) -> Value:

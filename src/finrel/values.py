@@ -51,9 +51,6 @@ class Value:
             and self._key == other._key
         )
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __lt__(self, other):
         return self._key < other._key
 

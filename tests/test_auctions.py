@@ -30,7 +30,10 @@ from finrel.auctions import (
     second_price_single_good,
     serialize_outcome,
     vickrey_payment_form_check,
+    won_value,
 )
+from finrel.enumeration import all_subsets
+from finrel.laws import _oracle_best_value
 
 B12 = V([1, 2])
 GRID = V([0, 1, 2])
@@ -224,11 +227,38 @@ def worked_instance():
 
 
 def test_clear_vickrey_worked_example():
-    out = clear_vickrey(worked_instance())
+    inst = worked_instance()
+    out = clear_vickrey(inst)
     assert out.welfare == Fraction(11)
     assert out.payments == relation([(1, 2), (2, 4)])
     # canonical tie-break between the two welfare-11 splits
     assert out.allocation == relation([(V(["g1"]), 1), (V(["g2"]), 2)])
+    assert won_value(inst, out.allocation, V(1)) == Fraction(6)
+    assert won_value(inst, out.allocation, V(2)) == Fraction(5)
+
+
+@pytest.mark.parametrize("n_goods, n_bidders", [(3, 4), (2, 5), (4, 2)])
+@pytest.mark.parametrize("value", [0, 5])
+def test_tie_heavy_clearing_matches_oracle(n_goods, n_bidders, value):
+    # every nonempty bundle is worth the same to everyone, so nearly every
+    # allocation ties; the exclusion optimum must still be the oracle's
+    goods = fset(sym(f"g{k}") for k in range(1, n_goods + 1))
+    bidders = fset(num(k) for k in range(1, n_bidders + 1))
+    bundles = [b for b in all_subsets(goods).payload if b.payload]
+    triples = [(n, b, num(value)) for n in bidders.payload for b in bundles]
+    inst = make_instance(goods, bidders, triples)
+    out = clear_vickrey(inst)
+    everyone = list(bidders.payload)
+    assert out.welfare == _oracle_best_value(inst, everyone)
+    for entry in out.payments.payload:
+        n = entry.first
+        own = sum(
+            (inst.value(n, p.first) for p in out.allocation.payload if p.second == n),
+            Fraction(0),
+        )
+        excluded = _oracle_best_value(inst, [m for m in everyone if m != n])
+        assert entry.second == num(excluded - (out.welfare - own))
+    assert domain_of(out.payments) == bidders
 
 
 def test_clear_vickrey_single_bidder_pays_zero():

@@ -1,10 +1,12 @@
 import pytest
 
-from finrel.values import V
+from finrel.values import V, cartesian_product, fset, is_subset
+from finrel.enumeration import all_subsets
 from finrel.relations import (
     compose,
     converse,
     domain_of,
+    image,
     range_of,
     relation,
     right_unique,
@@ -59,6 +61,33 @@ def test_compatible_examples():
     # coarse domain classes but fine range classes: inclusion fails at x=1
     assert not compatible(R, total_equivalence(V([1, 2])), identity_on(V([10, 20])))
     assert compatible(relation(), total_equivalence(V([1])), identity_on(V([1])))
+
+
+def test_compatible_is_its_defining_inclusion():
+    # every right-unique f over a 3x2 universe, every partial equivalence
+    # P on its source and Q on its target: 27 * 15 * 5 triples
+    A, B = V([1, 2, 3]), V([10, 11])
+    functions = [f for f in all_subsets(cartesian_product(A, B)).payload if right_unique(f)]
+    ps, qs = all_partial_equivalences(A), all_partial_equivalences(B)
+    assert len(functions) * len(ps) * len(qs) == 2025
+    for f in functions:
+        for P in ps:
+            for Q in qs:
+                literal = all(
+                    is_subset(image(f, image(P, fset([x]))), image(Q, image(f, fset([x]))))
+                    for x in A.payload
+                )
+                assert compatible(f, P, Q) == literal, (f, P, Q)
+
+
+def test_is_equivalence_exactly_the_enumerated_equivalences():
+    A = V([1, 2, 3])
+    relations = all_subsets(cartesian_product(A, A)).payload
+    assert len(relations) == 512
+    for carrier in all_subsets(A).payload:
+        equivalences = set(all_equivalences(carrier))
+        for E in relations:
+            assert is_equivalence(E, carrier) == (E in equivalences), (E, carrier)
 
 
 def test_kernel_examples():
