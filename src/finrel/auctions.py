@@ -386,14 +386,18 @@ def clear_vickrey(inst: CombinatorialInstance) -> Outcome:
     scored = [(_welfare(inst, a), a) for a in allocations]
     best = max(w for w, _ in scored)
     chosen = min(a for w, a in scored if w == best)
+    # one pass raises the excluded optimum of every bidder an allocation
+    # leaves out; 0 is a safe start because welfare is never negative
+    excluded_best = dict.fromkeys(inst.bidders.payload, Fraction(0))
+    for w, a in scored:
+        winners = {p.payload[1] for p in a.payload}
+        for n, top in excluded_best.items():
+            if w > top and n not in winners:
+                excluded_best[n] = w
     payments = []
     for n in inst.bidders.payload:
         others = best - won_value(inst, chosen, n)
-        excluded_best = max(
-            (w for w, a in scored if all(p.second != n for p in a.payload)),
-            default=Fraction(0),
-        )
-        payments.append(pair(n, num(excluded_best - others)))
+        payments.append(pair(n, num(excluded_best[n] - others)))
     return Outcome(chosen, fset(payments), best)
 
 

@@ -10,11 +10,10 @@ equivalences or functions; the hypotheses only matter for the laws.
 
 from __future__ import annotations
 
-from .values import Value, fset, pair, _require_set
+from .values import EMPTY, Value, fset, pair, _require_set, _set_of_sorted
 from .relations import (
     _by_first,
     _require_relation,
-    range_of,
     relation,
     right_unique,
 )
@@ -22,21 +21,25 @@ from .relations import (
 
 def projector(R: Value) -> Value:
     """The relation { (x, image of x through R) | x in Domain R }."""
-    return fset(pair(x, fset(ys)) for x, ys in _by_first(R).items())
+    # the index is in domain order, so the pairs are too
+    return _set_of_sorted(tuple([pair(x, ys) for x, ys in _by_first(R).items()]))
 
 
 def quotient(R: Value, P: Value, Q: Value) -> Value:
     """Relation between P-classes and Q-classes whose product meets R."""
     r_images = _by_first(R)
-    pclasses = range_of(projector(P)).payload
-    qclasses = range_of(projector(Q)).payload
+    # the classes are the distinct image sets, i.e. Range (projector P)
+    pclasses = dict.fromkeys(_by_first(P).values())
+    qclasses = dict.fromkeys(_by_first(Q).values())
     out = []
     for pc in pclasses:
-        touching = frozenset(y for x in pc.payload for y in r_images.get(x, ()))
+        touching = frozenset(
+            [y for x in pc.payload for y in r_images.get(x, EMPTY).payload]
+        )
         if not touching:
             continue
         for qc in qclasses:
-            if any(e in touching for e in qc.payload):
+            if not touching.isdisjoint(qc.payload):
                 out.append(pair(pc, qc))
     return fset(out)
 
@@ -52,8 +55,12 @@ def compatible(R: Value, P: Value, Q: Value) -> bool:
     p_images = _by_first(P)
     q_images = _by_first(Q)
     for x, mids in p_images.items():
-        lhs = {y for mid in mids for y in r_images.get(mid, ())}
-        rhs = {y for mid in r_images.get(x, ()) for y in q_images.get(mid, ())}
+        lhs = {y for mid in mids.payload for y in r_images.get(mid, EMPTY).payload}
+        rhs = {
+            y
+            for mid in r_images.get(x, EMPTY).payload
+            for y in q_images.get(mid, EMPTY).payload
+        }
         if not lhs <= rhs:
             return False
     return True

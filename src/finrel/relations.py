@@ -12,6 +12,9 @@ from __future__ import annotations
 from typing import Callable, Iterable, Mapping
 
 from .values import (
+    PAIR,
+    SET,
+    UNDEFINED,
     Value,
     as_fraction,
     canonicalize,
@@ -20,6 +23,7 @@ from .values import (
     pair,
     the_elem,
     _require_set,
+    _set_of_sorted,
 )
 
 
@@ -29,30 +33,47 @@ def relation(pairs: Iterable = ()) -> Value:
 
 
 def is_relation(v) -> bool:
-    return isinstance(v, Value) and v.is_set and all(e.is_pair for e in v.payload)
+    return (
+        isinstance(v, Value)
+        and v._key[0] == SET
+        and all(e._key[0] == PAIR for e in v.payload)
+    )
 
 
 def _require_relation(v, what: str = "relation") -> Value:
-    if not isinstance(v, Value) or not v.is_set:
+    if not isinstance(v, Value) or v._key[0] != SET:
         raise TypeError(f"{what} must be a set of pairs, got {v!r}")
     for e in v.payload:
-        if not e.is_pair:
+        if e._key[0] != PAIR:
             raise TypeError(f"{what} contains a non-pair member: {e!r}")
     return v
 
 
 def _by_first(R: Value) -> dict:
-    """Validate R and map each domain point to its images, in canonical order."""
-    _require_relation(R)
-    index: dict = {}
-    for p in R.payload:
-        index.setdefault(p.first, []).append(p.second)
+    """Map each domain point of R to its image set, in canonical order.
+
+    The function view of R: built and validated on the first call, then
+    kept on R and returned as is.  Callers only read it.  A set that is
+    not a relation gets no index, so it raises on every call.
+    """
+    index = R._index if isinstance(R, Value) else None
+    if index is None:
+        _require_relation(R)
+        runs: dict = {}
+        for p in R.payload:
+            x, y = p.payload
+            runs.setdefault(x, []).append(y)
+        # R is sorted by (first, second), so each run of images is
+        # already distinct and in order
+        index = {x: _set_of_sorted(tuple(ys)) for x, ys in runs.items()}
+        R._index = index
     return index
 
 
 def domain_of(R: Value) -> Value:
     _require_relation(R)
-    return fset(p.first for p in R.payload)
+    # the first components of R's payload are already in order
+    return _set_of_sorted(tuple(dict.fromkeys([p.payload[0] for p in R.payload])))
 
 
 def range_of(R: Value) -> Value:
@@ -81,7 +102,13 @@ def compose(R: Value, S: Value) -> Value:
     """Left-to-right composition: { (x, z) | (x, y) in R and (y, z) in S }."""
     _require_relation(R)
     s_images = _by_first(S)
-    return fset(pair(p.first, z) for p in R.payload for z in s_images.get(p.second, ()))
+    out = []
+    for p in R.payload:
+        x, y = p.payload
+        zs = s_images.get(y)
+        if zs is not None:
+            out.extend([pair(x, z) for z in zs.payload])
+    return fset(out)
 
 
 def outside(R: Value, X: Value) -> Value:
@@ -93,7 +120,7 @@ def outside(R: Value, X: Value) -> Value:
     _require_relation(R)
     _require_set(X)
     members = frozenset(X.payload)
-    return fset(p for p in R.payload if p.first not in members)
+    return _set_of_sorted(tuple([p for p in R.payload if p.payload[0] not in members]))
 
 
 def single_outside(R: Value, x) -> Value:
@@ -183,7 +210,11 @@ RIGHT_UNIQUE_CHARACTERIZATIONS = {
 
 def eval_rel(R: Value, x) -> Value:
     """Unique image of x through R; UNDEFINED when there is none or many."""
-    return the_elem(image(R, fset([x])))
+    x = canonicalize(x)
+    ys = _by_first(R).get(x)
+    if ys is None or len(ys.payload) != 1:
+        return UNDEFINED
+    return ys.payload[0]
 
 
 def eval_rel_union(R: Value, x) -> Value:

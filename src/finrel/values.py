@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable
 
 NUM, SYM, PAIR, SET = 0, 1, 2, 3
@@ -34,15 +35,19 @@ class Value:
     and is what every deterministic output in the package is sorted by.
     """
 
-    __slots__ = ("kind", "payload", "_key", "_hash")
+    # The kind is the first component of the key, so it needs no slot of
+    # its own; _index is the by-first index of a relation (relations
+    # builds it on first use from the immutable payload and never changes
+    # it, so sharing a Value between threads stays safe).
+    __slots__ = ("payload", "_key", "_hash", "_index")
 
-    def __init__(self, kind: int, payload, key, h: int):
-        self.kind = kind
+    def __init__(self, payload, key, h: int):
         self.payload = payload
         self._key = key
         # hashes are combined structurally from cached child hashes so
         # deep values never re-hash their numeric leaves
         self._hash = h
+        self._index = None
 
     def __eq__(self, other):
         return self is other or (
@@ -67,37 +72,41 @@ class Value:
         return self._hash
 
     @property
+    def kind(self) -> int:
+        return self._key[0]
+
+    @property
     def is_num(self) -> bool:
-        return self.kind == NUM
+        return self._key[0] == NUM
 
     @property
     def is_sym(self) -> bool:
-        return self.kind == SYM
+        return self._key[0] == SYM
 
     @property
     def is_pair(self) -> bool:
-        return self.kind == PAIR
+        return self._key[0] == PAIR
 
     @property
     def is_set(self) -> bool:
-        return self.kind == SET
+        return self._key[0] == SET
 
     @property
     def first(self) -> "Value":
-        if self.kind != PAIR:
+        if self._key[0] != PAIR:
             raise TypeError(f"not a pair: {self!r}")
         return self.payload[0]
 
     @property
     def second(self) -> "Value":
-        if self.kind != PAIR:
+        if self._key[0] != PAIR:
             raise TypeError(f"not a pair: {self!r}")
         return self.payload[1]
 
     @property
     def elements(self) -> tuple:
         """Elements of a set, in canonical (strictly increasing) order."""
-        if self.kind != SET:
+        if self._key[0] != SET:
             raise TypeError(f"not a set: {self!r}")
         return self.payload
 
@@ -105,7 +114,7 @@ class Value:
         return iter(self.elements)
 
     def __len__(self):
-        if self.kind != SET:
+        if self._key[0] != SET:
             raise TypeError(f"not a set: {self!r}")
         return len(self.payload)
 
@@ -114,12 +123,13 @@ class Value:
 
 
 def _text(v: Value) -> str:
-    if v.kind == NUM:
+    kind = v._key[0]
+    if kind == NUM:
         f = v.payload
         return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-    if v.kind == SYM:
+    if kind == SYM:
         return f'"{v.payload}"'
-    if v.kind == PAIR:
+    if kind == PAIR:
         return f"({_text(v.payload[0])}, {_text(v.payload[1])})"
     return "{" + ", ".join(_text(e) for e in v.payload) + "}"
 
@@ -128,14 +138,20 @@ _INT_CACHE: dict = {}
 
 
 def num(x) -> Value:
-    """Numeric atom from an int or Fraction; always stored reduced."""
+    """Numeric atom from an int or Fraction; always stored reduced.
+
+    The payload is always a Fraction.  An integer is keyed by the int
+    itself, which equals that Fraction and hashes like it, so integers
+    and rationals still compare in numeric order while integer keys
+    compare without leaving C.
+    """
     if isinstance(x, bool):
         raise TypeError("booleans are not values")
     if isinstance(x, int):
         cached = _INT_CACHE.get(x)
         if cached is not None:
             return cached
-        v = Value(NUM, Fraction(x), (NUM, Fraction(x)), hash((NUM, x)))
+        v = Value(Fraction(x), (NUM, x), hash((NUM, x)))
         if -64 <= x <= 1024:
             _INT_CACHE[x] = v
         return v
@@ -143,7 +159,7 @@ def num(x) -> Value:
         raise TypeError(f"not a number: {x!r}")
     if x.denominator == 1:
         return num(x.numerator)
-    return Value(NUM, x, (NUM, x), hash((NUM, x)))
+    return Value(x, (NUM, x), hash((NUM, x)))
 
 
 def rat(numerator: int, denominator: int) -> Value:
@@ -160,27 +176,35 @@ def sym(name: str) -> Value:
         raise ValueError(f"symbol {name!r} would be read back as a number")
     if '"' in name or "\\" in name or any(ord(c) < 32 for c in name):
         raise ValueError(f"symbol {name!r} contains quote or control characters")
-    return Value(SYM, name, (SYM, name), hash((SYM, name)))
+    return Value(name, (SYM, name), hash((SYM, name)))
 
 
 def pair(a, b) -> Value:
-    a = canonicalize(a)
-    b = canonicalize(b)
-    return Value(PAIR, (a, b), (PAIR, a._key, b._key), hash((PAIR, a._hash, b._hash)))
+    if type(a) is not Value:
+        a = canonicalize(a)
+    if type(b) is not Value:
+        b = canonicalize(b)
+    return Value((a, b), (PAIR, a._key, b._key), hash((PAIR, a._hash, b._hash)))
+
+
+_sort_key = attrgetter("_key")
 
 
 def fset(items: Iterable = ()) -> Value:
     """Finite set: deduplicates and sorts its elements."""
-    seen = {}
-    for item in items:
-        v = canonicalize(item)
-        seen[v] = None
-    elems = tuple(sorted(seen, key=lambda v: v._key))
+    distinct = dict.fromkeys(
+        [item if type(item) is Value else canonicalize(item) for item in items]
+    )
+    return _set_of_sorted(tuple(sorted(distinct, key=_sort_key)))
+
+
+def _set_of_sorted(elems: tuple) -> Value:
+    """Set Value from elements that are already canonical, distinct and in
+    canonical order; the caller guarantees all three."""
     return Value(
-        SET,
         elems,
-        (SET, tuple(e._key for e in elems)),
-        hash((SET, tuple(e._hash for e in elems))),
+        (SET, tuple([e._key for e in elems])),
+        hash((SET, tuple([e._hash for e in elems]))),
     )
 
 
@@ -221,7 +245,7 @@ def is_undefined(v: Value) -> bool:
 
 
 def _require_set(v, what: str = "argument") -> Value:
-    if not isinstance(v, Value) or v.kind != SET:
+    if not isinstance(v, Value) or v._key[0] != SET:
         raise TypeError(f"{what} must be a finite set, got {v!r}")
     return v
 
@@ -252,14 +276,14 @@ def intersection(a: Value, b: Value) -> Value:
     _require_set(a, "left argument")
     _require_set(b, "right argument")
     members = frozenset(b.payload)
-    return fset(e for e in a.payload if e in members)
+    return _set_of_sorted(tuple([e for e in a.payload if e in members]))
 
 
 def difference(a: Value, b: Value) -> Value:
     _require_set(a, "left argument")
     _require_set(b, "right argument")
     members = frozenset(b.payload)
-    return fset(e for e in a.payload if e not in members)
+    return _set_of_sorted(tuple([e for e in a.payload if e not in members]))
 
 
 def cartesian_product(a: Value, b: Value) -> Value:
@@ -287,7 +311,7 @@ def the_elem(s: Value) -> Value:
 
 
 def as_fraction(v: Value) -> Fraction:
-    if not isinstance(v, Value) or v.kind != NUM:
+    if not isinstance(v, Value) or v._key[0] != NUM:
         raise TypeError(f"not a numeric atom: {v!r}")
     return v.payload
 
@@ -297,7 +321,7 @@ def _require_numeric(s: Value, op: str) -> Value:
     if not s.payload:
         raise ValueError(f"{op} of an empty set")
     for e in s.payload:
-        if e.kind != NUM:
+        if e._key[0] != NUM:
             raise ValueError(f"{op} over a non-numeric element: {e!r}")
     return s
 

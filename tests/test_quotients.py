@@ -1,6 +1,6 @@
 import pytest
 
-from finrel.values import V, cartesian_product, fset, is_subset
+from finrel.values import V, cartesian_product, fset, is_subset, num, pair
 from finrel.enumeration import all_subsets
 from finrel.relations import (
     compose,
@@ -150,3 +150,41 @@ def test_projector_classes_partition_carrier():
     for E in all_equivalences(V([1, 2, 3])):
         classes = range_of(projector(E))
         assert is_partition_of(classes, V([1, 2, 3]))
+
+
+def test_projector_is_its_comprehension():
+    universe = all_subsets(cartesian_product(V([1, 2, 3]), V([10, 11]))).payload
+    assert len(universe) == 64
+    for R in universe:
+        for rel in (R, converse(R)):
+            literal = fset(
+                pair(x, image(rel, fset([x]))) for x in {p.first for p in rel.payload}
+            )
+            assert projector(rel) == literal, rel
+
+
+def test_repeated_and_equal_relations_project_alike():
+    R = relation([(1, 1), (1, 2), (2, 2), (3, 1)])
+    twin = relation([(3, 1), (2, 2), (1, 2), (1, 1)])
+    assert twin == R and twin is not R
+    first = projector(R)
+    assert projector(R) == first
+    assert projector(twin) == first
+    P = total_equivalence(V([1, 2]))
+    Q = identity_on(V([1, 2]))
+    assert quotient(R, P, Q) == quotient(twin, P, Q) == quotient(R, P, Q)
+    assert compatible(R, P, Q) == compatible(twin, P, Q)
+
+
+def test_non_relations_raise_on_every_call():
+    bad = fset([num(1), pair(1, 1)])
+    ident = identity_on(V([1]))
+    for _ in range(3):
+        with pytest.raises(TypeError):
+            projector(bad)
+        with pytest.raises(TypeError):
+            quotient(ident, bad, ident)
+        with pytest.raises(TypeError):
+            compatible(ident, ident, bad)
+        with pytest.raises(TypeError):
+            is_equivalence(bad, V([1]))

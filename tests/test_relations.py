@@ -1,6 +1,7 @@
 import pytest
 
-from finrel.values import EMPTY, UNDEFINED, V, fset, num
+from finrel.values import EMPTY, UNDEFINED, V, cartesian_product, fset, num, pair, the_elem
+from finrel.enumeration import all_subsets
 from finrel.relations import (
     RIGHT_UNIQUE_CHARACTERIZATIONS,
     arg_max_list,
@@ -164,3 +165,63 @@ def test_domain_range_family():
     Q = relation([(1, 11), (2, 12)])
     assert domain_of(paste(P, Q)) == V([1, 2])
     assert range_of(paste(P, Q)) == V([11, 12])
+
+
+# The indexed operators against their definitions, over every relation of
+# the 3x2 universe; the points cover the domain, the target, raw ints and
+# non-numbers off the domain.
+UNIVERSE_3X2 = all_subsets(cartesian_product(V([1, 2, 3]), V([10, 11]))).payload
+POINTS = [V(1), 2, 3, 4, 10, V(11), "a", V([1])]
+
+
+def test_eval_rel_is_the_elem_of_the_point_image():
+    assert len(UNIVERSE_3X2) == 64
+    for R in UNIVERSE_3X2:
+        for x in POINTS:
+            assert eval_rel(R, x) == the_elem(image(R, fset([x]))), (R, x)
+
+
+def test_domain_of_is_the_set_of_first_components():
+    for R in UNIVERSE_3X2:
+        assert domain_of(R) == fset(p.first for p in R.payload), R
+
+
+def _literal_compose(R, S):
+    return fset(
+        pair(p.first, q.second) for p in R.payload for q in S.payload if p.second == q.first
+    )
+
+
+def test_compose_is_its_comprehension():
+    # R over 3x2 and S over 2x3, and the other way round, so that every
+    # pair of relations can meet in the middle
+    for R in UNIVERSE_3X2:
+        for S in UNIVERSE_3X2:
+            S_back = converse(S)
+            assert compose(R, S_back) == _literal_compose(R, S_back), (R, S)
+            R_back = converse(R)
+            assert compose(R_back, S) == _literal_compose(R_back, S), (R, S)
+
+
+def test_repeated_and_equal_relations_evaluate_alike():
+    R = relation([(1, 10), (2, 20), (2, 21), (3, 30)])
+    twin = relation([(3, 30), (2, 21), (2, 20), (1, 10)])
+    assert twin == R and twin is not R
+    S = relation([(10, "a"), (20, "b"), (21, "c")])
+    for x in [1, 2, 3, 4]:
+        first = eval_rel(R, x)
+        assert eval_rel(R, x) == first
+        assert eval_rel(twin, x) == first
+    assert compose(R, S) == compose(R, S) == compose(twin, S) == _literal_compose(R, S)
+    assert compose(S, converse(R)) == compose(S, converse(twin))
+
+
+def test_non_relation_raises_on_every_call():
+    bad = fset([num(1), pair(1, 10)])
+    for _ in range(3):
+        with pytest.raises(TypeError):
+            eval_rel(bad, 1)
+        with pytest.raises(TypeError):
+            compose(relation([(0, 1)]), bad)
+        with pytest.raises(TypeError):
+            domain_of(bad)

@@ -1,10 +1,13 @@
 import pytest
 from fractions import Fraction
 
+from finrel.encoding import parse_value, serialize_value
 from finrel.values import (
     EMPTY,
     UNDEFINED,
     V,
+    Value,
+    as_fraction,
     canonicalize,
     cartesian_product,
     difference,
@@ -125,3 +128,43 @@ def test_nested_sets_allowed():
 def test_booleans_rejected():
     with pytest.raises(TypeError):
         canonicalize(True)
+
+
+MIXED = [num(-1), rat(-1, 2), num(0), rat(1, 2), num(1), rat(3, 2), num(2000)]
+
+
+def test_mixed_integer_and_rational_keys_order_numerically():
+    assert fset(reversed(MIXED)).elements == tuple(MIXED)
+    assert fset(MIXED[1::2] + MIXED[::2]).elements == tuple(MIXED)
+    assert sorted(reversed(MIXED)) == MIXED
+    # the order reaches into pairs and nested sets
+    pairs = [pair(x, rat(7, 3)) for x in MIXED]
+    assert fset(reversed(pairs)).elements == tuple(pairs)
+    assert fset([V([num(1)]), V([rat(1, 2)])]).elements == (V([rat(1, 2)]), V([num(1)]))
+
+
+def test_integer_keys_equal_their_fractions():
+    assert num(Fraction(4, 2)) == num(2)
+    assert hash(num(Fraction(4, 2))) == hash(num(2))
+    # outside the small-integer cache the two are distinct objects
+    big, big_again = num(Fraction(4000, 2)), num(2000)
+    assert big is not big_again
+    assert big == big_again and hash(big) == hash(big_again)
+    assert len(fset([num(1), rat(2, 2)])) == 1
+    assert len(fset([big, big_again, rat(2000, 1)])) == 1
+    assert as_fraction(num(7)) == Fraction(7) and type(as_fraction(num(7))) is Fraction
+
+
+def test_mixed_sets_round_trip_through_the_encoding():
+    mixed = fset(MIXED)
+    nested = fset([pair(num(1), rat(1, 2)), pair(rat(1, 2), num(1)), fset(MIXED[:3])])
+    for v in (mixed, nested):
+        text = serialize_value(v)
+        assert parse_value(text) == v
+        assert serialize_value(parse_value(text)) == text
+    assert serialize_value(mixed) == '["set",-1,"-1/2",0,"1/2",1,"3/2",2000]'
+
+
+def test_value_keeps_four_slots():
+    # one slot more costs every Value in memory
+    assert len(Value.__slots__) == 4
