@@ -15,11 +15,12 @@ value order (lowest wins).
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .errors import CapExceeded, ParseError, ValidationError
+from .errors import CapExceeded, ValidationError
 from .values import (
     Value,
     as_fraction,
@@ -75,22 +76,29 @@ class SingleGoodMechanism:
     price: Value
 
 
+def _input_set(v: Value, what: str) -> Value:
+    """v itself; a non-set from outside the program is invalid input."""
+    if not v.is_set:
+        raise ValidationError(f"{what} must be a finite set, got {v!r}")
+    return v
+
+
 def _check_single_good_args(bidders: Value, grid: Value, i: Value):
-    _require_set(bidders, "bidders")
-    _require_set(grid, "grid")
+    _input_set(bidders, "bidders")
+    _input_set(grid, "grid")
     if len(bidders.payload) < 2:
-        raise ValueError("need at least two bidders")
+        raise ValidationError("need at least two bidders")
     if len(bidders.payload) > CAP_SINGLE_BIDDERS:
         raise CapExceeded(f"more than {CAP_SINGLE_BIDDERS} bidders in a grid mechanism")
     if not grid.payload:
-        raise ValueError("empty bid grid")
+        raise ValidationError("empty bid grid")
     if len(grid.payload) > CAP_GRID:
         raise CapExceeded(f"grid larger than {CAP_GRID}")
     for g in grid.payload:
         if not g.is_num:
-            raise ValueError(f"non-numeric grid value: {g!r}")
+            raise ValidationError(f"non-numeric grid value: {g!r}")
     if not member(i, bidders):
-        raise ValueError(f"bidder {i!r} not among {bidders!r}")
+        raise ValidationError(f"bidder {i!r} not among {bidders!r}")
 
 
 def bid_vectors(bidders: Value, grid: Value) -> list[Value]:
@@ -138,22 +146,21 @@ def _utility(valuation: Fraction, alloc: Value, price: Value, b: Value) -> Fract
 
 
 def dominant_strategy_counterexample(
-    i: Value, alloc: Value, price: Value, deviations: Value | None = None
+    i: Value, alloc: Value, price: Value
 ) -> tuple[Value, Value] | None:
     """First (bid vector, valuation) where switching to the true valuation
     would hurt bidder i; None when bidding truthfully always weakly wins.
 
-    Candidate valuations default to every bid value of i that occurs in
-    the common domain, which covers all deviations that stay inside it.
+    The candidate valuations are every bid value of i that occurs in the
+    common domain, which covers all deviations that stay inside it.
     """
     common = intersection(domain_of(alloc), domain_of(price))
     cmembers = frozenset(common.payload)
-    if deviations is None:
-        vals = []
-        for b in common.payload:
-            if member(i, domain_of(b)):
-                vals.append(eval_rel(b, i))
-        deviations = fset(vals)
+    vals = []
+    for b in common.payload:
+        if member(i, domain_of(b)):
+            vals.append(eval_rel(b, i))
+    deviations = fset(vals)
     for b in common.payload:
         if not member(i, domain_of(b)):
             continue
@@ -167,11 +174,9 @@ def dominant_strategy_counterexample(
     return None
 
 
-def dominant_strategy_check(
-    i: Value, alloc: Value, price: Value, deviations: Value | None = None
-) -> bool:
+def dominant_strategy_check(i: Value, alloc: Value, price: Value) -> bool:
     """True iff bidding one's true valuation is weakly dominant for i."""
-    return dominant_strategy_counterexample(i, alloc, price, deviations) is None
+    return dominant_strategy_counterexample(i, alloc, price) is None
 
 
 def _table_lookup(table, x: Value) -> Fraction:
@@ -298,10 +303,8 @@ class Outcome:
 
 def make_instance(goods, bidders, triples: Iterable) -> CombinatorialInstance:
     """Validated instance from (bidder, bundle, value) triples."""
-    goods = canonicalize(goods)
-    bidders = canonicalize(bidders)
-    _require_set(goods, "goods")
-    _require_set(bidders, "bidders")
+    goods = _input_set(canonicalize(goods), "goods")
+    bidders = _input_set(canonicalize(bidders), "bidders")
     if not goods.payload:
         raise ValidationError("no goods")
     if not bidders.payload:
@@ -319,7 +322,7 @@ def make_instance(goods, bidders, triples: Iterable) -> CombinatorialInstance:
         value = canonicalize(value)
         if not member(bidder, bidders):
             raise ValidationError(f"unknown bidder {bidder!r}")
-        _require_set(bundle, "bundle")
+        _input_set(bundle, "bundle")
         if not all(member(g, goods) for g in bundle.payload):
             raise ValidationError(f"bundle {bundle!r} is not within the goods")
         if not value.is_num:
@@ -430,7 +433,7 @@ def random_instance(rng, max_goods: int = 4, max_bidders: int = 3) -> Combinator
 # ---------------------------------------------------------------------------
 # instance and outcome files
 
-from .encoding import value_from_obj, value_to_obj  # noqa: E402
+from .encoding import _load_json, value_from_obj, value_to_obj  # noqa: E402
 
 
 def instance_from_obj(obj) -> CombinatorialInstance:
@@ -453,11 +456,7 @@ def instance_from_obj(obj) -> CombinatorialInstance:
 
 
 def parse_instance(text: str) -> CombinatorialInstance:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"bad instance file at position {e.pos}: {e.msg}") from None
-    return instance_from_obj(obj)
+    return instance_from_obj(_load_json(text, "instance file"))
 
 
 def outcome_to_obj(outcome: Outcome) -> dict:
@@ -469,4 +468,12 @@ def outcome_to_obj(outcome: Outcome) -> dict:
 
 
 def serialize_outcome(outcome: Outcome) -> str:
-    return json.dumps(outcome_to_obj(outcome), separators=(",", ":"), ensure_ascii=False)
+    try:
+        return json.dumps(
+            outcome_to_obj(outcome), separators=(",", ":"), ensure_ascii=False
+        )
+    except ValueError:
+        # exact sums of the inputs can outgrow the digit limit each input met
+        raise CapExceeded(
+            f"outcome has a number longer than {sys.get_int_max_str_digits()} digits"
+        ) from None

@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 ok, 1 parse error, 2 validation error (including a failing
-law), 3 cap exceeded.  Standard output is canonical and byte-deterministic
-for identical invocations; progress and timing go to standard error.
+law) or i/o error, 3 cap exceeded; main catches nothing else, so any other
+exception is a bug and shows as one.  Standard output is canonical and
+byte-deterministic for identical invocations; check-laws prints per-law
+timings to standard error.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from .encoding import parse_value, serialize_value
 from .expressions import evaluate_expression
 from .enumeration import all_partitions_list, injections_alg, partition_as_set
 from .auctions import (
+    _input_set,
     clear_vickrey,
     dominant_strategy_counterexample,
     first_price_single_good,
@@ -26,21 +29,27 @@ from .auctions import (
 from .laws import LAWS, LawConfig, run_all, run_law, serialize_report
 
 
+def _read_text(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path} is not UTF-8 text: {e.reason} at byte {e.start}") from None
+
+
 def _cmd_eval(args) -> int:
-    with open(args.path, encoding="utf-8") as fh:
-        text = fh.read()
-    print(serialize_value(evaluate_expression(text)))
+    print(serialize_value(evaluate_expression(_read_text(args.path))))
     return 0
 
 
 def _cmd_enumerate(args) -> int:
     if args.kind == "partitions":
-        elements = parse_value(args.elements)
+        elements = _input_set(parse_value(args.elements), "elements")
         for blocks in all_partitions_list(list(elements.elements)):
             print(serialize_value(partition_as_set(blocks)))
     else:
-        X = parse_value(args.source)
-        Y = parse_value(args.target)
+        X = _input_set(parse_value(args.source), "source")
+        Y = _input_set(parse_value(args.target), "target")
         for rel in injections_alg(list(X.elements), Y):
             print(serialize_value(rel))
     return 0
@@ -69,8 +78,7 @@ def _cmd_run_single(args) -> int:
 
 
 def _cmd_run_combinatorial(args) -> int:
-    with open(args.instance, encoding="utf-8") as fh:
-        inst = parse_instance(fh.read())
+    inst = parse_instance(_read_text(args.instance))
     outcome = clear_vickrey(inst)
     text = serialize_outcome(outcome)
     if args.output:
@@ -155,7 +163,7 @@ def main(argv=None) -> int:
     except CapExceeded as e:
         print(f"cap exceeded: {e}", file=sys.stderr)
         return 3
-    except (ValidationError, ValueError, TypeError) as e:
+    except ValidationError as e:
         print(f"invalid input: {e}", file=sys.stderr)
         return 2
     except OSError as e:

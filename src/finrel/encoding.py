@@ -11,17 +11,34 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 
-from .errors import ParseError, ValidationError
+from .errors import CAP_DEPTH, CapExceeded, ParseError, ValidationError
 from .values import Value, fset, num, pair, sym
 
 _RATIONAL = re.compile(r"-?[0-9]+/[0-9]+\Z")
 _INTEGER = re.compile(r"-?[0-9]+\Z")
 
 
+def _read_int(digits: str) -> int:
+    """int of text a number pattern has matched, so its one possible
+    failure is Python's int-conversion digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise CapExceeded(
+            f"number longer than {sys.get_int_max_str_digits()} digits"
+        ) from None
+
+
 def value_from_obj(obj) -> Value:
-    """Canonical Value from a decoded JSON object."""
+    """Canonical Value from a decoded JSON object, at most CAP_DEPTH
+    arrays deep."""
+    return _from_obj(obj, CAP_DEPTH)
+
+
+def _from_obj(obj, room: int) -> Value:
     if isinstance(obj, bool):
         raise ValidationError("booleans are not values")
     if isinstance(obj, int):
@@ -30,10 +47,10 @@ def value_from_obj(obj) -> Value:
         raise ValidationError(f"non-integer number {obj!r}; write rationals as \"n/d\"")
     if isinstance(obj, str):
         if _RATIONAL.match(obj):
-            numerator, denominator = obj.split("/")
-            if int(denominator) == 0:
+            numerator, denominator = (_read_int(part) for part in obj.split("/"))
+            if denominator == 0:
                 raise ValidationError(f"zero denominator in {obj!r}")
-            return num(Fraction(int(numerator), int(denominator)))
+            return num(Fraction(numerator, denominator))
         if _INTEGER.match(obj):
             raise ValidationError(f"integer {obj!r} must be a JSON number, not a string")
         try:
@@ -41,15 +58,17 @@ def value_from_obj(obj) -> Value:
         except (TypeError, ValueError) as e:
             raise ValidationError(str(e)) from None
     if isinstance(obj, list):
+        if room == 0:
+            raise CapExceeded(f"value nested deeper than {CAP_DEPTH} levels")
         if not obj:
             raise ValidationError('untagged array; expected ["set", ...] or ["pair", a, b]')
         tag, rest = obj[0], obj[1:]
         if tag == "pair":
             if len(rest) != 2:
                 raise ValidationError(f"pair needs exactly 2 components, got {len(rest)}")
-            return pair(value_from_obj(rest[0]), value_from_obj(rest[1]))
+            return pair(_from_obj(rest[0], room - 1), _from_obj(rest[1], room - 1))
         if tag == "set":
-            return fset(value_from_obj(e) for e in rest)
+            return fset(_from_obj(e, room - 1) for e in rest)
         raise ValidationError(f"unknown tag {tag!r}; expected \"set\" or \"pair\"")
     raise ValidationError(f"cannot read {obj!r} as a value")
 
@@ -67,12 +86,34 @@ def value_to_obj(v: Value):
     return ["set"] + [value_to_obj(e) for e in v.payload]
 
 
-def parse_value(text: str) -> Value:
+def _load_json(text: str, what: str):
+    """Decoded JSON text.  Bad syntax is a ParseError; nesting deeper than
+    CAP_DEPTH and integers past Python's digit limit are CapExceeded."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
-        raise ParseError(f"bad value text at position {e.pos}: {e.msg}") from None
-    return value_from_obj(obj)
+        raise ParseError(f"bad {what} at position {e.pos}: {e.msg}") from None
+    except RecursionError:
+        raise CapExceeded(f"{what} nested deeper than {CAP_DEPTH} levels") from None
+    except ValueError:  # the other error json.loads raises: the digit limit
+        raise CapExceeded(
+            f"{what} has a number longer than {sys.get_int_max_str_digits()} digits"
+        ) from None
+    if isinstance(obj, (list, dict)):
+        _check_depth(obj, CAP_DEPTH - 1, what)
+    return obj
+
+
+def _check_depth(node, room: int, what: str) -> None:
+    for child in node.values() if isinstance(node, dict) else node:
+        if isinstance(child, (list, dict)):
+            if room == 0:
+                raise CapExceeded(f"{what} nested deeper than {CAP_DEPTH} levels")
+            _check_depth(child, room - 1, what)
+
+
+def parse_value(text: str) -> Value:
+    return value_from_obj(_load_json(text, "value text"))
 
 
 def serialize_value(v: Value) -> str:

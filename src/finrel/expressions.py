@@ -15,7 +15,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import ParseError
+from .encoding import _read_int
+from .errors import CAP_DEPTH, CapExceeded, ParseError, ValidationError
 from .values import Value, fset, num, pair, sym
 from .relations import (
     compose,
@@ -37,29 +38,24 @@ def _infix_single_paste(left: Value, right: Value) -> Value:
     return single_paste(left, right.first, right.second)
 
 
-INFIX = {
-    "outside": outside,
-    "+*": paste,
-    "+<": _infix_single_paste,
-    "--": single_outside,
-    ",,": eval_rel,
-    ",,,": eval_rel_union,
-    "O": compose,
-}
-
-FUNCTIONS = {
-    "outside": (2, outside),
-    "paste": (2, paste),
-    "single_paste": (3, single_paste),
-    "eval": (2, eval_rel),
-    "eval2": (2, eval_rel_union),
-    "image": (2, image),
-    "converse": (1, converse),
-    "compose": (2, compose),
-    "projector": (1, projector),
-    "quotient": (3, quotient),
-    "kernel": (1, kernel),
-}
+# one row per operator: (prefix name, infix token, arity, function)
+OPERATORS = (
+    ("outside", "outside", 2, outside),
+    ("paste", "+*", 2, paste),
+    ("single_paste", None, 3, single_paste),
+    (None, "+<", 2, _infix_single_paste),
+    (None, "--", 2, single_outside),
+    ("eval", ",,", 2, eval_rel),
+    ("eval2", ",,,", 2, eval_rel_union),
+    ("image", None, 2, image),
+    ("converse", None, 1, converse),
+    ("compose", "O", 2, compose),
+    ("projector", None, 1, projector),
+    ("quotient", None, 3, quotient),
+    ("kernel", None, 1, kernel),
+)
+_PREFIX = {name: (arity, fn) for name, _, arity, fn in OPERATORS if name}
+_INFIX = {token: fn for _, token, _, fn in OPERATORS if token}
 
 _TOKEN = re.compile(
     r"""
@@ -95,6 +91,7 @@ class _Parser:
         self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -120,27 +117,26 @@ class _Parser:
         return value
 
     def expression(self) -> Value:
+        # depth counts the brackets and calls around this expression
+        if self.depth > CAP_DEPTH:
+            raise CapExceeded(f"expression nested deeper than {CAP_DEPTH} levels")
+        self.depth += 1
         left = self.atom()
-        while True:
-            tok = self.peek()
-            if tok is None or tok[1] not in INFIX:
-                return left
+        while (tok := self.peek()) is not None and tok[1] in _INFIX:
             _, text, at = self.take()
-            right = self.atom()
-            try:
-                left = INFIX[text](left, right)
-            except (TypeError, ValueError) as e:
-                raise ParseError(f"operator {text!r} at position {at}: {e}") from None
+            left = _apply(text, _INFIX[text], (left, self.atom()), at)
+        self.depth -= 1
+        return left
 
     def atom(self) -> Value:
         kind, text, at = self.take()
         if kind == "int":
-            return num(int(text))
+            return num(_read_int(text))
         if kind == "rat":
-            numerator, denominator = text.split("/")
-            if int(denominator) == 0:
+            numerator, denominator = (_read_int(part) for part in text.split("/"))
+            if denominator == 0:
                 raise ParseError(f"zero denominator at position {at}")
-            return num(Fraction(int(numerator), int(denominator)))
+            return num(Fraction(numerator, denominator))
         if kind == "string":
             try:
                 return sym(text[1:-1])
@@ -150,23 +146,24 @@ class _Parser:
             return self.set_literal()
         if text == "(":
             return self.paren()
-        if kind == "ident" and text in FUNCTIONS:
+        if kind == "ident" and text in _PREFIX:
             return self.call(text, at)
         raise ParseError(f"unexpected {text!r} at position {at}")
 
+    def items(self, close: str) -> list[Value]:
+        """Comma-separated expressions, then the closing token."""
+        items = [self.expression()]
+        while (tok := self.take())[1] == ",":
+            items.append(self.expression())
+        if tok[1] != close:
+            raise ParseError(f"expected ',' or {close!r} at position {tok[2]}, got {tok[1]!r}")
+        return items
+
     def set_literal(self) -> Value:
-        elems = []
         if self.peek() and self.peek()[1] == "}":
             self.take()
-            return fset(elems)
-        elems.append(self.expression())
-        while True:
-            tok = self.take()
-            if tok[1] == "}":
-                return fset(elems)
-            if tok[1] != ",":
-                raise ParseError(f"expected ',' or '}}' at position {tok[2]}, got {tok[1]!r}")
-            elems.append(self.expression())
+            return fset()
+        return fset(self.items("}"))
 
     def paren(self) -> Value:
         first = self.expression()
@@ -180,21 +177,22 @@ class _Parser:
         raise ParseError(f"expected ')' or ',' at position {tok[2]}, got {tok[1]!r}")
 
     def call(self, name: str, at: int) -> Value:
-        arity, fn = FUNCTIONS[name]
+        arity, fn = _PREFIX[name]
         self.expect("(")
-        args = [self.expression()]
-        while self.peek() and self.peek()[1] == ",":
-            self.take()
-            args.append(self.expression())
-        self.expect(")")
+        args = self.items(")")
         if len(args) != arity:
             raise ParseError(
                 f"{name} takes {arity} argument(s), got {len(args)} at position {at}"
             )
-        try:
-            return fn(*args)
-        except (TypeError, ValueError) as e:
-            raise ParseError(f"{name} at position {at}: {e}") from None
+        return _apply(name, fn, args, at)
+
+
+def _apply(name: str, fn, args, at: int) -> Value:
+    """Run one operator: the text parsed, so arguments it rejects are invalid input."""
+    try:
+        return fn(*args)
+    except (TypeError, ValueError) as e:
+        raise ValidationError(f"operator {name!r} at position {at}: {e}") from None
 
 
 def evaluate_expression(text: str) -> Value:

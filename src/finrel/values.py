@@ -72,10 +72,6 @@ class Value:
         return self._hash
 
     @property
-    def kind(self) -> int:
-        return self._key[0]
-
-    @property
     def is_num(self) -> bool:
         return self._key[0] == NUM
 
@@ -176,6 +172,10 @@ def sym(name: str) -> Value:
         raise ValueError(f"symbol {name!r} would be read back as a number")
     if '"' in name or "\\" in name or any(ord(c) < 32 for c in name):
         raise ValueError(f"symbol {name!r} contains quote or control characters")
+    # a lone surrogate (from a JSON escape or an undecodable argument) has
+    # no UTF-8 encoding, so the symbol could never be written out
+    if not name.isascii() and any("\ud800" <= c <= "\udfff" for c in name):
+        raise ValueError(f"symbol {name!r} contains a lone surrogate")
     return Value(name, (SYM, name), hash((SYM, name)))
 
 

@@ -44,8 +44,8 @@ def test_eval_validation_exit_code(tmp_path, capsys):
     path = tmp_path / "expr.txt"
     path.write_text("eval({1}, 0)")  # not a relation
     code, _, err = run_cli(capsys, "eval", str(path))
-    assert code == 1 or code == 2  # reported through the expression parser
-    assert err
+    assert code == 2
+    assert "invalid input" in err
 
 
 def test_enumerate_partitions(capsys):
@@ -156,6 +156,73 @@ def test_run_combinatorial_parse_exit(tmp_path, capsys):
     inst.write_text("{]")
     code, _, err = run_cli(capsys, "run-combinatorial", str(inst))
     assert code == 1
+
+
+FILE = object()  # stands for a file holding the case's contents
+
+
+def _nested_set(depth: int, inner: str = "1") -> str:
+    return '["set",' * depth + inner + "]" * depth
+
+
+# the object around the goods is one level, so the document is 101 deep
+_DEEP_DOC = dict(WORKED_INSTANCE, goods=json.loads(_nested_set(100, '"g1"')))
+_NUMBER_GOODS = json.dumps({**WORKED_INSTANCE, "goods": -1})
+_LONG = "1" * 5000
+_BIG = 10**4000  # 1/(_BIG + 1) + 1/(_BIG + 3) has a denominator of 8,001 digits
+_HUGE_SUM = dict(
+    WORKED_INSTANCE,
+    valuations=[[1, ["set", "g1"], f"1/{_BIG + 1}"], [2, ["set", "g2"], f"1/{_BIG + 3}"]],
+)
+
+EXIT_CASES = [
+    # (case, command, contents of FILE or None for no file, exit code)
+    ("operator-rejects-argument", ["eval", FILE], "eval({1}, 0)", 2),
+    ("infix-rejects-argument", ["eval", FILE], "{1} +* 2", 2),
+    ("syntax-error", ["eval", FILE], "{(1,2)} ,,", 1),
+    ("partitions-of-a-number", ["enumerate", "partitions", "5"], None, 2),
+    ("injections-into-a-number", ["enumerate", "injections", '["set",1]', "5"], None, 2),
+    (
+        "bidders-not-a-set",
+        ["run-single", "--bidders", "5", "--grid", '["set",0,1]', "--bidder", "1"],
+        None,
+        2,
+    ),
+    ("goods-not-a-set", ["run-combinatorial", FILE], _NUMBER_GOODS, 2),
+    ("deep-json-argument", ["enumerate", "partitions", _nested_set(3000)], None, 3),
+    ("json-argument-past-cap", ["enumerate", "partitions", _nested_set(101)], None, 3),
+    ("json-argument-at-cap", ["enumerate", "partitions", _nested_set(100)], None, 0),
+    ("deep-instance-file", ["run-combinatorial", FILE], '{"goods":' + _nested_set(3000) + "}", 3),
+    ("instance-past-cap", ["run-combinatorial", FILE], json.dumps(_DEEP_DOC), 3),
+    ("deep-expression", ["eval", FILE], "{" * 3000, 3),
+    ("expression-past-cap", ["eval", FILE], "{" * 101 + "1" + "}" * 101, 3),
+    ("expression-at-cap", ["eval", FILE], "{" * 100 + "1" + "}" * 100, 0),
+    ("long-literal", ["eval", FILE], _LONG, 3),
+    ("long-rational-literal", ["eval", FILE], f"1/{_LONG}", 3),
+    ("long-json-number", ["enumerate", "partitions", f'["set",{_LONG}]'], None, 3),
+    ("long-json-rational", ["enumerate", "partitions", f'["set","1/{_LONG}"]'], None, 3),
+    ("outcome-past-digit-limit", ["run-combinatorial", FILE], json.dumps(_HUGE_SUM), 3),
+    ("lone-surrogate-symbol", ["enumerate", "partitions", '["set","\\ud800"]'], None, 2),
+    ("non-utf8-expression", ["eval", FILE], b"{1} \xff", 1),
+    ("non-utf8-instance", ["run-combinatorial", FILE], b'{"goods": "\xff"}', 1),
+    ("missing-file", ["eval", FILE], None, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, contents, expected",
+    [case[1:] for case in EXIT_CASES],
+    ids=[case[0] for case in EXIT_CASES],
+)
+def test_each_input_error_has_its_exit_code(tmp_path, capsys, argv, contents, expected):
+    path = tmp_path / "input"
+    if contents is not None:
+        path.write_bytes(contents if isinstance(contents, bytes) else contents.encode())
+    code, _, err = run_cli(capsys, *[str(path) if arg is FILE else arg for arg in argv])
+    assert code == expected
+    assert "Traceback" not in err
+    if expected:
+        assert err
 
 
 def test_check_laws_single(capsys):

@@ -1,6 +1,6 @@
 import pytest
 
-from finrel.errors import ParseError
+from finrel.errors import ParseError, ValidationError
 from finrel.values import EMPTY, UNDEFINED, V, num, pair, rat, sym
 from finrel.relations import relation
 from finrel.expressions import evaluate_expression as E
@@ -62,10 +62,10 @@ def test_parse_errors_have_positions():
         assert "position" in str(err.value)
 
 
-def test_operator_type_errors_are_parse_level():
-    with pytest.raises(ParseError):
+def test_operator_type_errors_are_validation_errors():
+    with pytest.raises(ValidationError):
         E("1 +* 2")  # paste needs relations
-    with pytest.raises(ParseError):
+    with pytest.raises(ValidationError):
         E("{(1,2)} +< 3")  # update needs a pair
 
 
