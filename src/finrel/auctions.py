@@ -14,11 +14,12 @@ value order (lowest wins).
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 from .errors import CapExceeded, ValidationError
 from .values import (
@@ -43,7 +44,6 @@ from .relations import (
     domain_of,
     eval_rel,
     is_relation,
-    paste,
     range_of,
     relation,
     right_unique,
@@ -105,10 +105,7 @@ def bid_vectors(bidders: Value, grid: Value) -> list[Value]:
     """Every function from the bidders into the grid, canonically ordered
     coordinate-wise."""
     bs = bidders.payload
-    out = [fset()]
-    for b in bs:
-        out = [paste(vec, relation([(b, g)])) for vec in out for g in grid.payload]
-    return out
+    return [relation(zip(bs, gs)) for gs in itertools.product(grid.payload, repeat=len(bs))]
 
 
 def _single_good(bidders, grid, i, price_rule) -> SingleGoodMechanism:
@@ -119,25 +116,19 @@ def _single_good(bidders, grid, i, price_rule) -> SingleGoodMechanism:
     alloc_pairs = []
     price_pairs = []
     for b in bid_vectors(bidders, grid):
-        winner = arg_max_set(b, bidders).payload[0]  # canonical tie-break
-        if winner == i:
-            alloc_pairs.append(pair(b, num(1)))
-            price_pairs.append(pair(b, price_rule(b)))
-        else:
-            alloc_pairs.append(pair(b, num(0)))
-            price_pairs.append(pair(b, num(0)))
+        wins = arg_max_set(b, bidders).payload[0] == i  # canonical tie-break
+        alloc_pairs.append(pair(b, num(1 if wins else 0)))
+        price_pairs.append(pair(b, price_rule(b) if wins else num(0)))
     return SingleGoodMechanism(bidders, grid, i, fset(alloc_pairs), fset(price_pairs))
 
 
 def second_price_single_good(bidders, grid, i) -> SingleGoodMechanism:
     """Winner pays the highest rival bid."""
-    i = canonicalize(i)
     return _single_good(bidders, grid, i, lambda b: max_of(range_of(single_outside(b, i))))
 
 
 def first_price_single_good(bidders, grid, i) -> SingleGoodMechanism:
     """Winner pays their own bid; the classic non-truthful mutant."""
-    i = canonicalize(i)
     return _single_good(bidders, grid, i, lambda b: eval_rel(b, i))
 
 
@@ -156,14 +147,9 @@ def dominant_strategy_counterexample(
     """
     common = intersection(domain_of(alloc), domain_of(price))
     cmembers = frozenset(common.payload)
-    vals = []
-    for b in common.payload:
-        if member(i, domain_of(b)):
-            vals.append(eval_rel(b, i))
-    deviations = fset(vals)
-    for b in common.payload:
-        if not member(i, domain_of(b)):
-            continue
+    bids_of_i = [b for b in common.payload if member(i, domain_of(b))]
+    deviations = fset(eval_rel(b, i) for b in bids_of_i)
+    for b in bids_of_i:
         for v in deviations.payload:
             truthful = single_paste(b, i, v)
             if truthful not in cmembers:
@@ -179,17 +165,8 @@ def dominant_strategy_check(i: Value, alloc: Value, price: Value) -> bool:
     return dominant_strategy_counterexample(i, alloc, price) is None
 
 
-def _table_lookup(table, x: Value) -> Fraction:
-    if isinstance(table, Value):
-        y = eval_rel(table, x)
-    elif isinstance(table, Mapping):
-        try:
-            y = table[x]
-        except KeyError:
-            raise ValueError(f"table undefined at {x!r}") from None
-    else:
-        y = table(x)
-    y = canonicalize(y)
+def _table_lookup(table: Callable[[Value], Value], x: Value) -> Fraction:
+    y = canonicalize(table(x))
     if not y.is_num:
         raise ValueError(f"table has no numeric value at {x!r} (got {y!r})")
     return as_fraction(y)
@@ -199,8 +176,10 @@ def vickrey_payment_form_check(i, alloc, price, weight, fee, base_alloc) -> bool
     """Check that every payment splits as (alloc - base) * weight + fee.
 
     weight and fee are tables over reduced bids (the vector with bidder
-    i's component removed); both must be defined on every reduced bid the
-    common domain reaches, otherwise a ValueError is raised.
+    i's component removed), given as callables from a reduced bid to a
+    number; a table held as a relation goes in through to_function.  Both
+    must give a number on every reduced bid the common domain reaches,
+    otherwise a ValueError is raised.
     """
     i = canonicalize(i)
     base = as_fraction(canonicalize(base_alloc))
@@ -404,15 +383,16 @@ def clear_vickrey(inst: CombinatorialInstance) -> Outcome:
     return Outcome(chosen, fset(payments), best)
 
 
-def random_instance(rng, max_goods: int = 4, max_bidders: int = 3) -> CombinatorialInstance:
-    """Seeded random instance with free-disposal valuations.
+def random_instance(rng) -> CombinatorialInstance:
+    """Seeded random instance of 1-4 goods and 1-3 bidders with
+    free-disposal valuations.
 
     Raw bundle values are drawn independently, then closed upward so a
     larger bundle is never worth less; that monotonicity is what makes
     exclusion payments provably non-negative under this allocation space.
     """
-    n_goods = rng.randint(1, max_goods)
-    n_bidders = rng.randint(1, max_bidders)
+    n_goods = rng.randint(1, 4)
+    n_bidders = rng.randint(1, 3)
     goods = fset(sym(f"g{k}") for k in range(1, n_goods + 1))
     bidders = fset(num(k) for k in range(1, n_bidders + 1))
     bundles = [s for s in all_subsets(goods).payload if s.payload]

@@ -2,21 +2,28 @@
 
 Exit codes: 0 ok, 1 parse error, 2 validation error (including a failing
 law) or i/o error, 3 cap exceeded; main catches nothing else, so any other
-exception is a bug and shows as one.  Standard output is canonical and
-byte-deterministic for identical invocations; check-laws prints per-law
-timings to standard error.
+exception is a bug and shows as one.  Standard output is UTF-8 whatever the
+locale, canonical, and byte-deterministic for identical invocations;
+check-laws prints per-law timings to standard error.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import __version__
 from .errors import CapExceeded, ParseError, ValidationError
 from .encoding import parse_value, serialize_value
 from .expressions import evaluate_expression
-from .enumeration import all_partitions_list, injections_alg, partition_as_set
+from .enumeration import (
+    CAP_ENUMERATE_LINES,
+    _bell,
+    all_partitions_list,
+    injections_alg,
+    partition_as_set,
+)
 from .auctions import (
     _input_set,
     clear_vickrey,
@@ -43,14 +50,21 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    # the output is counted before anything is enumerated
     if args.kind == "partitions":
-        elements = _input_set(parse_value(args.elements), "elements")
-        for blocks in all_partitions_list(list(elements.elements)):
+        xs = list(_input_set(parse_value(args.elements), "elements").elements)
+        count = _bell(len(xs))
+    else:
+        xs = list(_input_set(parse_value(args.source), "source").elements)
+        Y = _input_set(parse_value(args.target), "target")
+        count = math.perm(len(Y.elements), len(xs))
+    if count > CAP_ENUMERATE_LINES:
+        raise CapExceeded(f"{count} {args.kind} to list (cap {CAP_ENUMERATE_LINES} lines)")
+    if args.kind == "partitions":
+        for blocks in all_partitions_list(xs):
             print(serialize_value(partition_as_set(blocks)))
     else:
-        X = _input_set(parse_value(args.source), "source")
-        Y = _input_set(parse_value(args.target), "target")
-        for rel in injections_alg(list(X.elements), Y):
+        for rel in injections_alg(xs, Y):
             print(serialize_value(rel))
     return 0
 
@@ -153,6 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys.stdout, "reconfigure"):  # a console or file, not an in-memory text sink
+        sys.stdout.reconfigure(encoding="utf-8")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -19,6 +19,7 @@ serialization.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -72,6 +73,7 @@ from .quotients import (
     quotient,
 )
 from .enumeration import (
+    _bell,
     all_partitions_list,
     all_partitions_oracle,
     all_subsets,
@@ -602,15 +604,6 @@ _register(
 # ---------------------------------------------------------------------------
 # enumeration laws
 
-def _falling_factorial(n: int, k: int) -> int:
-    if k > n:
-        return 0
-    out = 1
-    for j in range(k):
-        out *= n - j
-    return out
-
-
 def _injection_cases(config):
     if config.full:
         pool = [sym(s) for s in ("a", "b", "c")]
@@ -647,7 +640,7 @@ def _injection_check(case):
         return False
     if len(constructed) != len(set(constructed)):
         return False
-    if len(oracle.payload) != _falling_factorial(len(Y.payload), len(xs)):
+    if len(oracle.payload) != math.perm(len(Y.payload), len(xs)):
         return False
     return all(
         right_unique(R) and right_unique(converse(R)) for R in oracle.payload
@@ -678,14 +671,14 @@ def _partition_check(case):
     return (
         fset(as_sets) == oracle
         and len(as_sets) == len(set(as_sets))
-        and len(constructed) == len(oracle.payload)
+        and len(constructed) == len(oracle.payload) == _bell(len(xs))
     )
 
 
 _register(
     "partitions_match_oracle",
     "the recursive partition enumeration equals the predicate-filtered "
-    "oracle, producing each partition exactly once",
+    "oracle, producing each partition exactly once, Bell(n) of them",
     _partition_cases,
     _partition_check,
 )

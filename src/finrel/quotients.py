@@ -10,7 +10,7 @@ equivalences or functions; the hypotheses only matter for the laws.
 
 from __future__ import annotations
 
-from .values import EMPTY, Value, fset, pair, _require_set, _set_of_sorted
+from .values import EMPTY, Value, cartesian_product, fset, pair, _require_set, _set_of_sorted
 from .relations import (
     _by_first,
     _require_relation,
@@ -113,15 +113,10 @@ def all_equivalences(carrier: Value) -> list[Value]:
     from .enumeration import all_partitions_list
 
     _require_set(carrier)
-    out = []
-    for blocks in all_partitions_list(list(carrier.payload)):
-        pairs = []
-        for block in blocks:
-            for a in block.payload:
-                for b in block.payload:
-                    pairs.append(pair(a, b))
-        out.append(fset(pairs))
-    return out
+    return [
+        fset(p for block in blocks for p in cartesian_product(block, block).payload)
+        for blocks in all_partitions_list(list(carrier.payload))
+    ]
 
 
 def all_partial_equivalences(universe: Value) -> list[Value]:

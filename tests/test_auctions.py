@@ -8,12 +8,17 @@ from finrel.values import EMPTY, UNDEFINED, V, fset, num, pair, sym
 from finrel.relations import (
     domain_of,
     eval_rel,
+    graph,
+    paste,
     range_of,
     relation,
     right_unique,
+    single_outside,
+    to_function,
 )
 from finrel.quotients import compatible, identity_on, kernel
 from finrel.auctions import (
+    bid_vectors,
     clear_vickrey,
     dominant_strategy_check,
     dominant_strategy_counterexample,
@@ -364,3 +369,46 @@ def test_instance_file_errors():
         parse_instance('{"goods": ["set", "g1"]}')
     with pytest.raises(ValidationError):
         parse_instance('{"goods": ["set","g1"], "bidders": ["set",1,2], "valuations": 3}')
+
+
+def _pasted_bid_vectors(bidders, grid):
+    """The bid vectors built one bidder at a time by pasting, as the paper
+    extends a partial function: the independent reference for the product."""
+    out = [fset()]
+    for b in bidders.payload:
+        out = [paste(vec, relation([(b, g)])) for vec in out for g in grid.payload]
+    return out
+
+
+def test_bid_vectors_equal_the_pasted_construction():
+    pool = V([-1, Fraction(-1, 2), 0, Fraction(1, 2), 3])
+    grids = [g for g in all_subsets(pool).payload if g.payload]
+    assert len(grids) == 31
+    for n in range(4):
+        bidders = V(list(range(1, n + 1)))
+        for grid in grids:
+            assert bid_vectors(bidders, grid) == _pasted_bid_vectors(bidders, grid), (n, grid)
+
+
+def _payment_form_verdict(m, fee):
+    try:
+        return vickrey_payment_form_check(m.bidder, m.alloc, m.price, max_rival_bid, fee, num(0))
+    except ValueError:
+        return "undefined fee"
+
+
+def test_fee_relation_through_to_function_matches_fee_closure():
+    # the fee closure against its own graph over the reduced bids, read back
+    # through to_function: the two table forms must give one verdict
+    verdicts = set()
+    for build in (second_price_single_good, first_price_single_good):
+        for bidders, grid in ((B12, GRID), (B12, V([0, 1])), (V([1, 2, 3]), V([0, Fraction(1, 2), 2]))):
+            for i in bidders.payload:
+                m = build(bidders, grid, i)
+                fee = reduced_fee_table(m.price, m.bidder, m.alloc)
+                reduced = fset(single_outside(b, i) for b in domain_of(m.alloc).payload)
+                table = to_function(graph(reduced, fee))
+                verdict = _payment_form_verdict(m, fee)
+                assert _payment_form_verdict(m, table) == verdict, (build, bidders, grid, i)
+                verdicts.add(verdict)
+    assert verdicts == {True, False, "undefined fee"}

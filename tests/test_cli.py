@@ -1,8 +1,16 @@
 import json
+import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import finrel
 from finrel.cli import main
+from finrel.enumeration import CAP_ENUMERATE_LINES, _bell
 
 WORKED_INSTANCE = {
     "goods": ["set", "g1", "g2"],
@@ -251,3 +259,42 @@ def test_version(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "finrel" in capsys.readouterr().out
+
+
+def test_stdout_is_utf8_whatever_the_locale():
+    env = dict(os.environ, PYTHONIOENCODING="ascii", LC_ALL="C")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(finrel.__file__).parent.parent), env.get("PYTHONPATH", "")]
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "finrel.cli", "enumerate", "partitions", '["set","é"]'],
+        env=env,
+        capture_output=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == '["set",["set","é"]]\n'.encode("utf-8")
+    assert b"Traceback" not in done.stderr
+
+
+def test_enumerate_cap_admits_partitions_of_ten_only():
+    assert _bell(10) <= CAP_ENUMERATE_LINES < _bell(11)
+    assert math.perm(10, 6) > CAP_ENUMERATE_LINES
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["partitions", json.dumps(["set", *range(11)])],
+        ["injections", json.dumps(["set", *range(9)]), json.dumps(["set", *range(10, 19)])],
+        ["injections", json.dumps(["set", *range(6)]), json.dumps(["set", *range(10, 20)])],
+    ],
+    ids=["partitions of 11", "injections of 9 into 9", "injections of 6 into 10"],
+)
+def test_enumerate_over_the_cap_exits_3_before_printing(argv, capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "enumerate", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert "cap exceeded" in err

@@ -4,6 +4,7 @@ from finrel.errors import CapExceeded
 from finrel.values import EMPTY, V, fset, sym
 from finrel.relations import converse, relation, right_unique
 from finrel.enumeration import (
+    _bell,
     all_coarser_partitions_with_list,
     all_partitions_list,
     all_partitions_oracle,
@@ -95,9 +96,11 @@ def test_all_partitions_list_examples():
 
 
 def test_bell_counts_constructive():
-    pool = [sym(s) for s in "abcde"]
-    counts = [len(all_partitions_list(pool[:n])) for n in range(6)]
-    assert counts == [1, 1, 2, 5, 15, 52]
+    pool = [sym(s) for s in "abcdefg"]
+    counts = [len(all_partitions_list(pool[:n])) for n in range(8)]
+    assert counts == [1, 1, 2, 5, 15, 52, 203, 877]
+    assert [_bell(n) for n in range(8)] == counts
+    assert (_bell(10), _bell(11)) == (115_975, 678_570)
 
 
 def test_is_partition():
@@ -139,3 +142,20 @@ def test_oracle_cap():
         all_partitions_oracle(fset(range(7)))
     with pytest.raises(CapExceeded):
         injections_oracle(fset(range(5)), fset(range(10, 15)))
+
+
+def test_is_partition_of_equals_brute_force_count():
+    # every family of subsets of 3 atoms against every carrier within them
+    atoms = V(["a", "b", "c"])
+    families = all_subsets(all_subsets(atoms)).payload
+    carriers = all_subsets(atoms).payload
+    assert (len(families), len(carriers)) == (256, 8)
+    for A in carriers:
+        for P in families:
+            blocks = P.payload
+            brute = (
+                all(sum(x in b.payload for b in blocks) == 1 for x in A.payload)
+                and all(b.payload for b in blocks)
+                and all(x in A.payload for b in blocks for x in b.payload)
+            )
+            assert is_partition_of(P, A) == brute, (P, A)

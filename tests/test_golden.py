@@ -1,0 +1,105 @@
+"""Golden stdout digests: a fixed set of CLI commands, run in-process, must
+print exactly the bytes recorded for them.
+
+Each entry is (name, argv, sha256 of stdout, line count).  Refactors that
+keep the output byte-identical leave every digest unchanged; a digest that
+moves means stdout moved, and the change has to say why.
+"""
+
+import hashlib
+import json
+from fractions import Fraction
+
+import pytest
+
+from finrel.cli import main
+
+README_INSTANCE = {
+    "goods": ["set", "g1", "g2"],
+    "bidders": ["set", 1, 2],
+    "valuations": [
+        [1, ["set", "g1", "g2"], 10],
+        [1, ["set", "g1"], 6],
+        [1, ["set", "g2"], 6],
+        [2, ["set", "g1", "g2"], 7],
+        [2, ["set", "g1"], 5],
+        [2, ["set", "g2"], 5],
+    ],
+}
+
+
+def _dense_instance(n_goods: int, n_bidders: int) -> dict:
+    """Every bidder values every nonempty bundle; a fixed formula, no rng."""
+    goods = [f"g{k}" for k in range(1, n_goods + 1)]
+    rows = []
+    for b in range(1, n_bidders + 1):
+        for mask in range(1, 1 << n_goods):
+            bundle = [g for k, g in enumerate(goods) if mask >> k & 1]
+            v = Fraction((b * 13 + mask * 7) % 17 + len(bundle), 1 + mask % 2)
+            rows.append([b, ["set", *bundle], v.numerator if v.denominator == 1 else str(v)])
+    return {"goods": ["set", *goods], "bidders": ["set", *range(1, n_bidders + 1)], "valuations": rows}
+
+
+GRID = '["set",-1,"-1/2",0,"1/2",3]'
+BIDDERS = '["set",1,2,3]'
+
+COMMANDS = [
+    ("check-laws quick 3", ["check-laws", "--profile", "quick", "--seed", "3"]),
+    *[
+        (
+            f"run-single {rule} bidder {i}",
+            ["run-single", "--bidders", BIDDERS, "--grid", GRID, "--bidder", str(i), "--rule", rule],
+        )
+        for rule in ("second-price", "first-price")
+        for i in (1, 2, 3)
+    ],
+    ("run-combinatorial readme", ["run-combinatorial", "{readme}"]),
+    ("run-combinatorial dense 4x4", ["run-combinatorial", "{dense}"]),
+    (
+        "enumerate partitions mixed 6",
+        ["enumerate", "partitions", '["set",1,"-1/2","a",["pair",1,2],["set"],["set",3]]'],
+    ),
+    (
+        "enumerate injections 3 into 5",
+        ["enumerate", "injections", '["set","x","y","z"]', '["set",0,"1/3","b",["pair","a",1],["set",1]]'],
+    ),
+    ("eval readme", ["eval", "{expr}"]),
+]
+
+# recorded before the bid-vector, table and partition-cover rewrites
+GOLDEN = {
+    'check-laws quick 3': ('e15004067dd9bfc219a17af43890ec6a19743d86f951a65ddb7f2f10fe5a1c73', 21),
+    'run-single second-price bidder 1': ('94dc5afe275b96705edc8baf8e77a2da3bd99f96f4f86d2932641813d36aa0ce', 7),
+    'run-single second-price bidder 2': ('9fd8c642fd37ee95f286199e81e6b70baffa4222159eb84224439d9e85a82440', 7),
+    'run-single second-price bidder 3': ('b55d22b9c0160d52e1d659c369163f122d21f26a1cf777409dfe548699352080', 7),
+    'run-single first-price bidder 1': ('1b06b6e4e3c42ace26f80bb6b00c67213685adee281437204866e70542e5319a', 8),
+    'run-single first-price bidder 2': ('2b62aaa4317705da524b4a067a163da1df9a9065eb75ad012ae90ef3915c240c', 8),
+    'run-single first-price bidder 3': ('23107114811669c49102c1ecd7d41119bd2d0f88a6cda4ea38c01a78508480a6', 8),
+    'run-combinatorial readme': ('355a10e802e4b969ad758c049c409d2d1a31b9d6eea5d50af00e0a727d9c982f', 1),
+    'run-combinatorial dense 4x4': ('8a28e9ae28f6b1b697621b9efb44fb6205fcbe49cb44947040ad9d90619043ab', 1),
+    'enumerate partitions mixed 6': ('7f05e9fe915fbc44d9f2e003a44aee8bb290982c318910f31352bfbf13dd3ccd', 203),
+    'enumerate injections 3 into 5': ('2d29d31b7dad74ea2c540e6fda0ec7b4d1085d93b849f111a1d8c189992f1add', 60),
+    'eval readme': ('1a252402972f6057fa53cc172b52b9ffca698e18311facd0f3b06ecaaef79e17', 1),
+}
+
+
+@pytest.fixture
+def files(tmp_path):
+    paths = {
+        "readme": tmp_path / "readme.json",
+        "dense": tmp_path / "dense.json",
+        "expr": tmp_path / "expr.txt",
+    }
+    paths["readme"].write_text(json.dumps(README_INSTANCE), encoding="utf-8")
+    paths["dense"].write_text(json.dumps(_dense_instance(4, 4)), encoding="utf-8")
+    paths["expr"].write_text("({(0::nat,10),(1,11),(1,12)} +< (1,13::nat)) ,, 1\n", encoding="utf-8")
+    return {k: str(v) for k, v in paths.items()}
+
+
+@pytest.mark.parametrize("name,argv", COMMANDS, ids=[c[0] for c in COMMANDS])
+def test_stdout_matches_recorded_digest(name, argv, files, capsys):
+    code = main([a.format(**files) for a in argv])
+    out = capsys.readouterr().out.encode("utf-8")
+    assert code == 0
+    digest = (hashlib.sha256(out).hexdigest(), out.count(b"\n"))
+    assert digest == GOLDEN[name]

@@ -188,3 +188,18 @@ def test_non_relations_raise_on_every_call():
             compatible(ident, ident, bad)
         with pytest.raises(TypeError):
             is_equivalence(bad, V([1]))
+
+
+def test_kernel_equals_its_relational_and_pointwise_definitions():
+    # every right-unique relation over the 3x2 universe: the kernel is
+    # f ; f^-1, and it relates exactly the points with equal f-values
+    A, B = V([1, 2, 3]), V([10, 11])
+    functions = [f for f in all_subsets(cartesian_product(A, B)).payload if right_unique(f)]
+    assert len(functions) == 27
+    for f in functions:
+        k = kernel(f)
+        assert k == compose(f, converse(f)), f
+        pointwise = fset(
+            pair(p.first, q.first) for p in f.payload for q in f.payload if p.second == q.second
+        )
+        assert k == pointwise, f
