@@ -36,6 +36,7 @@ from .values import (
     sym,
     union,
     _require_set,
+    _set_of_sorted,
 )
 from .relations import (
     arg_max_set,
@@ -326,7 +327,12 @@ def _check_caps(goods: Value, bidders: Value):
 
 def possible_allocations(goods: Value, bidders: Value) -> list[Value]:
     """Every allocation: an injection from the blocks of some partition of
-    the goods into the bidders.  Deterministic order, no duplicates."""
+    the goods into the bidders.  Deterministic order, no duplicates.
+
+    This is the paper's set-theoretic construction of the allocation
+    space.  Clearing does not walk it (`clear_vickrey` computes over the
+    same space by subset recursion); it stays as the oracle the clearing
+    is tested against."""
     _require_set(goods, "goods")
     _require_set(bidders, "bidders")
     if not goods.payload:
@@ -336,12 +342,6 @@ def possible_allocations(goods: Value, bidders: Value) -> list[Value]:
     for blocks in all_partitions_list(list(goods.payload)):
         out.extend(injections_alg(blocks, bidders))
     return out
-
-
-def _welfare(inst: CombinatorialInstance, alloc: Value) -> Fraction:
-    return sum(
-        (inst.value(p.second, p.first) for p in alloc.payload), Fraction(0)
-    )
 
 
 def won_value(inst: CombinatorialInstance, alloc: Value, bidder: Value) -> Fraction:
@@ -355,32 +355,90 @@ def won_value(inst: CombinatorialInstance, alloc: Value, bidder: Value) -> Fract
 def clear_vickrey(inst: CombinatorialInstance) -> Outcome:
     """Welfare-maximizing allocation plus exclusion-formula payments.
 
-    The chosen allocation maximizes total reported value, ties broken by
+    The allocation space is the one `possible_allocations` lists: every
+    good is assigned, in nonempty blocks, to distinct bidders.  The
+    chosen allocation maximizes total reported value, ties broken by
     canonical order.  Bidder n pays the best total the others could reach
     without n, minus what the others actually get under the chosen
     allocation; bidders assigned nothing pay by the same formula (which
     works out to zero).  "Without n" is the best welfare over the
-    allocations that give n nothing: these are exactly the allocations
-    into the other bidders, so the one enumeration serves every payment.
+    allocations into the other bidders, or 0 when there are none.
+
+    Nothing is enumerated: goods and bidders are bit positions in
+    canonical order, and `best(S, avail)` is the best welfare that gives
+    all of the goods in S to distinct bidders in avail (None if none
+    can).  The first bidder in avail takes some nonempty T within S or
+    nothing, and the rest recurses (the winner-determination recurrence
+    of Rothkopf, Pekec and Harstad, 1998).  One memo serves the optimum
+    and every excluded optimum.
     """
     _check_caps(inst.goods, inst.bidders)
-    allocations = possible_allocations(inst.goods, inst.bidders)
-    scored = [(_welfare(inst, a), a) for a in allocations]
-    best = max(w for w, _ in scored)
-    chosen = min(a for w, a in scored if w == best)
-    # one pass raises the excluded optimum of every bidder an allocation
-    # leaves out; 0 is a safe start because welfare is never negative
-    excluded_best = dict.fromkeys(inst.bidders.payload, Fraction(0))
-    for w, a in scored:
-        winners = {p.payload[1] for p in a.payload}
-        for n, top in excluded_best.items():
-            if w > top and n not in winners:
-                excluded_best[n] = w
+    goods, bidders = inst.goods.payload, inst.bidders.payload
+    all_goods = (1 << len(goods)) - 1
+    everyone = (1 << len(bidders)) - 1
+    # bit k of a mask is goods[k], and the goods are in canonical order, so
+    # each bundle's elements come out already sorted
+    bundles = [
+        _set_of_sorted(tuple([g for k, g in enumerate(goods) if mask >> k & 1]))
+        for mask in range(all_goods + 1)
+    ]
+    val = [[inst.value(n, bundle) for bundle in bundles] for n in bidders]
+    memo: dict = {}
+
+    def best(S: int, avail: int):
+        if not S:
+            return Fraction(0)
+        if not avail:
+            return None
+        key = (S, avail)
+        if key in memo:
+            return memo[key]
+        first = avail & -avail
+        rest = avail ^ first
+        row = val[first.bit_length() - 1]
+        top = best(S, rest)
+        T = S
+        while T:
+            after = best(S ^ T, rest)
+            if after is not None and (top is None or row[T] + after > top):
+                top = row[T] + after
+            T = (T - 1) & S
+        memo[key] = top
+        return top
+
+    by_key = sorted(range(1, all_goods + 1), key=lambda mask: bundles[mask]._key)
+
+    def first_optimal_block(left: int, free: int, target: Fraction):
+        # the blocks of an allocation sort by their lowest good, and a pair
+        # by its bundle before its bidder, so the canonically least optimal
+        # allocation starts with the least (block, bidder) that still
+        # reaches the optimum
+        lowest = left & -left
+        for T in by_key:
+            if T & lowest and not T & ~left:
+                for k in range(len(bidders)):
+                    if free >> k & 1:
+                        after = best(left ^ T, free ^ (1 << k))
+                        if after is not None and val[k][T] + after == target:
+                            return T, k, after
+        raise AssertionError("no block reaches the optimum")
+
+    welfare = best(all_goods, everyone)
+    chosen = []
+    left, free, target = all_goods, everyone, welfare
+    while left:
+        T, k, target = first_optimal_block(left, free, target)
+        chosen.append(pair(bundles[T], bidders[k]))
+        left, free = left ^ T, free ^ (1 << k)
+    allocation = _set_of_sorted(tuple(chosen))
     payments = []
-    for n in inst.bidders.payload:
-        others = best - won_value(inst, chosen, n)
-        payments.append(pair(n, num(excluded_best[n] - others)))
-    return Outcome(chosen, fset(payments), best)
+    for k, n in enumerate(bidders):
+        excluded = best(all_goods, everyone ^ (1 << k))
+        if excluded is None:  # n is the only bidder
+            excluded = Fraction(0)
+        others = welfare - won_value(inst, allocation, n)
+        payments.append(pair(n, num(excluded - others)))
+    return Outcome(allocation, _set_of_sorted(tuple(payments)), welfare)
 
 
 def random_instance(rng) -> CombinatorialInstance:

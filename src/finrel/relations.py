@@ -9,7 +9,7 @@ UNDEFINED marker instead of raising.  Callers that need definedness
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 from .values import (
     PAIR,
@@ -233,12 +233,13 @@ def eval_rel_union(R: Value, x) -> Value:
 
 
 def graph(X: Value, f) -> Value:
-    """The relation {(x, f(x)) | x in X} for a callable or mapping f."""
+    """The relation {(x, f(x)) | x in X} for a callable f; a KeyError from
+    f means the table is undefined at x."""
     _require_set(X)
     out = []
     for x in X.payload:
         try:
-            y = f[x] if isinstance(f, Mapping) else f(x)
+            y = f(x)
         except KeyError:
             raise ValueError(f"table undefined at {x!r}") from None
         out.append(pair(x, canonicalize(y)))

@@ -18,6 +18,7 @@ from finrel.relations import (
 )
 from finrel.quotients import compatible, identity_on, kernel
 from finrel.auctions import (
+    Outcome,
     bid_vectors,
     clear_vickrey,
     dominant_strategy_check,
@@ -303,6 +304,76 @@ def test_exclusion_formula_can_go_negative_without_free_disposal():
     out = clear_vickrey(inst)
     assert out.welfare == Fraction(20)
     assert out.payments == relation([(1, -10), (2, -10)])
+
+
+def _reference_clear(inst):
+    """Clearing read off the paper's enumeration: the canonical least of
+    the welfare-optimal allocations in `possible_allocations`, and each
+    bidder's excluded optimum taken from the allocations that leave them
+    out (0 when none does)."""
+    scored = [
+        (sum((inst.value(p.second, p.first) for p in a.payload), Fraction(0)), a)
+        for a in possible_allocations(inst.goods, inst.bidders)
+    ]
+    best = max(w for w, _ in scored)
+    chosen = min(a for w, a in scored if w == best)
+    payments = []
+    for n in inst.bidders.payload:
+        excluded = max(
+            (w for w, a in scored if all(p.second != n for p in a.payload)),
+            default=Fraction(0),
+        )
+        payments.append(pair(n, num(excluded - (best - won_value(inst, chosen, n)))))
+    return Outcome(chosen, fset(payments), best)
+
+
+def _shaped_instance(n_goods, n_bidders, shape, rng):
+    goods = fset(sym(f"g{k}") for k in range(1, n_goods + 1))
+    bidders = fset(num(k) for k in range(1, n_bidders + 1))
+    bundles = [b for b in all_subsets(goods).payload if b.payload]
+    triples = []
+    for n in bidders.payload:
+        if shape == "monotone":
+            raw = {b: Fraction(rng.randint(0, 12), rng.choice((1, 2, 3))) for b in bundles}
+            for b in bundles:
+                inner = [raw[s] for s in bundles if set(s.payload) <= set(b.payload)]
+                triples.append((n, b, num(max(inner))))
+        elif shape == "sparse":
+            for b in rng.sample(bundles, min(2, len(bundles))):
+                triples.append((n, b, num(rng.randint(1, 9))))
+        else:
+            value = {"zero": 0, "equal": 3}[shape]
+            triples.extend((n, b, num(value)) for b in bundles)
+    return make_instance(goods, bidders, triples)
+
+
+def _assert_matches_reference(inst):
+    out, ref = clear_vickrey(inst), _reference_clear(inst)
+    assert out.welfare == ref.welfare
+    assert out.allocation == ref.allocation
+    assert out.payments == ref.payments
+
+
+@pytest.mark.parametrize("shape", ["monotone", "zero", "equal", "sparse"])
+def test_subset_recursion_equals_enumeration_on_every_small_size(shape):
+    # the tie-heavy shapes pin the canonical tie-break, the single-bidder
+    # sizes pin the excluded optimum of a lone bidder
+    rng = random.Random(f"dp:{shape}")
+    for n_goods in range(1, 5):
+        for n_bidders in range(1, 5):
+            _assert_matches_reference(_shaped_instance(n_goods, n_bidders, shape, rng))
+
+
+@pytest.mark.parametrize("shape", ["monotone", "equal", "sparse"])
+def test_subset_recursion_equals_enumeration_at_five_by_five(shape):
+    _assert_matches_reference(_shaped_instance(5, 5, shape, random.Random(f"dp5:{shape}")))
+
+
+def test_subset_recursion_equals_enumeration_without_free_disposal():
+    inst = make_instance(
+        V(["g1", "g2"]), B12, [(V(1), V(["g1"]), V(10)), (V(2), V(["g2"]), V(10))]
+    )
+    _assert_matches_reference(inst)
 
 
 def test_random_instances_deterministic_and_monotone():

@@ -40,6 +40,18 @@ def _dense_instance(n_goods: int, n_bidders: int) -> dict:
     return {"goods": ["set", *goods], "bidders": ["set", *range(1, n_bidders + 1)], "valuations": rows}
 
 
+def _flat_instance(n_goods: int, n_bidders: int, value: int) -> dict:
+    """Every bidder values every nonempty bundle at the same amount, so
+    nearly every allocation ties and only the canonical tie-break decides."""
+    goods = [f"g{k}" for k in range(1, n_goods + 1)]
+    rows = [
+        [b, ["set", *[g for k, g in enumerate(goods) if mask >> k & 1]], value]
+        for b in range(1, n_bidders + 1)
+        for mask in range(1, 1 << n_goods)
+    ]
+    return {"goods": ["set", *goods], "bidders": ["set", *range(1, n_bidders + 1)], "valuations": rows}
+
+
 GRID = '["set",-1,"-1/2",0,"1/2",3]'
 BIDDERS = '["set",1,2,3]'
 
@@ -55,6 +67,9 @@ COMMANDS = [
     ],
     ("run-combinatorial readme", ["run-combinatorial", "{readme}"]),
     ("run-combinatorial dense 4x4", ["run-combinatorial", "{dense}"]),
+    ("run-combinatorial dense 6x6", ["run-combinatorial", "{dense6}"]),
+    ("run-combinatorial all-equal 6x6", ["run-combinatorial", "{equal6}"]),
+    ("run-combinatorial all-zero 5x3", ["run-combinatorial", "{zero53}"]),
     (
         "enumerate partitions mixed 6",
         ["enumerate", "partitions", '["set",1,"-1/2","a",["pair",1,2],["set"],["set",3]]'],
@@ -77,6 +92,10 @@ GOLDEN = {
     'run-single first-price bidder 3': ('23107114811669c49102c1ecd7d41119bd2d0f88a6cda4ea38c01a78508480a6', 8),
     'run-combinatorial readme': ('355a10e802e4b969ad758c049c409d2d1a31b9d6eea5d50af00e0a727d9c982f', 1),
     'run-combinatorial dense 4x4': ('8a28e9ae28f6b1b697621b9efb44fb6205fcbe49cb44947040ad9d90619043ab', 1),
+    # recorded before clearing moved from enumeration to the subset recursion
+    'run-combinatorial dense 6x6': ('c0816875ba10a45d441bac781f1345cbaa10123da8a1f0e58071c7473a4321e1', 1),
+    'run-combinatorial all-equal 6x6': ('a25763854b193d061798ff608e0a3ac96b688518b2c25a1319e76ef163e99f8f', 1),
+    'run-combinatorial all-zero 5x3': ('3609c9b4e885d43ec2fa7e5fc2c28b45bc2cafbb45adf1e27b5b1b0cc273121c', 1),
     'enumerate partitions mixed 6': ('7f05e9fe915fbc44d9f2e003a44aee8bb290982c318910f31352bfbf13dd3ccd', 203),
     'enumerate injections 3 into 5': ('2d29d31b7dad74ea2c540e6fda0ec7b4d1085d93b849f111a1d8c189992f1add', 60),
     'eval readme': ('1a252402972f6057fa53cc172b52b9ffca698e18311facd0f3b06ecaaef79e17', 1),
@@ -88,10 +107,16 @@ def files(tmp_path):
     paths = {
         "readme": tmp_path / "readme.json",
         "dense": tmp_path / "dense.json",
+        "dense6": tmp_path / "dense6.json",
+        "equal6": tmp_path / "equal6.json",
+        "zero53": tmp_path / "zero53.json",
         "expr": tmp_path / "expr.txt",
     }
     paths["readme"].write_text(json.dumps(README_INSTANCE), encoding="utf-8")
     paths["dense"].write_text(json.dumps(_dense_instance(4, 4)), encoding="utf-8")
+    paths["dense6"].write_text(json.dumps(_dense_instance(6, 6)), encoding="utf-8")
+    paths["equal6"].write_text(json.dumps(_flat_instance(6, 6, 1)), encoding="utf-8")
+    paths["zero53"].write_text(json.dumps(_flat_instance(5, 3, 0)), encoding="utf-8")
     paths["expr"].write_text("({(0::nat,10),(1,11),(1,12)} +< (1,13::nat)) ,, 1\n", encoding="utf-8")
     return {k: str(v) for k, v in paths.items()}
 

@@ -14,11 +14,14 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
+from finrel.auctions import clear_vickrey, make_instance, won_value
 from finrel.cli import main
 from finrel.encoding import parse_value, serialize_value
 from finrel.errors import CapExceeded, ParseError, ValidationError
 from finrel.expressions import OPERATORS, evaluate_expression
-from finrel.values import fset, num, pair, sym
+from finrel.laws import _oracle_best_value
+from finrel.values import as_fraction, fset, num, pair, sym
+from test_auctions import _reference_clear
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=80)
 
@@ -166,3 +169,38 @@ instance_docs = st.one_of(
 def test_run_combinatorial_exits_with_a_documented_code(instance_path, doc):
     instance_path.write_text(json.dumps(doc), encoding="utf-8")
     assert _exit_code(["run-combinatorial", str(instance_path)]) in (0, 1, 2, 3)
+
+
+# ---------------------------------------------------------------------------
+# clearing: the subset recursion against both enumeration oracles
+
+
+@st.composite
+def small_instances(draw):
+    """At most 3 goods x 3 bidders, every nonempty bundle worth 0..5 to
+    every bidder, with no free disposal, so a bundle may be worth less
+    than its parts."""
+    n_goods = draw(st.integers(1, 3))
+    n_bidders = draw(st.integers(1, 3))
+    goods = [sym(f"g{k}") for k in range(1, n_goods + 1)]
+    bundles = [fset(g for k, g in enumerate(goods) if mask >> k & 1) for mask in range(1, 1 << n_goods)]
+    triples = [
+        (num(n), bundle, num(draw(st.integers(0, 5))))
+        for n in range(1, n_bidders + 1)
+        for bundle in bundles
+    ]
+    return make_instance(fset(goods), fset(num(n) for n in range(1, n_bidders + 1)), triples)
+
+
+@PROPERTY
+@given(small_instances())
+def test_clearing_agrees_with_both_enumeration_oracles(inst):
+    out = clear_vickrey(inst)
+    assert out == _reference_clear(inst)
+    everyone = list(inst.bidders.payload)
+    assert out.welfare == _oracle_best_value(inst, everyone)
+    for entry in out.payments.payload:
+        n = entry.first
+        others = out.welfare - won_value(inst, out.allocation, n)
+        rest = [m for m in everyone if m != n]
+        assert as_fraction(entry.second) == _oracle_best_value(inst, rest) - others

@@ -120,7 +120,7 @@ def test_graph():
 
 
 def test_graph_mapping_and_undefined():
-    table = {num(1): num(5)}
+    table = {num(1): num(5)}.__getitem__
     assert graph(V([1]), table) == relation([(1, 5)])
     with pytest.raises(ValueError):
         graph(V([1, 2]), table)
