@@ -10,6 +10,7 @@ check-laws prints per-law timings to standard error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -120,7 +121,10 @@ def _cmd_check_laws(args) -> int:
     return 0 if all(r.passed for r in reports) else 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building it costs
+    far more than a parse, and parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="finrel",
         description="Finite relation algebra, enumeration laws, and Vickrey auction clearing.",
@@ -169,8 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if hasattr(sys.stdout, "reconfigure"):  # a console or file, not an in-memory text sink
         sys.stdout.reconfigure(encoding="utf-8")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except ParseError as e:

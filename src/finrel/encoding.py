@@ -5,6 +5,10 @@ symbols as other strings, pairs as ["pair", a, b], sets as ["set", ...].
 Sets may arrive in any order; output is always canonical order, compact,
 UTF-8, newline-free.  Strings that look like numbers are rejected as
 symbols so that parsing stays unambiguous.
+
+serialize_value writes that text directly, node by node.  value_to_obj
+is the same encoding as a JSON object tree, for callers that embed a
+value in a larger document (outcomes) and as the writer's oracle.
 """
 
 from __future__ import annotations
@@ -13,9 +17,10 @@ import json
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 from .errors import CAP_DEPTH, CapExceeded, ParseError, ValidationError
-from .values import Value, fset, num, pair, sym
+from .values import NUM, PAIR, SYM, Value, fset, num, pair, sym
 
 _RATIONAL = re.compile(r"-?[0-9]+/[0-9]+\Z")
 _INTEGER = re.compile(r"-?[0-9]+\Z")
@@ -117,4 +122,31 @@ def parse_value(text: str) -> Value:
 
 
 def serialize_value(v: Value) -> str:
-    return json.dumps(value_to_obj(v), separators=(",", ":"), ensure_ascii=False)
+    if not isinstance(v, Value):
+        raise TypeError(f"not a value: {v!r}")
+    return _write(v)
+
+
+def _write(v: Value) -> str:
+    """Compact JSON text of value_to_obj(v), built without the object.
+    Strings go through the json module's own encoder, as json.dumps with
+    ensure_ascii=False escapes them; an integer past the digit limit
+    raises the same ValueError as there."""
+    key = v._key
+    kind = key[0]
+    if kind == NUM:
+        n = key[1]
+        if type(n) is int:  # integers are keyed by the int itself
+            return str(n)
+        f = v.payload
+        if f.denominator == 1:
+            return str(f.numerator)
+        return f'"{f.numerator}/{f.denominator}"'
+    if kind == SYM:
+        return encode_basestring(key[1])
+    payload = v.payload
+    if kind == PAIR:
+        return '["pair",' + _write(payload[0]) + "," + _write(payload[1]) + "]"
+    if not payload:
+        return '["set"]'
+    return '["set",' + ",".join(map(_write, payload)) + "]"

@@ -23,10 +23,11 @@ from .values import (
     fset,
     intersection,
     member,
-    union,
+    pair,
     _require_set,
+    _set_plus,
 )
-from .relations import paste, relation
+from .relations import relation
 
 PARTITION_ORACLE_CAP = 6
 INJECTION_ORACLE_CAP = 16  # size of the candidate pair pool
@@ -77,12 +78,15 @@ def injections_alg(xs: list, Y: Value) -> list[Value]:
     if not xs:
         return [fset()]
     head, rest = xs[0], xs[1:]
+    # payload is already the sorted element list; head is in no tail
+    # injection's domain, so adding (head, y) never overrides a pair
+    steps = [(y, pair(head, y)) for y in Y.payload]
     out = []
     for R in injections_alg(rest, Y):
-        used = {p.second for p in R.payload}
-        for y in Y.payload:  # payload is already the sorted element list
+        used = {p.payload[1] for p in R.payload}
+        for y, step in steps:
             if y not in used:
-                out.append(paste(R, relation([(head, y)])))
+                out.append(_set_plus(R, step))
     return out
 
 
@@ -125,7 +129,8 @@ def insert_into_member_list(new_el, blocks: list, target: Value) -> list:
     target = canonicalize(target)
     for idx, b in enumerate(blocks):
         if b == target:
-            return [union(target, fset([new_el]))] + blocks[:idx] + blocks[idx + 1 :]
+            enlarged = _set_plus(_require_set(target, "target block"), new_el)
+            return [enlarged] + blocks[:idx] + blocks[idx + 1 :]
     raise ValueError(f"target block not present: {target!r}")
 
 

@@ -16,6 +16,7 @@ point.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable
@@ -206,6 +207,18 @@ def _set_of_sorted(elems: tuple) -> Value:
         (SET, tuple([e._key for e in elems])),
         hash((SET, tuple([e._hash for e in elems]))),
     )
+
+
+def _set_plus(s: Value, x: Value) -> Value:
+    """s + {x} for a set s and a canonical x: x goes in at its bisect
+    position in the sorted payload, so nothing is sorted again.  s itself
+    when x is already a member."""
+    keys = s._key[1]
+    i = bisect_left(keys, x._key)
+    if i < len(keys) and keys[i] == x._key:
+        return s
+    elems = s.payload
+    return _set_of_sorted(elems[:i] + (x,) + elems[i:])
 
 
 def canonicalize(obj) -> Value:

@@ -261,6 +261,35 @@ def test_version(capsys):
     assert "finrel" in capsys.readouterr().out
 
 
+def test_main_calls_in_a_row_share_no_state(capsys):
+    # the parser is built once per process, so every option left out of a
+    # call must take its default again, whatever the call before it set
+    code, out, _ = run_cli(capsys, "check-laws", "--law", "boolean_algebra")
+    assert code == 0
+    assert [line.split()[0] for line in out.splitlines()] == ["law=boolean_algebra"]
+    code, out, _ = run_cli(capsys, "check-laws")
+    assert code == 0
+    assert len(out.splitlines()) == 21
+    single = ["run-single", "--bidders", '["set",1,2]', "--grid", '["set",0,1]', "--bidder", "1"]
+    code, out, _ = run_cli(capsys, *single, "--rule", "first-price")
+    assert code == 0
+    assert out.splitlines()[0] == "rule first-price"
+    with pytest.raises(SystemExit) as exc:
+        main(["run-single", "--bidders", '["set",1,2]'])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, *single)
+    assert code == 0
+    assert out.splitlines()[0] == "rule second-price"
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"finrel {finrel.__version__}\n"
+    code, out, _ = run_cli(capsys, "check-laws", "--law", "boolean_algebra")
+    assert code == 0
+    assert len(out.splitlines()) == 1
+
+
 def test_stdout_is_utf8_whatever_the_locale():
     env = dict(os.environ, PYTHONIOENCODING="ascii", LC_ALL="C")
     env["PYTHONPATH"] = os.pathsep.join(

@@ -70,3 +70,10 @@ def test_validation_errors():
 def test_serialization_is_compact_and_ordered():
     v = V([3, 1, 2])
     assert serialize_value(v) == '["set",1,2,3]'
+
+
+def test_serializing_a_number_past_the_digit_limit_raises_value_error():
+    too_long = 10**4300  # 4,301 digits, one past Python's default limit
+    for v in (num(too_long), rat(-too_long, 3), fset([pair("a", num(too_long))])):
+        with pytest.raises(ValueError, match="integer string conversion"):
+            serialize_value(v)

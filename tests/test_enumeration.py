@@ -1,8 +1,10 @@
+from itertools import combinations
+
 import pytest
 
 from finrel.errors import CapExceeded
-from finrel.values import EMPTY, V, fset, sym
-from finrel.relations import converse, relation, right_unique
+from finrel.values import EMPTY, V, _set_plus, canonicalize, fset, pair, rat, sym, union
+from finrel.relations import converse, paste, relation, right_unique
 from finrel.enumeration import (
     _bell,
     all_coarser_partitions_with_list,
@@ -159,3 +161,68 @@ def test_is_partition_of_equals_brute_force_count():
                 and all(x in A.payload for b in blocks for x in b.payload)
             )
             assert is_partition_of(P, A) == brute, (P, A)
+
+
+# ---------------------------------------------------------------------------
+# in-order insertion against the union- and paste-based constructions it
+# replaced; the copies below are those constructions, kept as oracles
+
+# one element of every kind, in an order that is not the canonical one
+MIXED = [sym("é"), V(0), pair("a", 1), rat(-1, 2), EMPTY, sym("a"), V([1]), V(7)]
+
+
+def _union_insert(new_el, blocks: list, target) -> list:
+    new_el = canonicalize(new_el)
+    target = canonicalize(target)
+    for idx, b in enumerate(blocks):
+        if b == target:
+            return [union(target, fset([new_el]))] + blocks[:idx] + blocks[idx + 1 :]
+    raise ValueError(f"target block not present: {target!r}")
+
+
+def _paste_injections(xs: list, Y) -> list:
+    xs = [canonicalize(x) for x in xs]
+    if not xs:
+        return [fset()]
+    head, rest = xs[0], xs[1:]
+    out = []
+    for R in _paste_injections(rest, Y):
+        used = {p.second for p in R.payload}
+        for y in Y.payload:
+            if y not in used:
+                out.append(paste(R, relation([(head, y)])))
+    return out
+
+
+def _subsets(pool: list):
+    for k in range(len(pool) + 1):
+        yield from combinations(pool, k)
+
+
+def test_set_plus_equals_union_with_a_singleton():
+    for members in _subsets(MIXED):
+        s = fset(members)
+        for x in MIXED:
+            got = _set_plus(s, x)
+            assert got == union(s, fset([x])), (s, x)
+            assert got.payload == union(s, fset([x])).payload
+            if x in members:
+                assert got is s
+
+
+def test_insert_into_member_list_equals_union_original():
+    for blocks in all_partitions_list(MIXED[:4]):
+        for target in blocks:
+            for new_el in MIXED:  # the first four are already in some block
+                got = insert_into_member_list(new_el, blocks, target)
+                want = _union_insert(new_el, blocks, target)
+                assert [b.payload for b in got] == [b.payload for b in want]
+
+
+def test_injections_alg_equals_paste_original():
+    for n_sources in range(4):
+        for n_targets in range(5):
+            xs, Y = MIXED[:n_sources], fset(MIXED[3 : 3 + n_targets])
+            got = injections_alg(xs, Y)
+            want = _paste_injections(xs, Y)
+            assert [R.payload for R in got] == [R.payload for R in want], (xs, Y)

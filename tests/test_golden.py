@@ -79,6 +79,25 @@ COMMANDS = [
         ["enumerate", "injections", '["set","x","y","z"]', '["set",0,"1/3","b",["pair","a",1],["set",1]]'],
     ),
     ("eval readme", ["eval", "{expr}"]),
+    (
+        "enumerate partitions nested 8",
+        [
+            "enumerate",
+            "partitions",
+            '["set",["pair","a",["set",1,2]],["pair","a",["set"]],["pair","b",["set",["pair",1,"c"]]],'
+            '"-5/7","7/2","d",0,["set","a"]]',
+        ],
+    ),
+    (
+        "enumerate injections 4 into 6",
+        [
+            "enumerate",
+            "injections",
+            '["set",-1,"x",["pair","x",2],["set"]]',
+            '["set","-1/3",5,"é",["pair",1,["set",2]],["set",0],"z"]',
+        ],
+    ),
+    ("eval non-ascii", ["eval", "{expr_non_ascii}"]),
 ]
 
 # recorded before the bid-vector, table and partition-cover rewrites
@@ -99,6 +118,11 @@ GOLDEN = {
     'enumerate partitions mixed 6': ('7f05e9fe915fbc44d9f2e003a44aee8bb290982c318910f31352bfbf13dd3ccd', 203),
     'enumerate injections 3 into 5': ('2d29d31b7dad74ea2c540e6fda0ec7b4d1085d93b849f111a1d8c189992f1add', 60),
     'eval readme': ('1a252402972f6057fa53cc172b52b9ffca698e18311facd0f3b06ecaaef79e17', 1),
+    # recorded before blocks and injections were grown by in-order insertion
+    # and before serialize_value wrote its JSON text directly
+    'enumerate partitions nested 8': ('fd98b02164adace464031e16a40a1c62197c50175b1aebab0a31b9d78f211f32', 4140),
+    'enumerate injections 4 into 6': ('0ad447b115565ce645ca781b38fc8a4155a20b8a980a1254bad9c3804724e4a7', 360),
+    'eval non-ascii': ('4d32462b28cd19e816ce7133272c7862e5e80b8e3ede56f5bd2b13ccde14fb6d', 1),
 }
 
 
@@ -111,6 +135,7 @@ def files(tmp_path):
         "equal6": tmp_path / "equal6.json",
         "zero53": tmp_path / "zero53.json",
         "expr": tmp_path / "expr.txt",
+        "expr_non_ascii": tmp_path / "expr_non_ascii.txt",
     }
     paths["readme"].write_text(json.dumps(README_INSTANCE), encoding="utf-8")
     paths["dense"].write_text(json.dumps(_dense_instance(4, 4)), encoding="utf-8")
@@ -118,6 +143,9 @@ def files(tmp_path):
     paths["equal6"].write_text(json.dumps(_flat_instance(6, 6, 1)), encoding="utf-8")
     paths["zero53"].write_text(json.dumps(_flat_instance(5, 3, 0)), encoding="utf-8")
     paths["expr"].write_text("({(0::nat,10),(1,11),(1,12)} +< (1,13::nat)) ,, 1\n", encoding="utf-8")
+    paths["expr_non_ascii"].write_text(
+        '{(1,"é"),(-1/2,{-3/4,"ü⊥"})} +< (-7/3, {"ß", -2})\n', encoding="utf-8"
+    )
     return {k: str(v) for k, v in paths.items()}
 
 

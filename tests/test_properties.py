@@ -16,11 +16,11 @@ from hypothesis import given, settings, strategies as st
 
 from finrel.auctions import clear_vickrey, make_instance, won_value
 from finrel.cli import main
-from finrel.encoding import parse_value, serialize_value
-from finrel.errors import CapExceeded, ParseError, ValidationError
+from finrel.encoding import parse_value, serialize_value, value_to_obj
+from finrel.errors import CAP_DEPTH, CapExceeded, ParseError, ValidationError
 from finrel.expressions import OPERATORS, evaluate_expression
 from finrel.laws import _oracle_best_value
-from finrel.values import as_fraction, fset, num, pair, sym
+from finrel.values import EMPTY, as_fraction, fset, num, pair, rat, sym
 from test_auctions import _reference_clear
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=80)
@@ -56,6 +56,42 @@ values = st.recursive(
 @given(values)
 def test_encoding_round_trips(v):
     assert parse_value(serialize_value(v)) == v
+
+
+# symbols with the characters whose escaping differs between JSON encoders:
+# DEL, the line and paragraph separators, non-ASCII letters
+writer_symbols = st.text(alphabet="ab-/ é⊥\x7f\u2028\u2029", min_size=1, max_size=4).filter(
+    _is_symbol
+).map(sym)
+negative_rationals = st.tuples(st.integers(1, 10**20), st.integers(2, 10**6)).map(
+    lambda t: rat(-t[0], t[1])
+)
+writer_values = st.recursive(
+    numbers | negative_rationals | writer_symbols | st.just(EMPTY),
+    lambda inner: st.one_of(
+        st.tuples(inner, inner).map(lambda ab: pair(*ab)),
+        st.lists(inner, max_size=4).map(fset),
+    ),
+    max_leaves=12,
+)
+
+
+def _nest(v, wraps):
+    for in_pair in wraps:
+        v = pair(v, EMPTY) if in_pair else fset([v])
+    return v
+
+
+deep_values = st.builds(
+    _nest, writer_values, st.lists(st.booleans(), min_size=CAP_DEPTH - 4, max_size=CAP_DEPTH - 1)
+)
+
+
+@PROPERTY
+@given(writer_values | deep_values)
+def test_writer_matches_json_dumps_of_the_object_form(v):
+    want = json.dumps(value_to_obj(v), separators=(",", ":"), ensure_ascii=False)
+    assert serialize_value(v) == want
 
 
 # ---------------------------------------------------------------------------
