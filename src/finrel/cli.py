@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 
 from . import __version__
@@ -20,7 +19,8 @@ from .encoding import parse_value, serialize_value
 from .expressions import evaluate_expression
 from .enumeration import (
     CAP_ENUMERATE_LINES,
-    _bell,
+    MAX_PARTITION_ELEMENTS,
+    _perm_exceeds,
     all_partitions_list,
     injections_alg,
     partition_as_set,
@@ -51,22 +51,26 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    # the output is counted before anything is enumerated
+    # the output is sized against the cap before anything is enumerated,
+    # without counting it in full
     if args.kind == "partitions":
         xs = list(_input_set(parse_value(args.elements), "elements").elements)
-        count = _bell(len(xs))
+        over = len(xs) > MAX_PARTITION_ELEMENTS
     else:
         xs = list(_input_set(parse_value(args.source), "source").elements)
         Y = _input_set(parse_value(args.target), "target")
-        count = math.perm(len(Y.elements), len(xs))
-    if count > CAP_ENUMERATE_LINES:
-        raise CapExceeded(f"{count} {args.kind} to list (cap {CAP_ENUMERATE_LINES} lines)")
+        over = _perm_exceeds(len(Y.elements), len(xs), CAP_ENUMERATE_LINES)
+    if over:
+        raise CapExceeded(f"more than {CAP_ENUMERATE_LINES} {args.kind} to list")
+    # one text table for the whole command: the lines share their blocks
+    # or pairs, and each is written once
+    table = {}
     if args.kind == "partitions":
         for blocks in all_partitions_list(xs):
-            print(serialize_value(partition_as_set(blocks)))
+            print(serialize_value(partition_as_set(blocks), table))
     else:
         for rel in injections_alg(xs, Y):
-            print(serialize_value(rel))
+            print(serialize_value(rel, table))
     return 0
 
 

@@ -9,6 +9,16 @@ symbols so that parsing stays unambiguous.
 serialize_value writes that text directly, node by node.  value_to_obj
 is the same encoding as a JSON object tree, for callers that embed a
 value in a larger document (outcomes) and as the writer's oracle.
+
+Shared text: the writer keeps a table from each part of a value (an
+element of a set, a component of a pair, and so on down) to the text
+already written for it.  Equal values have equal canonical text, so a
+part met again is joined in from the table instead of written again.
+serialize_value(v) starts a fresh table; a caller that prints many values
+built from common parts, as `finrel enumerate` prints partitions sharing
+their blocks and injections sharing their pairs, passes one table to
+every call.  The table never holds a printed value itself, only its
+parts, so it grows with the distinct parts, not with the values printed.
 """
 
 from __future__ import annotations
@@ -121,17 +131,21 @@ def parse_value(text: str) -> Value:
     return value_from_obj(_load_json(text, "value text"))
 
 
-def serialize_value(v: Value) -> str:
+def serialize_value(v: Value, table: dict | None = None) -> str:
+    """Canonical text of v.  The text of v's parts is read from table and
+    added to it; without a table, a fresh one serves this call alone."""
     if not isinstance(v, Value):
         raise TypeError(f"not a value: {v!r}")
-    return _write(v)
+    return _write(v, {} if table is None else table)
 
 
-def _write(v: Value) -> str:
+def _write(v: Value, table: dict) -> str:
     """Compact JSON text of value_to_obj(v), built without the object.
-    Strings go through the json module's own encoder, as json.dumps with
-    ensure_ascii=False escapes them; an integer past the digit limit
-    raises the same ValueError as there."""
+    Each part of v is written once per table (see the module docstring);
+    v itself is not stored.  Strings go through the json module's own
+    encoder, as json.dumps with ensure_ascii=False escapes them; an
+    integer past the digit limit raises the same ValueError as there,
+    and leaves in the table only the parts written in full."""
     key = v._key
     kind = key[0]
     if kind == NUM:
@@ -145,8 +159,14 @@ def _write(v: Value) -> str:
     if kind == SYM:
         return encode_basestring(key[1])
     payload = v.payload
-    if kind == PAIR:
-        return '["pair",' + _write(payload[0]) + "," + _write(payload[1]) + "]"
     if not payload:
         return '["set"]'
-    return '["set",' + ",".join(map(_write, payload)) + "]"
+    texts = []
+    for part in payload:  # a pair's payload is its two components
+        text = table.get(part)
+        if text is None:
+            text = table[part] = _write(part, table)
+        texts.append(text)
+    if kind == PAIR:
+        return '["pair",' + texts[0] + "," + texts[1] + "]"
+    return '["set",' + ",".join(texts) + "]"

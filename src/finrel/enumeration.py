@@ -15,6 +15,8 @@ the lossless direction.
 
 from __future__ import annotations
 
+from itertools import count
+
 from .errors import CapExceeded
 from .values import (
     Value,
@@ -59,6 +61,25 @@ def _bell(n: int) -> int:
     return row[0]
 
 
+# the largest n with Bell(n) <= CAP_ENUMERATE_LINES
+MAX_PARTITION_ELEMENTS = next(n for n in count() if _bell(n + 1) > CAP_ENUMERATE_LINES)
+
+
+def _perm_exceeds(m: int, n: int, cap: int) -> bool:
+    """True iff m!/(m-n)!, the number of injections of n elements into m,
+    is more than cap.  The falling factorial is multiplied out only until
+    it passes cap, so its numbers stay small whatever m and n are; it is
+    0 when n > m."""
+    if n > m:
+        return False
+    product = 1
+    for k in range(m, m - n, -1):
+        product *= k
+        if product > cap:
+            return True
+    return product > cap
+
+
 def _distinct(xs: list) -> list:
     vs = [canonicalize(x) for x in xs]
     if len(set(vs)) != len(vs):
@@ -75,6 +96,8 @@ def injections_alg(xs: list, Y: Value) -> list[Value]:
     """
     xs = _distinct(xs)
     _require_set(Y)
+    if len(xs) > len(Y.payload):  # no injection exists; do not recurse
+        return []
     if not xs:
         return [fset()]
     head, rest = xs[0], xs[1:]
@@ -136,13 +159,18 @@ def insert_into_member_list(new_el, blocks: list, target: Value) -> list:
 
 def coarser_partitions_with_list(new_el, blocks: list) -> list[list]:
     """All ways to extend a partition with a fresh element: one new
-    singleton block, then one insertion per existing block."""
+    singleton block, then one insertion per existing block.
+
+    Block i is enlarged by its position, which is what
+    insert_into_member_list(new_el, blocks, blocks[i]) gives for the
+    distinct blocks of a partition without searching for the block."""
     new_el = canonicalize(new_el)
+    blocks = list(blocks)
     if any(member(new_el, b) for b in blocks):
         raise ValueError(f"element already present: {new_el!r}")
-    out = [[fset([new_el])] + list(blocks)]
-    for b in blocks:
-        out.append(insert_into_member_list(new_el, blocks, b))
+    out = [[fset([new_el])] + blocks]
+    for i, b in enumerate(blocks):
+        out.append([_set_plus(b, new_el)] + blocks[:i] + blocks[i + 1 :])
     return out
 
 

@@ -225,8 +225,12 @@ def _right_unique_relations(A: list[Value], B: list[Value]) -> Iterable[Value]:
         yield fset(pair(a, b) for a, b in zip(A, combo) if b is not None)
 
 
-def _random_relation(rng: random.Random, A: list[Value], B: list[Value]) -> Value:
-    pool = [pair(a, b) for a in A for b in B]
+def _pair_pool(A: list[Value], B: list[Value]) -> list[Value]:
+    return [pair(a, b) for a in A for b in B]
+
+
+def _random_relation(rng: random.Random, pool: list[Value]) -> Value:
+    """A uniformly random subset of the pair pool, one rng draw."""
     mask = rng.getrandbits(len(pool))
     return fset(pool[i] for i in range(len(pool)) if mask >> i & 1)
 
@@ -319,12 +323,12 @@ def _paste_assoc_cases(config):
                 yield _pack(p, q, r)
     if config.full:
         rng = config.rng("paste")
-        A4, B4 = _atoms(4), _atoms(4, 10)
+        pool = _pair_pool(_atoms(4), _atoms(4, 10))
         for _ in range(10000):
             yield _pack(
-                _random_relation(rng, A4, B4),
-                _random_relation(rng, A4, B4),
-                _random_relation(rng, A4, B4),
+                _random_relation(rng, pool),
+                _random_relation(rng, pool),
+                _random_relation(rng, pool),
             )
 
 
@@ -351,12 +355,13 @@ def _paste_outside_cases(config):
                 yield _pack(p, q, x)
     if config.full:
         rng = config.rng("paste_outside")
-        A3, B3 = _atoms(3), _atoms(3, 10)
+        A3 = _atoms(3)
+        pool = _pair_pool(A3, _atoms(3, 10))
         xsets3 = list(all_subsets(fset(A3)).payload)
         for _ in range(2000):
             yield _pack(
-                _random_relation(rng, A3, B3),
-                _random_relation(rng, A3, B3),
+                _random_relation(rng, pool),
+                _random_relation(rng, pool),
                 rng.choice(xsets3),
             )
 

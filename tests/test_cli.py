@@ -214,6 +214,21 @@ EXIT_CASES = [
     ("non-utf8-expression", ["eval", FILE], b"{1} \xff", 1),
     ("non-utf8-instance", ["run-combinatorial", FILE], b'{"goods": "\xff"}', 1),
     ("missing-file", ["eval", FILE], None, 2),
+    # refused before any work: the count is not built in full
+    ("partitions-of-3000", ["enumerate", "partitions", json.dumps(["set", *range(3000)])], None, 3),
+    (
+        "injections-of-3000-into-6000",
+        ["enumerate", "injections", json.dumps(["set", *range(3000)]), json.dumps(["set", *range(6000)])],
+        None,
+        3,
+    ),
+    # no injection exists, so nothing is printed and nothing recurses
+    (
+        "injections-of-1100-into-2",
+        ["enumerate", "injections", json.dumps(["set", *range(1100)]), '["set","a","b"]'],
+        None,
+        0,
+    ),
 ]
 
 
@@ -226,11 +241,14 @@ def test_each_input_error_has_its_exit_code(tmp_path, capsys, argv, contents, ex
     path = tmp_path / "input"
     if contents is not None:
         path.write_bytes(contents if isinstance(contents, bytes) else contents.encode())
-    code, _, err = run_cli(capsys, *[str(path) if arg is FILE else arg for arg in argv])
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *[str(path) if arg is FILE else arg for arg in argv])
+    assert time.perf_counter() - start < 1.0
     assert code == expected
     assert "Traceback" not in err
     if expected:
         assert err
+        assert out == ""
 
 
 def test_check_laws_single(capsys):
@@ -304,6 +322,14 @@ def test_stdout_is_utf8_whatever_the_locale():
     assert done.returncode == 0, done.stderr
     assert done.stdout == '["set",["set","é"]]\n'.encode("utf-8")
     assert b"Traceback" not in done.stderr
+
+
+def test_enumerate_injections_into_a_smaller_target_print_nothing(capsys):
+    for n in (3, 900, 1100):
+        code, out, err = run_cli(
+            capsys, "enumerate", "injections", json.dumps(["set", *range(n)]), '["set","a","b"]'
+        )
+        assert (code, out, err) == (0, "", "")
 
 
 def test_enumerate_cap_admits_partitions_of_ten_only():

@@ -77,3 +77,15 @@ def test_serializing_a_number_past_the_digit_limit_raises_value_error():
     for v in (num(too_long), rat(-too_long, 3), fset([pair("a", num(too_long))])):
         with pytest.raises(ValueError, match="integer string conversion"):
             serialize_value(v)
+
+
+def test_a_shared_table_holds_the_parts_of_what_was_written_only():
+    table = {}
+    first = fset([pair("a", 1), fset([2])])
+    assert serialize_value(first, table) == '["set",["pair","a",1],["set",2]]'
+    assert set(table) == {pair("a", 1), sym("a"), num(1), fset([2]), num(2)}
+    # an equal part built afresh is joined in from the table
+    table[pair("a", 1)] = "PAIR"
+    assert serialize_value(fset([pair("a", 1)]), table) == '["set",PAIR]'
+    assert serialize_value(fset([pair("a", 1)])) == '["set",["pair","a",1]]'
+    assert first not in table

@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import pytest
@@ -6,7 +7,10 @@ from finrel.errors import CapExceeded
 from finrel.values import EMPTY, V, _set_plus, canonicalize, fset, pair, rat, sym, union
 from finrel.relations import converse, paste, relation, right_unique
 from finrel.enumeration import (
+    CAP_ENUMERATE_LINES,
+    MAX_PARTITION_ELEMENTS,
     _bell,
+    _perm_exceeds,
     all_coarser_partitions_with_list,
     all_partitions_list,
     all_partitions_oracle,
@@ -226,3 +230,32 @@ def test_injections_alg_equals_paste_original():
             got = injections_alg(xs, Y)
             want = _paste_injections(xs, Y)
             assert [R.payload for R in got] == [R.payload for R in want], (xs, Y)
+
+
+def test_blocks_enlarged_by_position_equal_the_member_list_insertion():
+    # every partition of up to 6 mixed elements, extended by the next one
+    for n in range(7):
+        new_el = MIXED[n]
+        for blocks in all_partitions_list(MIXED[:n]):
+            got = coarser_partitions_with_list(new_el, blocks)
+            want = [[fset([new_el])] + blocks] + [
+                insert_into_member_list(new_el, blocks, b) for b in blocks
+            ]
+            assert [[b.payload for b in p] for p in got] == [[b.payload for b in p] for p in want]
+
+
+def test_partition_element_cap_is_derived_from_bell():
+    assert _bell(MAX_PARTITION_ELEMENTS) <= CAP_ENUMERATE_LINES < _bell(MAX_PARTITION_ELEMENTS + 1)
+
+
+def test_perm_exceeds_equals_the_full_count():
+    for m in range(13):
+        for n in range(13):
+            for cap in (0, 1, 5, 720, 150_000):
+                assert _perm_exceeds(m, n, cap) == (math.perm(m, n) > cap), (m, n, cap)
+    assert _perm_exceeds(6000, 3000, CAP_ENUMERATE_LINES)
+    assert not _perm_exceeds(2, 1100, CAP_ENUMERATE_LINES)
+
+
+def test_injections_into_a_smaller_target_are_none_without_recursing():
+    assert injections_alg(list(range(2000)), V([1, 2])) == []

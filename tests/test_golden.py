@@ -98,6 +98,21 @@ COMMANDS = [
         ],
     ),
     ("eval non-ascii", ["eval", "{expr_non_ascii}"]),
+    # the benchmark's sizes: partitions of 9, injections of 6 nested into 7
+    (
+        "enumerate partitions numbers 9",
+        ["enumerate", "partitions", '["set",503,-7,12,0,88,"-5/3",41,256,1000000000000000000000]'],
+    ),
+    (
+        "enumerate injections nested 6 into 7",
+        [
+            "enumerate",
+            "injections",
+            '["set",["pair","p12",["set",-3,4]],["pair","p7",["set",0,9]],["pair","p401",["set",-50,-41]],'
+            '["pair","p88",["set",5,6]],["pair","p3",["set",-3,4]],["pair","p999",["set",17,"1/2"]]]',
+            '["set","a1","b2","c3","d4","e5","f6","é7"]',
+        ],
+    ),
 ]
 
 # recorded before the bid-vector, table and partition-cover rewrites
@@ -123,6 +138,10 @@ GOLDEN = {
     'enumerate partitions nested 8': ('fd98b02164adace464031e16a40a1c62197c50175b1aebab0a31b9d78f211f32', 4140),
     'enumerate injections 4 into 6': ('0ad447b115565ce645ca781b38fc8a4155a20b8a980a1254bad9c3804724e4a7', 360),
     'eval non-ascii': ('4d32462b28cd19e816ce7133272c7862e5e80b8e3ede56f5bd2b13ccde14fb6d', 1),
+    # recorded before enumerate shared the text of its blocks and pairs
+    # across lines
+    'enumerate partitions numbers 9': ('5ad395ef7e2119919c0f3b254736eb870d59ff71d89ef6bcde0a0ac9da3839c9', 21147),
+    'enumerate injections nested 6 into 7': ('4758ad8e3960b88399c0c904e386dfc10772cc1d09a2af62551a6cb7b9747534', 5040),
 }
 
 

@@ -94,6 +94,52 @@ def test_writer_matches_json_dumps_of_the_object_form(v):
     assert serialize_value(v) == want
 
 
+def _rebuilt(v):
+    """A value equal to v built afresh, so it shares no node with v
+    except cached small integers."""
+    if v.is_pair:
+        return pair(_rebuilt(v.first), _rebuilt(v.second))
+    if v.is_set:
+        return fset([_rebuilt(e) for e in v.elements])
+    return num(v.payload) if v.is_num else sym(v.payload)
+
+
+PAST_DIGIT_LIMIT = num(10**4300)  # 4,301 digits
+
+
+@st.composite
+def lines_with_shared_parts(draw):
+    """Values built from a few common parts, each part used as itself or
+    as an equal rebuilt copy, plus a value holding a number past the
+    digit limit next to common parts, at two places in the list."""
+    parts = draw(st.lists(writer_values | deep_values, min_size=1, max_size=4))
+    index = st.integers(0, len(parts) - 1)
+    lines = []
+    for _ in range(draw(st.integers(1, 8))):
+        a, b = parts[draw(index)], _rebuilt(parts[draw(index)])
+        shape = draw(st.integers(0, 4))
+        lines.append([a, b, pair(a, b), fset([a, b]), fset([pair(b, a), a])][shape])
+    a, b = parts[draw(index)], _rebuilt(parts[draw(index)])
+    too_long = fset([a, pair(b, PAST_DIGIT_LIMIT), b])
+    for _ in range(2):
+        lines.insert(draw(st.integers(0, len(lines))), too_long)
+    return lines
+
+
+@PROPERTY
+@given(lines_with_shared_parts())
+def test_one_shared_table_writes_each_line_as_it_is_written_alone(lines):
+    table = {}
+    for v in lines:
+        try:
+            alone = serialize_value(v)
+        except ValueError:
+            with pytest.raises(ValueError, match="integer string conversion"):
+                serialize_value(v, table)
+        else:
+            assert serialize_value(v, table) == alone
+
+
 # ---------------------------------------------------------------------------
 # expressions: token soup and well-formed calls over small relations
 
