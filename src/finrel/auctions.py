@@ -15,12 +15,12 @@ value order (lowest wins).
 from __future__ import annotations
 
 import itertools
-import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
+from .encoding import _load_json, serialize_value, value_from_obj
 from .errors import CapExceeded, ValidationError
 from .values import (
     Value,
@@ -471,9 +471,6 @@ def random_instance(rng) -> CombinatorialInstance:
 # ---------------------------------------------------------------------------
 # instance and outcome files
 
-from .encoding import _load_json, value_from_obj, value_to_obj  # noqa: E402
-
-
 def instance_from_obj(obj) -> CombinatorialInstance:
     if not isinstance(obj, dict):
         raise ValidationError("instance file must be a JSON object")
@@ -497,18 +494,12 @@ def parse_instance(text: str) -> CombinatorialInstance:
     return instance_from_obj(_load_json(text, "instance file"))
 
 
-def outcome_to_obj(outcome: Outcome) -> dict:
-    return {
-        "allocation": value_to_obj(outcome.allocation),
-        "payments": value_to_obj(outcome.payments),
-        "welfare": value_to_obj(num(outcome.welfare)),
-    }
-
-
 def serialize_outcome(outcome: Outcome) -> str:
     try:
-        return json.dumps(
-            outcome_to_obj(outcome), separators=(",", ":"), ensure_ascii=False
+        return (
+            '{"allocation":' + serialize_value(outcome.allocation)
+            + ',"payments":' + serialize_value(outcome.payments)
+            + ',"welfare":' + serialize_value(num(outcome.welfare)) + "}"
         )
     except ValueError:
         # exact sums of the inputs can outgrow the digit limit each input met

@@ -6,9 +6,10 @@ Sets may arrive in any order; output is always canonical order, compact,
 UTF-8, newline-free.  Strings that look like numbers are rejected as
 symbols so that parsing stays unambiguous.
 
-serialize_value writes that text directly, node by node.  value_to_obj
-is the same encoding as a JSON object tree, for callers that embed a
-value in a larger document (outcomes) and as the writer's oracle.
+serialize_value writes that text directly, node by node, and is the one
+writer: auctions.serialize_outcome joins its text for the outcome fields.
+value_to_obj is the same encoding as a JSON object tree; it serves only
+as the writer's oracle, through json.dumps in the tests.
 
 Shared text: the writer keeps a table from each part of a value (an
 element of a set, a component of a pair, and so on down) to the text

@@ -1,7 +1,7 @@
 """Registry of executable laws over generated finite universes.
 
 Every algebraic fact the library relies on is registered here as a law:
-a deterministic case generator plus a checker over single case values.
+a deterministic case generator plus a checker over the values of a case.
 Most laws are universally quantified ("forall"): they pass when every
 generated case checks out, and the first failing case is reported as a
 counterexample.  A few are searches ("exists"): they pass when a witness
@@ -9,11 +9,12 @@ is found, and the witness is reported in the counterexample slot (it is
 a counterexample to the unguarded claim whose necessity the law
 establishes).
 
-Cases are packed into plain Values (right-nested pairs), so a reported
-counterexample can always be replayed through the law's own checker.
-Reports are byte-deterministic for a fixed (law, profile, seed); elapsed
-time is kept on the report object but excluded from its canonical
-serialization.
+A case is a plain tuple of Values and the checker takes them as its
+arguments, so a reported counterexample replays as
+``LAWS[law_id].check(*report.counterexample)``.  Only the report packs a
+case into one Value (right-nested pairs) to print it.  Reports are
+byte-deterministic for a fixed (law, profile, seed); elapsed time is kept
+on the report object but excluded from its canonical serialization.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .values import (
     EMPTY,
     Value,
     as_fraction,
-    canonicalize,
     cartesian_product,
     difference,
     fset,
@@ -124,8 +124,8 @@ class Law:
     law_id: str
     statement: str
     kind: str  # "forall" or "exists"
-    cases: Callable[[LawConfig], Iterable[Value]]
-    check: Callable[[Value], bool]
+    cases: Callable[[LawConfig], Iterable[tuple[Value, ...]]]
+    check: Callable[..., bool]  # takes the Values of one case
 
 
 @dataclass
@@ -135,7 +135,7 @@ class LawReport:
     seed: int
     cases: int
     passed: bool
-    counterexample: Value | None
+    counterexample: tuple[Value, ...] | None
     elapsed: float
 
 
@@ -152,10 +152,10 @@ def run_law(law_id: str, config: LawConfig = LawConfig()) -> LawReport:
     law = LAWS[law_id]
     start = time.perf_counter()
     count = 0
-    found: Value | None = None
+    found: tuple[Value, ...] | None = None
     for case in law.cases(config):
         count += 1
-        ok = law.check(case)
+        ok = law.check(*case)
         if law.kind == "forall" and not ok:
             found = case
             break
@@ -183,26 +183,15 @@ def serialize_report(report: LawReport) -> str:
     )
     if report.counterexample is not None:
         field = "witness" if LAWS[report.law_id].kind == "exists" else "counterexample"
-        line += f" {field}={report.counterexample!r}"
+        line += f" {field}={_pack(*report.counterexample)!r}"
     return line
 
 
-# ---------------------------------------------------------------------------
-# case packing
-
-def _pack(*vs) -> Value:
-    out = canonicalize(vs[-1])
+def _pack(*vs: Value) -> Value:
+    """A case as the one Value a report prints: right-nested pairs."""
+    out = vs[-1]
     for v in reversed(vs[:-1]):
-        out = pair(canonicalize(v), out)
-    return out
-
-
-def _unpack(v: Value, n: int) -> list[Value]:
-    out = []
-    for _ in range(n - 1):
-        out.append(v.first)
-        v = v.second
-    out.append(v)
+        out = pair(v, out)
     return out
 
 
@@ -243,11 +232,10 @@ def _boolean_cases(config):
     for a in subsets:
         for b in subsets:
             for c in subsets:
-                yield _pack(a, b, c)
+                yield (a, b, c)
 
 
-def _boolean_check(case):
-    a, b, c = _unpack(case, 3)
+def _boolean_check(a, b, c):
     return (
         union(a, b) == union(b, a)
         and intersection(a, b) == intersection(b, a)
@@ -286,16 +274,15 @@ def _order_cases(config):
     for v in fam:
         for w in fam:
             for u in fam:
-                yield _pack(v, w, u)
+                yield (v, w, u)
     if config.full:
         rng = config.rng("order")
         fam = _order_family(extended=True)
         for _ in range(20000):
-            yield _pack(rng.choice(fam), rng.choice(fam), rng.choice(fam))
+            yield (rng.choice(fam), rng.choice(fam), rng.choice(fam))
 
 
-def _order_check(case):
-    v, w, u = _unpack(case, 3)
+def _order_check(v, w, u):
     trichotomy = (v < w) + (v == w) + (w < v) == 1
     transitive = (not (v < w and w < u)) or v < u
     antisym = (not (v <= w and w <= v)) or v == w
@@ -320,20 +307,19 @@ def _paste_assoc_cases(config):
     for p in rels:
         for q in rels:
             for r in rels:
-                yield _pack(p, q, r)
+                yield (p, q, r)
     if config.full:
         rng = config.rng("paste")
         pool = _pair_pool(_atoms(4), _atoms(4, 10))
         for _ in range(10000):
-            yield _pack(
+            yield (
                 _random_relation(rng, pool),
                 _random_relation(rng, pool),
                 _random_relation(rng, pool),
             )
 
 
-def _paste_assoc_check(case):
-    p, q, r = _unpack(case, 3)
+def _paste_assoc_check(p, q, r):
     return paste(paste(p, q), r) == paste(p, paste(q, r))
 
 
@@ -352,22 +338,21 @@ def _paste_outside_cases(config):
     for p in rels:
         for q in rels:
             for x in xsets:
-                yield _pack(p, q, x)
+                yield (p, q, x)
     if config.full:
         rng = config.rng("paste_outside")
         A3 = _atoms(3)
         pool = _pair_pool(A3, _atoms(3, 10))
         xsets3 = list(all_subsets(fset(A3)).payload)
         for _ in range(2000):
-            yield _pack(
+            yield (
                 _random_relation(rng, pool),
                 _random_relation(rng, pool),
                 rng.choice(xsets3),
             )
 
 
-def _paste_outside_check(case):
-    p, q, x = _unpack(case, 3)
+def _paste_outside_check(p, q, x):
     pq = paste(p, q)
     dom_q = domain_of(q)
     restricted = fset(e for e in pq.payload if member(e.first, dom_q))
@@ -392,7 +377,7 @@ _register(
 
 def _relations_3x2(config):
     for r in _all_relations(_atoms(3), _atoms(2, 10)):
-        yield r
+        yield (r,)
 
 
 def _right_unique_char_check(R):
@@ -427,7 +412,7 @@ def _eval_union_cases(config):
     A = _atoms(3)
     setvals = list(all_subsets(fset(_atoms(2, 10))).payload)
     for R in _right_unique_relations(A, setvals):
-        yield R
+        yield (R,)
 
 
 def _eval_union_check(f):
@@ -449,7 +434,7 @@ def _graph_roundtrip_cases(config):
     A = _atoms(3)
     vals = [num(5), num(7), fset([num(5)])]
     for T in _right_unique_relations(A, vals):
-        yield T
+        yield (T,)
 
 
 def _graph_roundtrip_check(T):
@@ -477,11 +462,10 @@ def _argmax_cases(config):
         dom = domain_of(f)
         for sub in all_subsets(dom).payload:
             if sub.payload:
-                yield _pack(f, sub)
+                yield (f, sub)
 
 
-def _argmax_check(case):
-    f, A = _unpack(case, 2)
+def _argmax_check(f, A):
     classical = arg_max_set(f, A)
     recursive = arg_max_list(f, list(A.payload))
     return fset(recursive) == classical and len(recursive) == len(set(recursive))
@@ -507,15 +491,14 @@ _TAG_KERNEL = sym("kernel")
 def _projector_kernel_cases(config):
     A, B = _atoms(3), _atoms(2, 10)
     for R in _all_relations(A, B):
-        yield _pack(_TAG_PROJECTOR, R)
+        yield (_TAG_PROJECTOR, R)
     for E in all_partial_equivalences(fset(A)):
-        yield _pack(_TAG_CLASSES, E)
+        yield (_TAG_CLASSES, E)
     for f in _right_unique_relations(A, B):
-        yield _pack(_TAG_KERNEL, f)
+        yield (_TAG_KERNEL, f)
 
 
-def _projector_kernel_check(case):
-    tag, R = _unpack(case, 2)
+def _projector_kernel_check(tag, R):
     if tag == _TAG_PROJECTOR:
         literal = fset(
             pair(x, image(R, fset([x]))) for x in domain_of(R).payload
@@ -545,11 +528,10 @@ def _quotient_triples(config):
     for f in _right_unique_relations(A, B):
         for P in ps:
             for Q in qs:
-                yield _pack(f, P, Q)
+                yield (f, P, Q)
 
 
-def _quotient_right_unique_check(case):
-    f, P, Q = _unpack(case, 3)
+def _quotient_right_unique_check(f, P, Q):
     if not compatible(f, P, Q):
         return True
     return right_unique(quotient(f, P, Q))
@@ -564,8 +546,7 @@ _register(
 )
 
 
-def _incompatible_not_right_unique(case):
-    f, P, Q = _unpack(case, 3)
+def _incompatible_not_right_unique(f, P, Q):
     return (not compatible(f, P, Q)) and (not right_unique(quotient(f, P, Q)))
 
 
@@ -588,11 +569,10 @@ def _factorization_cases(config):
     for r in _all_relations(A, A):
         for p in eqs:
             for q in eqs:
-                yield _pack(r, p, q)
+                yield (r, p, q)
 
 
-def _factorization_check(case):
-    r, p, q = _unpack(case, 3)
+def _factorization_check(r, p, q):
     composed = compose(compose(converse(projector(p)), r), projector(q))
     return quotient(r, p, q) == composed
 
@@ -623,22 +603,16 @@ def _injection_cases(config):
         lists += [list(p) for p in itertools.permutations(pool, k)]
     for xs in lists:
         for Y in ys:
-            yield _pack(relation(enumerate(xs)), Y)
+            yield (relation(enumerate(xs)), Y)
     if config.full:
         # size-4 witnesses for the falling-factorial counts
         xs4 = [sym(s) for s in ("a", "b", "c", "d")]
         for k in range(1, 5):
-            yield _pack(relation(enumerate(xs4)), fset(_atoms(k, 1)))
+            yield (relation(enumerate(xs4)), fset(_atoms(k, 1)))
 
 
-def _injection_unpack(case):
-    listing, Y = _unpack(case, 2)
+def _injection_check(listing, Y):
     xs = [p.second for p in listing.payload]  # indexed pairs keep the order
-    return xs, Y
-
-
-def _injection_check(case):
-    xs, Y = _injection_unpack(case)
     constructed = injections_alg(xs, Y)
     oracle = injections_oracle(fset(xs), Y)
     if fset(constructed) != oracle:
@@ -665,11 +639,11 @@ def _partition_cases(config):
     top = 5 if config.full else 4
     pool = [sym(s) for s in ("a", "b", "c", "d", "e")]
     for n in range(top + 1):
-        yield relation(enumerate(pool[:n]))
+        yield (relation(enumerate(pool[:n])),)
 
 
-def _partition_check(case):
-    xs = [p.second for p in case.payload]
+def _partition_check(listing):
+    xs = [p.second for p in listing.payload]  # indexed pairs keep the order
     constructed = all_partitions_list(xs)
     as_sets = [partition_as_set(p) for p in constructed]
     oracle = all_partitions_oracle(fset(xs))
@@ -705,11 +679,10 @@ def _mechanism_cases(config):
     for grid in _grid_family(config):
         for bidders in _bidder_family():
             for i in bidders.payload:
-                yield _pack(grid, bidders, i)
+                yield (grid, bidders, i)
 
 
-def _second_price_dominant_check(case):
-    grid, bidders, i = _unpack(case, 3)
+def _second_price_dominant_check(grid, bidders, i):
     m = second_price_single_good(bidders, grid, i)
     return dominant_strategy_check(m.bidder, m.alloc, m.price)
 
@@ -727,14 +700,13 @@ def _first_price_cases(config):
     for grid in _grid_family(config):
         for bidders in _bidder_family():
             if len(grid.payload) >= 2:
-                yield _pack(grid, bidders, bidders.payload[0])
+                yield (grid, bidders, bidders.payload[0])
             if len(grid.payload) >= 3:
                 for i in bidders.payload:
-                    yield _pack(grid, bidders, i)
+                    yield (grid, bidders, i)
 
 
-def _first_price_violation_check(case):
-    grid, bidders, i = _unpack(case, 3)
+def _first_price_violation_check(grid, bidders, i):
     m = first_price_single_good(bidders, grid, i)
     cx = dominant_strategy_counterexample(m.bidder, m.alloc, m.price)
     if cx is None:
@@ -759,8 +731,7 @@ _register(
 )
 
 
-def _reduced_bid_compat_check(case):
-    grid, bidders, i = _unpack(case, 3)
+def _reduced_bid_compat_check(grid, bidders, i):
     m = second_price_single_good(bidders, grid, i)
     hypotheses = (
         functional_family(domain_of(m.alloc))
@@ -789,11 +760,10 @@ def _vickrey_form_cases(config):
     # the greatest
     for grid in _grid_family(config):
         for bidders in _bidder_family():
-            yield _pack(grid, bidders, bidders.payload[-1])
+            yield (grid, bidders, bidders.payload[-1])
 
 
-def _vickrey_form_check(case):
-    grid, bidders, i = _unpack(case, 3)
+def _vickrey_form_check(grid, bidders, i):
     m = second_price_single_good(bidders, grid, i)
     rp = reduced_price_map(m.price, m.bidder, m.alloc)
     if not right_unique(rp):
@@ -813,16 +783,7 @@ _register(
 )
 
 
-def _pack_instance(inst: CombinatorialInstance) -> Value:
-    table = fset(
-        pair(pair(bidder, bundle), num(v))
-        for (bidder, bundle), v in inst.valuations.items()
-    )
-    return _pack(inst.goods, inst.bidders, table)
-
-
-def _unpack_instance(case: Value) -> CombinatorialInstance:
-    goods, bidders, table = _unpack(case, 3)
+def _instance(goods: Value, bidders: Value, table: Value) -> CombinatorialInstance:
     valuations = {
         (p.first.first, p.first.second): as_fraction(p.second) for p in table.payload
     }
@@ -830,14 +791,21 @@ def _unpack_instance(case: Value) -> CombinatorialInstance:
 
 
 def _instance_cases(config):
+    # the valuations stay one Value, a table of ((bidder, bundle), value),
+    # so a counterexample is printed as a Value like every other case
     rng = config.rng("vcg")
     count = 200 if config.full else 30
     for _ in range(count):
-        yield _pack_instance(random_instance(rng))
+        inst = random_instance(rng)
+        table = fset(
+            pair(pair(bidder, bundle), num(v))
+            for (bidder, bundle), v in inst.valuations.items()
+        )
+        yield (inst.goods, inst.bidders, table)
 
 
-def _payment_bounds_check(case):
-    inst = _unpack_instance(case)
+def _payment_bounds_check(goods, bidders, table):
+    inst = _instance(goods, bidders, table)
     out = clear_vickrey(inst)
     recomputed = sum(
         (inst.value(p.second, p.first) for p in out.allocation.payload), Fraction(0)
@@ -892,8 +860,8 @@ def _oracle_best_value(inst: CombinatorialInstance, bidders: list[Value]) -> Fra
     return best
 
 
-def _oracle_match_check(case):
-    inst = _unpack_instance(case)
+def _oracle_match_check(goods, bidders, table):
+    inst = _instance(goods, bidders, table)
     out = clear_vickrey(inst)
     all_bidders = list(inst.bidders.payload)
     if _oracle_best_value(inst, all_bidders) != out.welfare:

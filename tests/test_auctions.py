@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -38,6 +39,7 @@ from finrel.auctions import (
     vickrey_payment_form_check,
     won_value,
 )
+from finrel.encoding import value_to_obj
 from finrel.enumeration import all_subsets
 from finrel.laws import _oracle_best_value
 
@@ -431,6 +433,27 @@ def test_instance_file_roundtrip():
         '{"allocation":["set",["pair",["set","g1"],1],["pair",["set","g2"],2]],'
         '"payments":["set",["pair",1,2],["pair",2,4]],"welfare":11}'
     )
+
+
+def test_outcome_writer_matches_json_dumps_of_the_object_form():
+    def reference(out):
+        obj = {
+            "allocation": value_to_obj(out.allocation),
+            "payments": value_to_obj(out.payments),
+            "welfare": value_to_obj(num(out.welfare)),
+        }
+        return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
+
+    instances = [random_instance(random.Random(f"outcome:{seed}")) for seed in range(12)]
+    non_ascii = make_instance(
+        V(["gü", "g1"]),
+        B12,
+        [(V(1), V(["gü"]), num(Fraction(7, 2))), (V(2), V(["gü", "g1"]), V(5))],
+    )
+    for inst in instances + [non_ascii]:
+        out = clear_vickrey(inst)
+        assert serialize_outcome(out) == reference(out)
+    assert '"gü"' in serialize_outcome(clear_vickrey(non_ascii))
 
 
 def test_instance_file_errors():

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from finrel.cli import main
+from finrel.laws import LAWS, PROFILES, LawConfig, _pack
 
 README_INSTANCE = {
     "goods": ["set", "g1", "g2"],
@@ -175,3 +176,22 @@ def test_stdout_matches_recorded_digest(name, argv, files, capsys):
     assert code == 0
     digest = (hashlib.sha256(out).hexdigest(), out.count(b"\n"))
     assert digest == GOLDEN[name]
+
+
+# The report text of each law's first case, seed 0, quick profile then
+# full, in registry order: "<law> <profile> <case as the report prints it>"
+# per line.  Recorded while cases were still packed into one Value, before
+# they became tuples; it covers the listing and VCG cases, which no golden
+# failure line prints.
+FIRST_CASES = "d3d2007f490fd7dde71ee23e4d15a3e55d34f3dfcb6546be2290c13a79124ea2"
+
+
+def test_first_case_of_every_law_matches_recorded_digest():
+    lines = []
+    for profile in PROFILES:
+        config = LawConfig(profile, 0)
+        for law_id, law in LAWS.items():
+            case = next(iter(law.cases(config)))
+            lines.append(f"{law_id} {profile} {_pack(*case)!r}")
+    assert len(lines) == 42
+    assert hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest() == FIRST_CASES

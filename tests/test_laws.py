@@ -1,9 +1,10 @@
 import pytest
 
 from finrel.errors import ValidationError
-from finrel.values import V
+from finrel.values import V, Value
 from finrel.laws import (
     LAWS,
+    PROFILES,
     LawConfig,
     run_all,
     run_law,
@@ -76,12 +77,11 @@ def test_necessity_witness_is_replayable():
     assert report.passed
     assert report.counterexample is not None
     # the witness satisfies the search predicate when replayed
-    assert LAWS["compatibility_necessity"].check(report.counterexample)
-    from finrel.laws import _unpack
+    assert LAWS["compatibility_necessity"].check(*report.counterexample)
     from finrel.quotients import compatible, quotient
     from finrel.relations import right_unique
 
-    f, P, Q = _unpack(report.counterexample, 3)
+    f, P, Q = report.counterexample
     assert not compatible(f, P, Q)
     assert not right_unique(quotient(f, P, Q))
 
@@ -90,7 +90,7 @@ def test_counterexamples_replay_as_failures():
     # run the dominance checker against the first-price mutant through the
     # law machinery: a failing forall-law must report a case its own
     # checker rejects
-    from finrel.laws import Law, _pack
+    from finrel.laws import Law
     from finrel.auctions import (
         dominant_strategy_check,
         first_price_single_good,
@@ -98,10 +98,9 @@ def test_counterexamples_replay_as_failures():
     import finrel.laws as laws_mod
 
     def cases(config):
-        yield _pack(V([0, 1, 2]), V([1, 2]), V(1))
+        yield (V([0, 1, 2]), V([1, 2]), V(1))
 
-    def check(case):
-        grid, bidders, i = laws_mod._unpack(case, 3)
+    def check(grid, bidders, i):
         m = first_price_single_good(bidders, grid, i)
         return dominant_strategy_check(m.bidder, m.alloc, m.price)
 
@@ -110,10 +109,21 @@ def test_counterexamples_replay_as_failures():
         report = run_law("_mutant_probe", QUICK)
         assert not report.passed
         assert report.counterexample is not None
-        assert not check(report.counterexample)
-        assert "result=fail" in serialize_report(report)
+        assert not check(*report.counterexample)
+        line = serialize_report(report)
+        assert "result=fail" in line
+        assert line.endswith(" counterexample=({0, 1, 2}, ({1, 2}, 1))")
     finally:
         del laws_mod.LAWS["_mutant_probe"]
+
+
+def test_cases_are_tuples_of_values():
+    for profile in PROFILES:
+        config = LawConfig(profile, 0)
+        for law_id, law in LAWS.items():
+            case = next(iter(law.cases(config)))
+            assert isinstance(case, tuple) and case, (law_id, profile)
+            assert all(isinstance(v, Value) for v in case), (law_id, profile)
 
 
 def test_seeded_sampling_depends_on_seed():
