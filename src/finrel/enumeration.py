@@ -24,9 +24,9 @@ from .values import (
     canonicalize,
     fset,
     intersection,
-    member,
     pair,
     _require_set,
+    _set_of_sorted,
     _set_plus,
 )
 from .relations import relation
@@ -166,11 +166,12 @@ def coarser_partitions_with_list(new_el, blocks: list) -> list[list]:
     distinct blocks of a partition without searching for the block."""
     new_el = canonicalize(new_el)
     blocks = list(blocks)
-    if any(member(new_el, b) for b in blocks):
-        raise ValueError(f"element already present: {new_el!r}")
-    out = [[fset([new_el])] + blocks]
+    out = [[_set_of_sorted((new_el,))] + blocks]
     for i, b in enumerate(blocks):
-        out.append([_set_plus(b, new_el)] + blocks[:i] + blocks[i + 1 :])
+        enlarged = _set_plus(_require_set(b, "block"), new_el)
+        if enlarged is b:  # _set_plus returns b itself when new_el is in it
+            raise ValueError(f"element already present: {new_el!r}")
+        out.append([enlarged] + blocks[:i] + blocks[i + 1 :])
     return out
 
 

@@ -1,4 +1,3 @@
-import json
 import random
 from fractions import Fraction
 
@@ -6,21 +5,9 @@ import pytest
 
 from finrel.errors import CapExceeded, ParseError, ValidationError
 from finrel.values import EMPTY, UNDEFINED, V, fset, num, pair, sym
-from finrel.relations import (
-    domain_of,
-    eval_rel,
-    graph,
-    paste,
-    range_of,
-    relation,
-    right_unique,
-    single_outside,
-    to_function,
-)
+from finrel.relations import domain_of, eval_rel, range_of, relation, right_unique
 from finrel.quotients import compatible, identity_on, kernel
 from finrel.auctions import (
-    Outcome,
-    bid_vectors,
     clear_vickrey,
     dominant_strategy_check,
     dominant_strategy_counterexample,
@@ -39,9 +26,8 @@ from finrel.auctions import (
     vickrey_payment_form_check,
     won_value,
 )
-from finrel.encoding import value_to_obj
-from finrel.enumeration import all_subsets
-from finrel.laws import _oracle_best_value
+
+import oracles
 
 B12 = V([1, 2])
 GRID = V([0, 1, 2])
@@ -248,25 +234,7 @@ def test_clear_vickrey_worked_example():
 @pytest.mark.parametrize("n_goods, n_bidders", [(3, 4), (2, 5), (4, 2)])
 @pytest.mark.parametrize("value", [0, 5])
 def test_tie_heavy_clearing_matches_oracle(n_goods, n_bidders, value):
-    # every nonempty bundle is worth the same to everyone, so nearly every
-    # allocation ties; the exclusion optimum must still be the oracle's
-    goods = fset(sym(f"g{k}") for k in range(1, n_goods + 1))
-    bidders = fset(num(k) for k in range(1, n_bidders + 1))
-    bundles = [b for b in all_subsets(goods).payload if b.payload]
-    triples = [(n, b, num(value)) for n in bidders.payload for b in bundles]
-    inst = make_instance(goods, bidders, triples)
-    out = clear_vickrey(inst)
-    everyone = list(bidders.payload)
-    assert out.welfare == _oracle_best_value(inst, everyone)
-    for entry in out.payments.payload:
-        n = entry.first
-        own = sum(
-            (inst.value(n, p.first) for p in out.allocation.payload if p.second == n),
-            Fraction(0),
-        )
-        excluded = _oracle_best_value(inst, [m for m in everyone if m != n])
-        assert entry.second == num(excluded - (out.welfare - own))
-    assert domain_of(out.payments) == bidders
+    oracles.check("clear_vickrey", f"{n_goods}x{n_bidders} worth {value}")
 
 
 def test_clear_vickrey_single_bidder_pays_zero():
@@ -308,74 +276,19 @@ def test_exclusion_formula_can_go_negative_without_free_disposal():
     assert out.payments == relation([(1, -10), (2, -10)])
 
 
-def _reference_clear(inst):
-    """Clearing read off the paper's enumeration: the canonical least of
-    the welfare-optimal allocations in `possible_allocations`, and each
-    bidder's excluded optimum taken from the allocations that leave them
-    out (0 when none does)."""
-    scored = [
-        (sum((inst.value(p.second, p.first) for p in a.payload), Fraction(0)), a)
-        for a in possible_allocations(inst.goods, inst.bidders)
-    ]
-    best = max(w for w, _ in scored)
-    chosen = min(a for w, a in scored if w == best)
-    payments = []
-    for n in inst.bidders.payload:
-        excluded = max(
-            (w for w, a in scored if all(p.second != n for p in a.payload)),
-            default=Fraction(0),
-        )
-        payments.append(pair(n, num(excluded - (best - won_value(inst, chosen, n)))))
-    return Outcome(chosen, fset(payments), best)
-
-
-def _shaped_instance(n_goods, n_bidders, shape, rng):
-    goods = fset(sym(f"g{k}") for k in range(1, n_goods + 1))
-    bidders = fset(num(k) for k in range(1, n_bidders + 1))
-    bundles = [b for b in all_subsets(goods).payload if b.payload]
-    triples = []
-    for n in bidders.payload:
-        if shape == "monotone":
-            raw = {b: Fraction(rng.randint(0, 12), rng.choice((1, 2, 3))) for b in bundles}
-            for b in bundles:
-                inner = [raw[s] for s in bundles if set(s.payload) <= set(b.payload)]
-                triples.append((n, b, num(max(inner))))
-        elif shape == "sparse":
-            for b in rng.sample(bundles, min(2, len(bundles))):
-                triples.append((n, b, num(rng.randint(1, 9))))
-        else:
-            value = {"zero": 0, "equal": 3}[shape]
-            triples.extend((n, b, num(value)) for b in bundles)
-    return make_instance(goods, bidders, triples)
-
-
-def _assert_matches_reference(inst):
-    out, ref = clear_vickrey(inst), _reference_clear(inst)
-    assert out.welfare == ref.welfare
-    assert out.allocation == ref.allocation
-    assert out.payments == ref.payments
-
-
 @pytest.mark.parametrize("shape", ["monotone", "zero", "equal", "sparse"])
 def test_subset_recursion_equals_enumeration_on_every_small_size(shape):
-    # the tie-heavy shapes pin the canonical tie-break, the single-bidder
-    # sizes pin the excluded optimum of a lone bidder
-    rng = random.Random(f"dp:{shape}")
-    for n_goods in range(1, 5):
-        for n_bidders in range(1, 5):
-            _assert_matches_reference(_shaped_instance(n_goods, n_bidders, shape, rng))
+    oracles.check("clear_vickrey", shape)
 
 
 @pytest.mark.parametrize("shape", ["monotone", "equal", "sparse"])
 def test_subset_recursion_equals_enumeration_at_five_by_five(shape):
-    _assert_matches_reference(_shaped_instance(5, 5, shape, random.Random(f"dp5:{shape}")))
+    oracles.check("clear_vickrey", f"5x5 {shape}")
 
 
-def test_subset_recursion_equals_enumeration_without_free_disposal():
-    inst = make_instance(
-        V(["g1", "g2"]), B12, [(V(1), V(["g1"]), V(10)), (V(2), V(["g2"]), V(10))]
-    )
-    _assert_matches_reference(inst)
+test_subset_recursion_equals_enumeration_without_free_disposal = oracles.checker(
+    "clear_vickrey", "no free disposal"
+)
 
 
 def test_random_instances_deterministic_and_monotone():
@@ -436,24 +349,9 @@ def test_instance_file_roundtrip():
 
 
 def test_outcome_writer_matches_json_dumps_of_the_object_form():
-    def reference(out):
-        obj = {
-            "allocation": value_to_obj(out.allocation),
-            "payments": value_to_obj(out.payments),
-            "welfare": value_to_obj(num(out.welfare)),
-        }
-        return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
-
-    instances = [random_instance(random.Random(f"outcome:{seed}")) for seed in range(12)]
-    non_ascii = make_instance(
-        V(["gü", "g1"]),
-        B12,
-        [(V(1), V(["gü"]), num(Fraction(7, 2))), (V(2), V(["gü", "g1"]), V(5))],
-    )
-    for inst in instances + [non_ascii]:
-        out = clear_vickrey(inst)
-        assert serialize_outcome(out) == reference(out)
-    assert '"gü"' in serialize_outcome(clear_vickrey(non_ascii))
+    oracles.check("serialize_outcome")
+    [(out,)] = oracles.ROW["serialize_outcome"].sweep()["non-ASCII good"]
+    assert '"gü"' in serialize_outcome(out)
 
 
 def test_instance_file_errors():
@@ -465,44 +363,13 @@ def test_instance_file_errors():
         parse_instance('{"goods": ["set","g1"], "bidders": ["set",1,2], "valuations": 3}')
 
 
-def _pasted_bid_vectors(bidders, grid):
-    """The bid vectors built one bidder at a time by pasting, as the paper
-    extends a partial function: the independent reference for the product."""
-    out = [fset()]
-    for b in bidders.payload:
-        out = [paste(vec, relation([(b, g)])) for vec in out for g in grid.payload]
-    return out
-
-
-def test_bid_vectors_equal_the_pasted_construction():
-    pool = V([-1, Fraction(-1, 2), 0, Fraction(1, 2), 3])
-    grids = [g for g in all_subsets(pool).payload if g.payload]
-    assert len(grids) == 31
-    for n in range(4):
-        bidders = V(list(range(1, n + 1)))
-        for grid in grids:
-            assert bid_vectors(bidders, grid) == _pasted_bid_vectors(bidders, grid), (n, grid)
-
-
-def _payment_form_verdict(m, fee):
-    try:
-        return vickrey_payment_form_check(m.bidder, m.alloc, m.price, max_rival_bid, fee, num(0))
-    except ValueError:
-        return "undefined fee"
+test_bid_vectors_equal_the_pasted_construction = oracles.checker("bid_vectors")
 
 
 def test_fee_relation_through_to_function_matches_fee_closure():
     # the fee closure against its own graph over the reduced bids, read back
     # through to_function: the two table forms must give one verdict
-    verdicts = set()
-    for build in (second_price_single_good, first_price_single_good):
-        for bidders, grid in ((B12, GRID), (B12, V([0, 1])), (V([1, 2, 3]), V([0, Fraction(1, 2), 2]))):
-            for i in bidders.payload:
-                m = build(bidders, grid, i)
-                fee = reduced_fee_table(m.price, m.bidder, m.alloc)
-                reduced = fset(single_outside(b, i) for b in domain_of(m.alloc).payload)
-                table = to_function(graph(reduced, fee))
-                verdict = _payment_form_verdict(m, fee)
-                assert _payment_form_verdict(m, table) == verdict, (build, bidders, grid, i)
-                verdicts.add(verdict)
-    assert verdicts == {True, False, "undefined fee"}
+    oracles.check("reduced_fee_table")
+    row = oracles.ROW["reduced_fee_table"]
+    [cases] = row.sweep().values()
+    assert {row.fast(*case) for case in cases} == {True, False, "undefined fee"}

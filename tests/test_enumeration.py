@@ -1,11 +1,10 @@
 import math
-from itertools import combinations
 
 import pytest
 
 from finrel.errors import CapExceeded
-from finrel.values import EMPTY, V, _set_plus, canonicalize, fset, pair, rat, sym, union
-from finrel.relations import converse, paste, relation, right_unique
+from finrel.values import EMPTY, V, fset, pair, sym
+from finrel.relations import converse, relation, right_unique
 from finrel.enumeration import (
     CAP_ENUMERATE_LINES,
     MAX_PARTITION_ELEMENTS,
@@ -21,8 +20,9 @@ from finrel.enumeration import (
     insert_into_member_list,
     is_partition,
     is_partition_of,
-    partition_as_set,
 )
+
+import oracles
 
 A, B, C = sym("a"), sym("b"), sym("c")
 
@@ -84,6 +84,8 @@ def test_coarser_partitions():
     assert coarser_partitions_with_list(V(2), [V([1])]) == [[V([2]), V([1])], [V([1, 2])]]
     with pytest.raises(ValueError):
         coarser_partitions_with_list(V(1), [V([1])])
+    with pytest.raises(TypeError):
+        coarser_partitions_with_list(V(2), [V([1]), pair(1, 3)])
 
 
 def test_all_coarser_partitions_concats():
@@ -122,25 +124,8 @@ def test_is_partition_of():
     assert is_partition_of(EMPTY, EMPTY)
 
 
-def test_oracle_matches_literal_double_powerset():
-    # the pruned oracle equals the literal filter of the double powerset
-    for n in range(4):
-        ground = fset([sym(s) for s in "abc"][:n])
-        literal = fset(
-            fam
-            for fam in all_subsets(all_subsets(ground)).elements
-            if is_partition_of(fam, ground)
-        )
-        assert all_partitions_oracle(ground) == literal
-
-
-def test_oracle_matches_constructive():
-    pool = [sym(s) for s in "abcd"]
-    for n in range(5):
-        ground = fset(pool[:n])
-        listed = [partition_as_set(p) for p in all_partitions_list(pool[:n])]
-        assert fset(listed) == all_partitions_oracle(ground)
-        assert len(listed) == len(set(listed))
+test_oracle_matches_literal_double_powerset = oracles.checker("all_partitions_oracle")
+test_oracle_matches_constructive = oracles.checker("all_partitions_list")
 
 
 def test_oracle_cap():
@@ -150,98 +135,13 @@ def test_oracle_cap():
         injections_oracle(fset(range(5)), fset(range(10, 15)))
 
 
-def test_is_partition_of_equals_brute_force_count():
-    # every family of subsets of 3 atoms against every carrier within them
-    atoms = V(["a", "b", "c"])
-    families = all_subsets(all_subsets(atoms)).payload
-    carriers = all_subsets(atoms).payload
-    assert (len(families), len(carriers)) == (256, 8)
-    for A in carriers:
-        for P in families:
-            blocks = P.payload
-            brute = (
-                all(sum(x in b.payload for b in blocks) == 1 for x in A.payload)
-                and all(b.payload for b in blocks)
-                and all(x in A.payload for b in blocks for x in b.payload)
-            )
-            assert is_partition_of(P, A) == brute, (P, A)
-
-
-# ---------------------------------------------------------------------------
-# in-order insertion against the union- and paste-based constructions it
-# replaced; the copies below are those constructions, kept as oracles
-
-# one element of every kind, in an order that is not the canonical one
-MIXED = [sym("é"), V(0), pair("a", 1), rat(-1, 2), EMPTY, sym("a"), V([1]), V(7)]
-
-
-def _union_insert(new_el, blocks: list, target) -> list:
-    new_el = canonicalize(new_el)
-    target = canonicalize(target)
-    for idx, b in enumerate(blocks):
-        if b == target:
-            return [union(target, fset([new_el]))] + blocks[:idx] + blocks[idx + 1 :]
-    raise ValueError(f"target block not present: {target!r}")
-
-
-def _paste_injections(xs: list, Y) -> list:
-    xs = [canonicalize(x) for x in xs]
-    if not xs:
-        return [fset()]
-    head, rest = xs[0], xs[1:]
-    out = []
-    for R in _paste_injections(rest, Y):
-        used = {p.second for p in R.payload}
-        for y in Y.payload:
-            if y not in used:
-                out.append(paste(R, relation([(head, y)])))
-    return out
-
-
-def _subsets(pool: list):
-    for k in range(len(pool) + 1):
-        yield from combinations(pool, k)
-
-
-def test_set_plus_equals_union_with_a_singleton():
-    for members in _subsets(MIXED):
-        s = fset(members)
-        for x in MIXED:
-            got = _set_plus(s, x)
-            assert got == union(s, fset([x])), (s, x)
-            assert got.payload == union(s, fset([x])).payload
-            if x in members:
-                assert got is s
-
-
-def test_insert_into_member_list_equals_union_original():
-    for blocks in all_partitions_list(MIXED[:4]):
-        for target in blocks:
-            for new_el in MIXED:  # the first four are already in some block
-                got = insert_into_member_list(new_el, blocks, target)
-                want = _union_insert(new_el, blocks, target)
-                assert [b.payload for b in got] == [b.payload for b in want]
-
-
-def test_injections_alg_equals_paste_original():
-    for n_sources in range(4):
-        for n_targets in range(5):
-            xs, Y = MIXED[:n_sources], fset(MIXED[3 : 3 + n_targets])
-            got = injections_alg(xs, Y)
-            want = _paste_injections(xs, Y)
-            assert [R.payload for R in got] == [R.payload for R in want], (xs, Y)
-
-
-def test_blocks_enlarged_by_position_equal_the_member_list_insertion():
-    # every partition of up to 6 mixed elements, extended by the next one
-    for n in range(7):
-        new_el = MIXED[n]
-        for blocks in all_partitions_list(MIXED[:n]):
-            got = coarser_partitions_with_list(new_el, blocks)
-            want = [[fset([new_el])] + blocks] + [
-                insert_into_member_list(new_el, blocks, b) for b in blocks
-            ]
-            assert [[b.payload for b in p] for p in got] == [[b.payload for b in p] for p in want]
+test_is_partition_of_equals_brute_force_count = oracles.checker("is_partition_of")
+test_set_plus_equals_union_with_a_singleton = oracles.checker("_set_plus")
+test_insert_into_member_list_equals_union_original = oracles.checker("insert_into_member_list")
+test_injections_alg_equals_paste_original = oracles.checker("injections_alg")
+test_blocks_enlarged_by_position_equal_the_member_list_insertion = oracles.checker(
+    "coarser_partitions_with_list"
+)
 
 
 def test_partition_element_cap_is_derived_from_bell():

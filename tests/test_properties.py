@@ -1,4 +1,5 @@
-"""Generated inputs end in a documented outcome and values round-trip.
+"""Generated inputs: every fast path agrees with its oracle, values
+round-trip, and every input ends in a documented outcome.
 
 Every example is derived from a fixed seed and sizes are bounded, so the
 module is deterministic and runs in a few seconds.
@@ -14,34 +15,31 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from finrel.auctions import clear_vickrey, make_instance, won_value
 from finrel.cli import main
-from finrel.encoding import parse_value, serialize_value, value_to_obj
-from finrel.errors import CAP_DEPTH, CapExceeded, ParseError, ValidationError
+from finrel.encoding import parse_value, serialize_value
+from finrel.errors import CapExceeded, ParseError, ValidationError
 from finrel.expressions import OPERATORS, evaluate_expression
-from finrel.laws import _oracle_best_value
-from finrel.values import EMPTY, as_fraction, fset, num, pair, rat, sym
-from test_auctions import _reference_clear
+from finrel.values import fset, num, pair, sym
+
+import oracles
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=80)
+STRATEGIES = {row.name: row.strategy(st) for row in oracles.ROWS}
 
 
-def _is_symbol(text: str) -> bool:
-    try:
-        sym(text)
-    except ValueError:
-        return False
-    return True
+@pytest.mark.parametrize("row", oracles.ROWS, ids=lambda row: row.name)
+@PROPERTY
+@given(data=st.data())
+def test_fast_path_matches_its_oracle(row, data):
+    case = data.draw(STRATEGIES[row.name])
+    assert row.same(row.fast(*case), row.oracle(*case))
 
 
 # a few plain characters plus every kind a symbol or JSON text may trip on:
 # digits, sign and slash, quote, backslash, control, non-ASCII, surrogate
 texts = st.text(alphabet='ab1-/"\\\x00 é⊥\ud800', max_size=4)
-symbols = texts.filter(lambda t: t and _is_symbol(t)).map(sym)
-numbers = st.one_of(
-    st.integers(-10**30, 10**30).map(num),
-    st.fractions(max_denominator=10**12).map(num),
-)
+symbols = texts.filter(lambda t: t and oracles.is_symbol(t)).map(sym)
+numbers = oracles.numbers(st)
 values = st.recursive(
     numbers | symbols,
     lambda inner: st.one_of(
@@ -58,40 +56,8 @@ def test_encoding_round_trips(v):
     assert parse_value(serialize_value(v)) == v
 
 
-# symbols with the characters whose escaping differs between JSON encoders:
-# DEL, the line and paragraph separators, non-ASCII letters
-writer_symbols = st.text(alphabet="ab-/ é⊥\x7f\u2028\u2029", min_size=1, max_size=4).filter(
-    _is_symbol
-).map(sym)
-negative_rationals = st.tuples(st.integers(1, 10**20), st.integers(2, 10**6)).map(
-    lambda t: rat(-t[0], t[1])
-)
-writer_values = st.recursive(
-    numbers | negative_rationals | writer_symbols | st.just(EMPTY),
-    lambda inner: st.one_of(
-        st.tuples(inner, inner).map(lambda ab: pair(*ab)),
-        st.lists(inner, max_size=4).map(fset),
-    ),
-    max_leaves=12,
-)
-
-
-def _nest(v, wraps):
-    for in_pair in wraps:
-        v = pair(v, EMPTY) if in_pair else fset([v])
-    return v
-
-
-deep_values = st.builds(
-    _nest, writer_values, st.lists(st.booleans(), min_size=CAP_DEPTH - 4, max_size=CAP_DEPTH - 1)
-)
-
-
-@PROPERTY
-@given(writer_values | deep_values)
-def test_writer_matches_json_dumps_of_the_object_form(v):
-    want = json.dumps(value_to_obj(v), separators=(",", ":"), ensure_ascii=False)
-    assert serialize_value(v) == want
+writer_values = oracles.writer_values(st)
+deep_values = oracles.deep_values(st)
 
 
 def _rebuilt(v):
@@ -251,38 +217,3 @@ instance_docs = st.one_of(
 def test_run_combinatorial_exits_with_a_documented_code(instance_path, doc):
     instance_path.write_text(json.dumps(doc), encoding="utf-8")
     assert _exit_code(["run-combinatorial", str(instance_path)]) in (0, 1, 2, 3)
-
-
-# ---------------------------------------------------------------------------
-# clearing: the subset recursion against both enumeration oracles
-
-
-@st.composite
-def small_instances(draw):
-    """At most 3 goods x 3 bidders, every nonempty bundle worth 0..5 to
-    every bidder, with no free disposal, so a bundle may be worth less
-    than its parts."""
-    n_goods = draw(st.integers(1, 3))
-    n_bidders = draw(st.integers(1, 3))
-    goods = [sym(f"g{k}") for k in range(1, n_goods + 1)]
-    bundles = [fset(g for k, g in enumerate(goods) if mask >> k & 1) for mask in range(1, 1 << n_goods)]
-    triples = [
-        (num(n), bundle, num(draw(st.integers(0, 5))))
-        for n in range(1, n_bidders + 1)
-        for bundle in bundles
-    ]
-    return make_instance(fset(goods), fset(num(n) for n in range(1, n_bidders + 1)), triples)
-
-
-@PROPERTY
-@given(small_instances())
-def test_clearing_agrees_with_both_enumeration_oracles(inst):
-    out = clear_vickrey(inst)
-    assert out == _reference_clear(inst)
-    everyone = list(inst.bidders.payload)
-    assert out.welfare == _oracle_best_value(inst, everyone)
-    for entry in out.payments.payload:
-        n = entry.first
-        others = out.welfare - won_value(inst, out.allocation, n)
-        rest = [m for m in everyone if m != n]
-        assert as_fraction(entry.second) == _oracle_best_value(inst, rest) - others

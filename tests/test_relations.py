@@ -1,7 +1,6 @@
 import pytest
 
-from finrel.values import EMPTY, UNDEFINED, V, cartesian_product, fset, num, pair, the_elem
-from finrel.enumeration import all_subsets
+from finrel.values import EMPTY, UNDEFINED, V, fset, num, pair
 from finrel.relations import (
     RIGHT_UNIQUE_CHARACTERIZATIONS,
     arg_max_list,
@@ -24,6 +23,8 @@ from finrel.relations import (
     to_function,
     trivial,
 )
+
+import oracles
 
 R_EXAMPLE = relation([(0, 10), (1, 11), (1, 12)])
 
@@ -83,11 +84,7 @@ def test_trivial():
     assert not trivial(V([1, 2]))
 
 
-def test_trivial_matches_subset_of_the_elem_form():
-    from finrel.values import is_subset, the_elem
-
-    for s in [EMPTY, V([5]), V([1, 2]), V([1, 2, 3]), fset([UNDEFINED]), fset([UNDEFINED, num(1)])]:
-        assert trivial(s) == is_subset(s, fset([the_elem(s)]))
+test_trivial_matches_subset_of_the_elem_form = oracles.checker("trivial")
 
 
 def test_right_unique():
@@ -98,9 +95,7 @@ def test_right_unique():
 
 def test_characterizations_present_and_agree_on_samples():
     assert len(RIGHT_UNIQUE_CHARACTERIZATIONS) == 7
-    for rel in [relation(), R_EXAMPLE, relation([(0, 10)]), relation([(0, 10), (1, 10)])]:
-        verdicts = {f(rel) for f in RIGHT_UNIQUE_CHARACTERIZATIONS.values()}
-        assert len(verdicts) == 1
+    oracles.check("right_unique")
 
 
 def test_eval_rel_union():
@@ -119,7 +114,7 @@ def test_graph():
     assert right_unique(g)
 
 
-def test_graph_mapping_and_undefined():
+def test_graph_of_a_partial_callable():
     table = {num(1): num(5)}.__getitem__
     assert graph(V([1]), table) == relation([(1, 5)])
     with pytest.raises(ValueError):
@@ -146,11 +141,10 @@ def test_arg_max():
 
 def test_arg_max_list_matches_set():
     f = relation([(1, 5), (2, 9), (3, 9)])
-    out = arg_max_list(f, [V(1), V(2), V(3)])
-    assert fset(out) == arg_max_set(f, V([1, 2, 3]))
-    assert out == [V(2), V(3)]  # input order preserved
+    assert arg_max_list(f, [V(1), V(2), V(3)]) == [V(2), V(3)]  # input order preserved
     with pytest.raises(ValueError):
         arg_max_list(f, [])
+    oracles.check("arg_max_list")
 
 
 def test_relation_rejects_non_pairs():
@@ -167,40 +161,9 @@ def test_domain_range_family():
     assert range_of(paste(P, Q)) == V([11, 12])
 
 
-# The indexed operators against their definitions, over every relation of
-# the 3x2 universe; the points cover the domain, the target, raw ints and
-# non-numbers off the domain.
-UNIVERSE_3X2 = all_subsets(cartesian_product(V([1, 2, 3]), V([10, 11]))).payload
-POINTS = [V(1), 2, 3, 4, 10, V(11), "a", V([1])]
-
-
-def test_eval_rel_is_the_elem_of_the_point_image():
-    assert len(UNIVERSE_3X2) == 64
-    for R in UNIVERSE_3X2:
-        for x in POINTS:
-            assert eval_rel(R, x) == the_elem(image(R, fset([x]))), (R, x)
-
-
-def test_domain_of_is_the_set_of_first_components():
-    for R in UNIVERSE_3X2:
-        assert domain_of(R) == fset(p.first for p in R.payload), R
-
-
-def _literal_compose(R, S):
-    return fset(
-        pair(p.first, q.second) for p in R.payload for q in S.payload if p.second == q.first
-    )
-
-
-def test_compose_is_its_comprehension():
-    # R over 3x2 and S over 2x3, and the other way round, so that every
-    # pair of relations can meet in the middle
-    for R in UNIVERSE_3X2:
-        for S in UNIVERSE_3X2:
-            S_back = converse(S)
-            assert compose(R, S_back) == _literal_compose(R, S_back), (R, S)
-            R_back = converse(R)
-            assert compose(R_back, S) == _literal_compose(R_back, S), (R, S)
+test_eval_rel_is_the_elem_of_the_point_image = oracles.checker("eval_rel")
+test_domain_of_is_the_set_of_first_components = oracles.checker("domain_of")
+test_compose_is_its_comprehension = oracles.checker("compose")
 
 
 def test_repeated_and_equal_relations_evaluate_alike():
@@ -212,7 +175,9 @@ def test_repeated_and_equal_relations_evaluate_alike():
         first = eval_rel(R, x)
         assert eval_rel(R, x) == first
         assert eval_rel(twin, x) == first
-    assert compose(R, S) == compose(R, S) == compose(twin, S) == _literal_compose(R, S)
+    assert compose(R, S) == compose(R, S) == compose(twin, S) == relation(
+        [(1, "a"), (2, "b"), (2, "c")]
+    )
     assert compose(S, converse(R)) == compose(S, converse(twin))
 
 
