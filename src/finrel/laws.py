@@ -19,6 +19,7 @@ on the report object but excluded from its canonical serialization.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -828,49 +829,50 @@ _register(
 )
 
 
-def _oracle_best_value(inst: CombinatorialInstance, bidders: list[Value]) -> Fraction:
-    """Brute-force welfare maximum by assigning each good to a bidder.
+def _oracle_optima(inst: CombinatorialInstance, bidders=None) -> tuple[Fraction, dict]:
+    """Brute-force welfare maximum by assigning each good to a bidder, and
+    each bidder's excluded optimum: the maximum over the assignments that
+    give them nothing (0 when every assignment gives them something).
 
-    Independent of the partition/injection enumeration: walks assignment
-    functions recursively and scores preimages.
+    `bidders` defaults to all of the instance's.  Independent of the
+    partition/injection enumeration and of clear_vickrey: one walk over
+    the assignment functions scores their preimages, and each bundle set
+    is built once.
     """
-    goods = list(inst.goods.payload)
-    if not bidders:
-        return Fraction(0)
+    goods = inst.goods.payload
+    bidders = tuple(inst.bidders.payload if bidders is None else bidders)
+    bundle = functools.cache(fset)
     best = Fraction(0)
-
-    def walk(k: int, holdings: dict):
-        nonlocal best
-        if k == len(goods):
-            total = sum(
-                (inst.value(n, fset(gs)) for n, gs in holdings.items()),
-                Fraction(0),
-            )
-            if total > best:
-                best = total
-            return
+    excluded = dict.fromkeys(bidders, Fraction(0))
+    for owners in itertools.product(bidders, repeat=len(goods)):
+        holdings: dict = {}
+        for g, n in zip(goods, owners):
+            holdings.setdefault(n, []).append(g)
+        total = sum(
+            (inst.value(n, bundle(tuple(gs))) for n, gs in holdings.items()), Fraction(0)
+        )
+        best = max(best, total)
         for n in bidders:
-            holdings.setdefault(n, []).append(goods[k])
-            walk(k + 1, holdings)
-            holdings[n].pop()
-            if not holdings[n]:
-                del holdings[n]
+            if n not in holdings and total > excluded[n]:
+                excluded[n] = total
+    return best, excluded
 
-    walk(0, {})
-    return best
+
+def _oracle_best_value(inst: CombinatorialInstance, bidders: list[Value]) -> Fraction:
+    """Brute-force welfare maximum when only `bidders` take part."""
+    return _oracle_optima(inst, bidders)[0]
 
 
 def _oracle_match_check(goods, bidders, table):
     inst = _instance(goods, bidders, table)
     out = clear_vickrey(inst)
-    all_bidders = list(inst.bidders.payload)
-    if _oracle_best_value(inst, all_bidders) != out.welfare:
+    welfare, excluded = _oracle_optima(inst)
+    if welfare != out.welfare:
         return False
     for entry in out.payments.payload:
         n, paid = entry.first, as_fraction(entry.second)
         others = out.welfare - won_value(inst, out.allocation, n)
-        rest = [m for m in all_bidders if m != n]
-        if paid != _oracle_best_value(inst, rest) - others:
+        if paid != excluded[n] - others:
             return False
     return True
 

@@ -14,15 +14,23 @@ from .values import EMPTY, Value, cartesian_product, fset, pair, _require_set, _
 from .relations import (
     _by_first,
     _require_relation,
+    _views,
     relation,
     right_unique,
 )
 
 
 def projector(R: Value) -> Value:
-    """The relation { (x, image of x through R) | x in Domain R }."""
-    # the index is in domain order, so the pairs are too
-    return _set_of_sorted(tuple([pair(x, ys) for x, ys in _by_first(R).items()]))
+    """The relation { (x, image of x through R) | x in Domain R }, built
+    once and kept in R's views."""
+    views = _views(R)
+    projected = views.projector
+    if projected is None:
+        # the index is in domain order, so the pairs are too
+        projected = views.projector = _set_of_sorted(
+            tuple([pair(x, ys) for x, ys in _by_first(R).items()])
+        )
+    return projected
 
 
 def quotient(R: Value, P: Value, Q: Value) -> Value:

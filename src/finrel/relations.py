@@ -43,30 +43,55 @@ def is_relation(v) -> bool:
 def _require_relation(v, what: str = "relation") -> Value:
     if not isinstance(v, Value) or v._key[0] != SET:
         raise TypeError(f"{what} must be a set of pairs, got {v!r}")
-    for e in v.payload:
-        if e._key[0] != PAIR:
-            raise TypeError(f"{what} contains a non-pair member: {e!r}")
+    if v._index is None:  # a set with views has passed this check
+        for e in v.payload:
+            if e._key[0] != PAIR:
+                raise TypeError(f"{what} contains a non-pair member: {e!r}")
     return v
+
+
+class _Views:
+    """What a relation derives from its own pairs, each None until built.
+
+    Only a set that has passed the relation check gets one, so having it
+    is the check's result.  The views are pure functions of the immutable
+    pairs: each is built on first use, never changed, and freed with the
+    relation.  A thread that races to build one writes an equal one.
+    """
+
+    __slots__ = ("by_first", "projector", "converse")
+
+    def __init__(self):
+        self.by_first = self.projector = self.converse = None
+
+
+def _views(R: Value) -> _Views:
+    """The views record kept on R, made on the first call after checking
+    that R is a relation.  A set that is not a relation gets none, so it
+    raises on every call."""
+    views = R._index if isinstance(R, Value) else None
+    if views is None:
+        _require_relation(R)
+        views = R._index = _Views()
+    return views
 
 
 def _by_first(R: Value) -> dict:
     """Map each domain point of R to its image set, in canonical order.
 
-    The function view of R: built and validated on the first call, then
-    kept on R and returned as is.  Callers only read it.  A set that is
-    not a relation gets no index, so it raises on every call.
+    The function view of R, kept in R's views record: built on the first
+    call and returned as is after.  Callers only read it.
     """
-    index = R._index if isinstance(R, Value) else None
+    views = _views(R)
+    index = views.by_first
     if index is None:
-        _require_relation(R)
         runs: dict = {}
         for p in R.payload:
             x, y = p.payload
             runs.setdefault(x, []).append(y)
         # R is sorted by (first, second), so each run of images is
         # already distinct and in order
-        index = {x: _set_of_sorted(tuple(ys)) for x, ys in runs.items()}
-        R._index = index
+        index = views.by_first = {x: _set_of_sorted(tuple(ys)) for x, ys in runs.items()}
     return index
 
 
@@ -94,8 +119,12 @@ def image(R: Value, X: Value) -> Value:
 
 
 def converse(R: Value) -> Value:
-    _require_relation(R)
-    return fset(pair(p.second, p.first) for p in R.payload)
+    """{ (y, x) | (x, y) in R }, built once and kept in R's views."""
+    views = _views(R)
+    flipped = views.converse
+    if flipped is None:
+        flipped = views.converse = fset(pair(p.second, p.first) for p in R.payload)
+    return flipped
 
 
 def compose(R: Value, S: Value) -> Value:

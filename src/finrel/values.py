@@ -37,9 +37,11 @@ class Value:
     """
 
     # The kind is the first component of the key, so it needs no slot of
-    # its own; _index is the by-first index of a relation (relations
-    # builds it on first use from the immutable payload and never changes
-    # it, so sharing a Value between threads stays safe).
+    # its own.  _index holds a relation's views record (relations._Views:
+    # its by-first index, projector and converse), made once the set has
+    # passed the relation check.  Each view is built on first use from the
+    # immutable payload and never changed, so sharing a Value between
+    # threads stays safe.
     __slots__ = ("payload", "_key", "_hash", "_index")
 
     def __init__(self, payload, key, h: int):

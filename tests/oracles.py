@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from typing import Callable, NamedTuple
 
-from finrel import auctions, encoding, enumeration, quotients, relations, values
+from finrel import auctions, encoding, enumeration, laws, quotients, relations, values
 from finrel.auctions import Outcome, make_instance, won_value
 from finrel.enumeration import all_partitions_list, all_subsets, is_partition_of
 from finrel.errors import CAP_DEPTH
@@ -64,6 +64,15 @@ def _product(name: str, *axes) -> Callable[[], dict]:
 # ---------------------------------------------------------------------------
 # oracles: each definition read literally
 
+def _field(R):
+    return fset(x for p in R.payload for x in p.payload)
+
+
+def _literal_converse(R):
+    field = _field(R).payload
+    return fset(pair(y, x) for x in field for y in field if member(pair(x, y), R))
+
+
 def _literal_compose(R, S):
     return fset(
         pair(p.first, q.second) for p in R.payload for q in S.payload if p.second == q.first
@@ -85,10 +94,9 @@ def _literal_quotient(R, P, Q):
 
 def _literal_compatible(R, P, Q):
     # off the field of P the left side is the image of the empty set
-    field = {x for p in P.payload for x in p.payload}
     return all(
         values.is_subset(image(R, image(P, fset([x]))), image(Q, image(R, fset([x]))))
-        for x in field
+        for x in _field(P).payload
     )
 
 
@@ -173,25 +181,8 @@ def _reference_clear(inst):
     return Outcome(chosen, fset(payments), best)
 
 
-def _assigned_optima(inst):
-    """The optimum and each bidder's excluded optimum, found by assigning
-    every good to a bidder instead of listing allocations, as
-    laws._oracle_best_value does, in one walk for all exclusions."""
-    goods, bidders = inst.goods.payload, inst.bidders.payload
-    bundle = functools.cache(fset)
-    best = dict.fromkeys(bidders + (None,), Fraction(0))  # None excludes nobody
-    for owners in product(bidders, repeat=len(goods)):
-        holdings: dict = {}
-        for g, n in zip(goods, owners):
-            holdings.setdefault(n, []).append(g)
-        total = sum(inst.value(n, bundle(tuple(gs))) for n, gs in holdings.items())
-        for n in [None] + [n for n in bidders if n not in holdings]:
-            best[n] = max(best[n], total)
-    return best.pop(None), best
-
-
 def _clears_as_both(inst):
-    return _reference_clear(inst), inst, _assigned_optima(inst)
+    return _reference_clear(inst), inst, laws._oracle_optima(inst)
 
 
 def _same_clearing(out, want):
@@ -458,6 +449,9 @@ ROWS = (
         lambda R, X: fset(p for p in R.payload if not member(p.first, X)),
         _product("3x2 relations, sets of sources", RELATIONS_3X2, all_subsets(A3).payload), 512,
         lambda st: st.tuples(_subsets(st, PAIRS), _subsets(st))),
+    Row("converse", converse, _literal_converse,
+        _product("3x2 relations and their converses", RELATIONS_3X2 + CONVERSES_3X2), 128,
+        lambda st: _one(_subsets(st, PAIRS))),
     Row("compose", relations.compose, _literal_compose,
         lambda: {"3x2 then 2x3": list(product(RELATIONS_3X2, CONVERSES_3X2)),
                  "2x3 then 3x2": list(product(CONVERSES_3X2, RELATIONS_3X2))}, 8192,

@@ -1,7 +1,11 @@
+import sys
+import threading
+
 import pytest
 
 from finrel.values import V, fset, num, pair
 from finrel.relations import (
+    _by_first,
     compose,
     converse,
     domain_of,
@@ -143,6 +147,59 @@ def test_repeated_and_equal_relations_project_alike():
     Q = identity_on(V([1, 2]))
     assert quotient(R, P, Q) == quotient(twin, P, Q) == quotient(R, P, Q)
     assert compatible(R, P, Q) == compatible(twin, P, Q)
+
+
+def _fresh_sweep(name):
+    """Each relation of a row's sweep, with an equal copy that has no views
+    built yet."""
+    for cases in oracles.ROW[name].sweep().values():
+        for (R,) in cases:
+            yield R, fset(R.payload)
+
+
+@pytest.mark.parametrize("name", ["projector", "converse"])
+def test_views_are_built_once_and_agree_with_the_oracle(name):
+    row = oracles.ROW[name]
+    for R, fresh in _fresh_sweep(name):
+        first = row.fast(fresh)
+        assert row.fast(fresh) is first
+        assert first == row.oracle(R)
+
+
+def test_a_projector_does_not_depend_on_the_index_being_built_first():
+    for R, fresh in _fresh_sweep("projector"):
+        indexed = fset(R.payload)
+        _by_first(indexed)
+        assert projector(fresh) == projector(indexed) == oracles.ROW["projector"].oracle(R)
+
+
+def test_threads_racing_to_build_views_get_equal_ones():
+    # eight passes, so that a view published before it is complete shows in
+    # nearly every run
+    shared = [case for _ in range(8) for case in _fresh_sweep("projector")]
+    barrier = threading.Barrier(2, timeout=10)
+    built = ([], [])
+
+    def build(mine):
+        for _, fresh in shared:
+            barrier.wait()  # both threads start on the same fresh relation
+            mine.append((projector(fresh), converse(fresh)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often enough to interleave the builds
+    try:
+        threads = [threading.Thread(target=build, args=(mine,)) for mine in built]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    for mine in built:
+        assert len(mine) == len(shared)
+        for (R, _), (projected, flipped) in zip(shared, mine):
+            assert projected == oracles.ROW["projector"].oracle(R)
+            assert flipped == oracles.ROW["converse"].oracle(R)
 
 
 def test_non_relations_raise_on_every_call():
