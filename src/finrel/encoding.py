@@ -153,10 +153,7 @@ def _write(v: Value, table: dict) -> str:
         n = key[1]
         if type(n) is int:  # integers are keyed by the int itself
             return str(n)
-        f = v.payload
-        if f.denominator == 1:
-            return str(f.numerator)
-        return f'"{f.numerator}/{f.denominator}"'
+        return f'"{n.numerator}/{n.denominator}"'
     if kind == SYM:
         return encode_basestring(key[1])
     payload = v.payload

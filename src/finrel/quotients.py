@@ -4,20 +4,34 @@ projector sends each domain point to its image class; quotient relates
 classes whose product meets the original relation; compatible is the
 well-definedness condition under which the quotient of a right-unique
 relation stays right-unique.  kernel builds the equivalence identifying
-points with equal images.  None of these require their arguments to be
-equivalences or functions; the hypotheses only matter for the laws.
+points with equal images; only it requires a function.  The others take
+any relations; the hypotheses only matter for the laws.
 """
 
 from __future__ import annotations
 
-from .values import EMPTY, Value, cartesian_product, fset, pair, _require_set, _set_of_sorted
+from .values import (
+    EMPTY,
+    Value,
+    cartesian_product,
+    fset,
+    is_subset,
+    pair,
+    union,
+    _require_set,
+    _set_of_sorted,
+)
 from .relations import (
     _by_first,
-    _require_relation,
     _views,
+    compose,
+    converse,
+    domain_of,
+    range_of,
     relation,
     right_unique,
 )
+from .enumeration import all_partitions_list, all_subsets
 
 
 def projector(R: Value) -> Value:
@@ -53,57 +67,29 @@ def quotient(R: Value, P: Value, Q: Value) -> Value:
 
 
 def compatible(R: Value, P: Value, Q: Value) -> bool:
-    """True iff R maps P-related points into Q-related images.
-
-    The defining inclusion is image(R, image(P, {x})) within
-    image(Q, image(R, {x})) for every x; quantifying over Domain P
-    suffices, since elsewhere the left side is empty.
-    """
-    r_images = _by_first(R)
-    p_images = _by_first(P)
-    q_images = _by_first(Q)
-    for x, mids in p_images.items():
-        lhs = {y for mid in mids.payload for y in r_images.get(mid, EMPTY).payload}
-        rhs = {
-            y
-            for mid in r_images.get(x, EMPTY).payload
-            for y in q_images.get(mid, EMPTY).payload
-        }
-        if not lhs <= rhs:
-            return False
-    return True
+    """True iff R maps P-related points into Q-related images: P ; R within
+    R ; Q, that is image(R, image(P, {x})) within image(Q, image(R, {x}))
+    for every x."""
+    return is_subset(compose(P, R), compose(R, Q))
 
 
 def kernel(f: Value) -> Value:
-    """Equivalence on Domain f identifying points with equal f-values."""
-    _require_relation(f)
+    """Equivalence on Domain f identifying points with equal f-values:
+    f ; f^-1."""
     if not right_unique(f):
         raise ValueError("kernel requires a right-unique relation")
-    by_value: dict = {}
-    for p in f.payload:
-        by_value.setdefault(p.second, []).append(p.first)
-    out = []
-    for xs in by_value.values():
-        for a in xs:
-            for b in xs:
-                out.append(pair(a, b))
-    return fset(out)
+    return compose(f, converse(f))
 
 
 def is_equivalence(E: Value, carrier: Value) -> bool:
-    """True iff E is reflexive on carrier, symmetric, transitive, and
-    contained in carrier x carrier."""
-    images = _by_first(E)
-    _require_set(carrier)
-    ckeys = frozenset(carrier.payload)
-    pairs = {(p.first, p.second) for p in E.payload}
-    if not all(a in ckeys and b in ckeys for a, b in pairs):
-        return False
-    if not all((k, k) in pairs for k in ckeys):
-        return False
-    if not all((b, a) in pairs for a, b in pairs):
-        return False
-    return all((a, c) in pairs for a, b in pairs for c in images.get(b, ()))
+    """True iff E is contained in carrier x carrier (its field is within
+    carrier), reflexive on carrier, symmetric and transitive."""
+    return (
+        is_subset(union(domain_of(E), range_of(E)), _require_set(carrier, "carrier"))
+        and is_subset(identity_on(carrier), E)
+        and converse(E) == E
+        and is_subset(compose(E, E), E)
+    )
 
 
 def identity_on(X: Value) -> Value:
@@ -118,8 +104,6 @@ def all_equivalences(carrier: Value) -> list[Value]:
     Generated from the partitions of the carrier: each block contributes
     its full square.
     """
-    from .enumeration import all_partitions_list
-
     _require_set(carrier)
     return [
         fset(p for block in blocks for p in cartesian_product(block, block).payload)
@@ -133,8 +117,6 @@ def all_partial_equivalences(universe: Value) -> list[Value]:
     These are exactly the symmetric transitive relations over the
     universe (reflexivity on their own domain is implied).
     """
-    from .enumeration import all_subsets
-
     out = []
     for carrier in all_subsets(universe).payload:
         out.extend(all_equivalences(carrier))

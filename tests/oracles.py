@@ -491,8 +491,10 @@ ROWS = (
                  all_subsets(cartesian_product(A3, A3)).payload, all_subsets(A3).payload), 4096,
         lambda st: st.tuples(_subsets(st, ATOMS[:3]), st.integers(0, 9), _subsets(st, PAIRS))
         .map(lambda t: (_equivalence_or_reflexive(*t), t[0]))),
-    # f ; f^-1 composed literally: the points with equal f-values
-    Row("kernel", quotients.kernel, lambda f: _literal_compose(f, converse(f)),
+    # the points with equal f-values, pair by pair
+    Row("kernel", quotients.kernel,
+        lambda f: fset(pair(p.first, q.first) for p in f.payload for q in f.payload
+                       if p.second == q.second),
         _product("3x2 functions", FUNCTIONS_3X2), 27,
         lambda st: _one(_digits(st, len(ATOMS) + 1).map(lambda ys: relation(
             (x, ATOMS[y - 1]) for x, y in zip(ATOMS, ys) if y)))),

@@ -1,8 +1,8 @@
 import pytest
 
-from finrel.errors import ParseError, ValidationError
+from finrel.errors import CAP_DEPTH, CapExceeded, ParseError, ValidationError
 from finrel.values import EMPTY, UNDEFINED, V, fset, num, pair, rat, sym
-from finrel.encoding import parse_value, serialize_value
+from finrel.encoding import parse_value, serialize_value, value_from_obj
 
 
 def test_parse_canonicalizes_sets():
@@ -65,6 +65,16 @@ def test_validation_errors():
         parse_value("true")
     with pytest.raises(ValidationError):
         parse_value("null")
+
+
+def test_value_from_obj_caps_its_own_depth():
+    # a decoded tree that never went through the JSON text reader
+    obj, want = ["set"], EMPTY
+    for _ in range(CAP_DEPTH - 1):
+        obj, want = ["set", obj], fset([want])
+    assert value_from_obj(obj) == want
+    with pytest.raises(CapExceeded, match=f"deeper than {CAP_DEPTH} levels"):
+        value_from_obj(["set", obj])
 
 
 def test_serialization_is_compact_and_ordered():

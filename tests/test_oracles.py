@@ -13,10 +13,10 @@ import oracles
 # A fast path is a public function that names one of these shortcuts past
 # canonical construction, in its own body or a nested function: _views
 # returns a view kept from an earlier call.  fset is the definition of a
-# canonical set; the three named paths reach the shortcuts only through
+# canonical set; the two named paths reach the shortcuts only through
 # other functions.
 SHORTCUTS = {"_by_first", "_views", "_set_of_sorted", "_set_plus", "_write"}
-NAMED = {quotients.kernel, auctions.bid_vectors, enumeration.all_partitions_list}
+NAMED = {auctions.bid_vectors, enumeration.all_partitions_list}
 
 
 def _names(code):
