@@ -3,10 +3,10 @@
 Two models live here.  The single-good second-price mechanism is built as
 a pair of relations over an explicit finite grid of bids, together with
 the dominant-strategy check, the generalized payment-form check, and the
-reduced-bid/reduced-price quotient construction that extracts the fee
-table.  The combinatorial model clears Vickrey auctions over allocations
-that pair a partition of the goods with an injection into the bidders,
-with payments by the standard exclusion formula.
+reduced price (converse(rb) ; price for the reduced-bid map rb) that
+extracts the fee table.  The combinatorial model clears Vickrey auctions
+over allocations that pair a partition of the goods with an injection
+into the bidders, with payments by the standard exclusion formula.
 
 All amounts are exact rationals; ties are always broken by the canonical
 value order (lowest wins).
@@ -51,7 +51,6 @@ from .relations import (
     single_outside,
     single_paste,
 )
-from .quotients import identity_on, kernel, projector, quotient
 from .enumeration import all_partitions_list, all_subsets, injections_alg
 
 CAP_GOODS = 6
@@ -125,7 +124,7 @@ def _single_good(bidders, grid, i, price_rule) -> SingleGoodMechanism:
 
 def second_price_single_good(bidders, grid, i) -> SingleGoodMechanism:
     """Winner pays the highest rival bid."""
-    return _single_good(bidders, grid, i, lambda b: max_of(range_of(single_outside(b, i))))
+    return _single_good(bidders, grid, i, lambda b: max_rival_bid(single_outside(b, i)))
 
 
 def first_price_single_good(bidders, grid, i) -> SingleGoodMechanism:
@@ -227,14 +226,12 @@ def reduced_bid_map(i, alloc: Value) -> Value:
 
 
 def reduced_price_map(price: Value, i, alloc: Value) -> Value:
-    """Price as a function of the reduced-bid triple, via the quotient of
-    the price relation by the kernel of the reduced-bid map."""
+    """Price as a function of the reduced-bid triple: converse(rb) ; price for
+    the reduced-bid map rb, which is the paper's quotient of price by the
+    kernel of rb framed by two projectors (checked in tests/oracles.py)."""
     if not right_unique(price):
         raise ValueError("price relation must be right-unique")
-    rb = reduced_bid_map(i, alloc)
-    ident = identity_on(range_of(price))
-    lifted = quotient(price, kernel(rb), ident)
-    return compose(compose(projector(converse(rb)), lifted), converse(projector(ident)))
+    return compose(converse(reduced_bid_map(i, alloc)), price)
 
 
 def reduced_fee_table(price: Value, i, alloc: Value) -> Callable[[Value], Value]:
@@ -479,6 +476,7 @@ def instance_from_obj(obj) -> CombinatorialInstance:
         raise ValidationError(f"instance file is missing {sorted(missing)}")
     goods = value_from_obj(obj["goods"])
     bidders = value_from_obj(obj["bidders"])
+    _check_caps(_input_set(goods, "goods"), _input_set(bidders, "bidders"))
     raw = obj["valuations"]
     if not isinstance(raw, list):
         raise ValidationError("valuations must be an array of [bidder, bundle, value]")

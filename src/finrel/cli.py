@@ -34,7 +34,7 @@ from .auctions import (
     second_price_single_good,
     serialize_outcome,
 )
-from .laws import LAWS, LawConfig, run_all, run_law, serialize_report
+from .laws import LAWS, PROFILES, LawConfig, run_all, run_law, serialize_report
 
 
 def _read_text(path: str) -> str:
@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_laws = sub.add_parser("check-laws", help="run the registered law suite")
     p_laws.add_argument("--law", choices=sorted(LAWS), metavar="ID")
-    p_laws.add_argument("--profile", choices=("quick", "full"), default="quick")
+    p_laws.add_argument("--profile", choices=PROFILES, default="quick")
     p_laws.add_argument("--seed", type=int, default=0)
     p_laws.add_argument("--report", metavar="PATH")
     p_laws.set_defaults(fn=_cmd_check_laws)

@@ -204,9 +204,8 @@ def _atoms(n: int, start: int = 0) -> list[Value]:
 
 
 def _all_relations(A: list[Value], B: list[Value]) -> Iterable[Value]:
-    pool = [pair(a, b) for a in A for b in B]
-    for mask in range(1 << len(pool)):
-        yield fset(pool[i] for i in range(len(pool)) if mask >> i & 1)
+    pool = _pair_pool(A, B)
+    return (_masked(pool, mask) for mask in range(1 << len(pool)))
 
 
 def _right_unique_relations(A: list[Value], B: list[Value]) -> Iterable[Value]:
@@ -219,10 +218,13 @@ def _pair_pool(A: list[Value], B: list[Value]) -> list[Value]:
     return [pair(a, b) for a in A for b in B]
 
 
+def _masked(pool: list[Value], mask: int) -> Value:
+    return fset(pool[i] for i in range(len(pool)) if mask >> i & 1)
+
+
 def _random_relation(rng: random.Random, pool: list[Value]) -> Value:
     """A uniformly random subset of the pair pool, one rng draw."""
-    mask = rng.getrandbits(len(pool))
-    return fset(pool[i] for i in range(len(pool)) if mask >> i & 1)
+    return _masked(pool, rng.getrandbits(len(pool)))
 
 
 # ---------------------------------------------------------------------------

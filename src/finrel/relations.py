@@ -40,13 +40,13 @@ def is_relation(v) -> bool:
     )
 
 
-def _require_relation(v, what: str = "relation") -> Value:
+def _require_relation(v) -> Value:
     if not isinstance(v, Value) or v._key[0] != SET:
-        raise TypeError(f"{what} must be a set of pairs, got {v!r}")
+        raise TypeError(f"relation must be a set of pairs, got {v!r}")
     if v._index is None:  # a set with views has passed this check
         for e in v.payload:
             if e._key[0] != PAIR:
-                raise TypeError(f"{what} contains a non-pair member: {e!r}")
+                raise TypeError(f"relation contains a non-pair member: {e!r}")
     return v
 
 

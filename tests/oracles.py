@@ -220,6 +220,24 @@ def _fee_relation_verdict(m):
     return _payment_form_verdict(m, relations.to_function(relations.graph(reduced, fee)))
 
 
+def _quotient_reduced_price(price, i, alloc):
+    """The paper's reduced price: the quotient of price by the kernel of the
+    reduced-bid map rb, between the projector of converse(rb) and the
+    converse projector of the identity on the prices."""
+    rb = auctions.reduced_bid_map(i, alloc)
+    ident = quotients.identity_on(relations.range_of(price))
+    lifted = quotients.quotient(price, quotients.kernel(rb), ident)
+    return relations.compose(
+        relations.compose(quotients.projector(converse(rb)), lifted),
+        converse(quotients.projector(ident)),
+    )
+
+
+def _price_arguments(m):
+    """m's price, its allocation and the empty relation, each as the price."""
+    return [(price, m.bidder, m.alloc) for price in (m.price, m.alloc, EMPTY)]
+
+
 # ---------------------------------------------------------------------------
 # sweeps with more than one universe or built from instances
 
@@ -301,6 +319,12 @@ def _mechanism_sweep():
         (build(bidders, grid, i),) for build in builds for bidders, grid in grids
         for i in bidders.payload
     ]}
+
+
+def _reduced_price_sweep():
+    [mechanisms] = _mechanism_sweep().values()
+    return {"each mechanism, with its price, its allocation or nothing as the price": [
+        case for (m,) in mechanisms for case in _price_arguments(m)]}
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +563,9 @@ ROWS = (
                              _subsets(st, (num(-1), rat(1, 2), num(0), num(3))).filter(bool))),
     Row("clear_vickrey", auctions.clear_vickrey, _clears_as_both, _clearing_sweep, 74,
         lambda st: _one(small_instances(st)), _same_clearing),
+    Row("reduced_price_map", auctions.reduced_price_map, _quotient_reduced_price,
+        _reduced_price_sweep, 42, lambda st: st.tuples(_mechanism_cases(st), st.integers(0, 2))
+        .map(lambda t: _price_arguments(*t[0])[t[1]])),
     Row("reduced_fee_table", _fee_closure_verdict, _fee_relation_verdict, _mechanism_sweep, 14,
         _mechanism_cases),
     Row("serialize_value", encoding.serialize_value, lambda v: _dumped(encoding.value_to_obj(v)),

@@ -71,6 +71,39 @@ def test_mechanism_argument_checks():
         second_price_single_good(B12, V([0, 1, 2, 3, 4, 5]), V(1))
 
 
+_B = relation([(1, 0), (2, 1)])
+_TWO_VALUES_AT_B = relation([(_B, 0), (_B, 1)])
+
+# each input guard with a call that trips it: (id, call, error type, message)
+GUARDS = [
+    ("non-numeric-grid-value", lambda: second_price_single_good(B12, V([0, "a"]), V(1)),
+     ValidationError, "non-numeric grid value"),
+    ("allocation-not-right-unique", lambda: reduced_bid_map(V(1), _TWO_VALUES_AT_B),
+     ValueError, "allocation relation must be right-unique"),
+    ("domain-member-not-a-bid-vector", lambda: reduced_bid_map(V(1), relation([(5, 0)])),
+     ValueError, "domain member is not a bid vector"),
+    ("price-not-right-unique",
+     lambda: reduced_price_map(_TWO_VALUES_AT_B, V(1), relation([(_B, 0)])),
+     ValueError, "price relation must be right-unique"),
+    ("good-not-an-atom", lambda: make_instance(V([V(["g1"])]), B12, []),
+     ValidationError, "good must be an atom"),
+    ("bidder-not-an-atom", lambda: make_instance(V(["g1"]), V([pair(1, 2)]), []),
+     ValidationError, "bidder must be an atom"),
+    ("valuation-not-numeric", lambda: make_instance(V(["g1"]), B12, [(V(1), V(["g1"]), sym("x"))]),
+     ValidationError, "valuation must be numeric"),
+    ("no-goods-to-allocate", lambda: possible_allocations(EMPTY, B12),
+     ValueError, "no goods to allocate"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, message", [g[1:] for g in GUARDS], ids=[g[0] for g in GUARDS]
+)
+def test_each_input_guard_raises_its_error(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_second_price_dominant():
     for i in (1, 2):
         m = second_price_single_good(B12, GRID, V(i))

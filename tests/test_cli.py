@@ -176,6 +176,13 @@ def _nested_set(depth: int, inner: str = "1") -> str:
 # the object around the goods is one level, so the document is 101 deep
 _DEEP_DOC = dict(WORKED_INSTANCE, goods=json.loads(_nested_set(100, '"g1"')))
 _NUMBER_GOODS = json.dumps({**WORKED_INSTANCE, "goods": -1})
+_SEVEN_BIDDERS = json.dumps({**WORKED_INSTANCE, "bidders": ["set", *range(1, 8)]})
+# the malformed second row is never read: the goods cap is checked first
+_SEVEN_GOODS_BAD_ROW = json.dumps({
+    "goods": ["set"] + [f"g{k}" for k in range(1, 8)],
+    "bidders": ["set", 1, 2],
+    "valuations": [[1, ["set", "g1"], 1], ["bad"]],
+})
 _LONG = "1" * 5000
 _BIG = 10**4000  # 1/(_BIG + 1) + 1/(_BIG + 3) has a denominator of 8,001 digits
 _HUGE_SUM = dict(
@@ -197,6 +204,8 @@ EXIT_CASES = [
         2,
     ),
     ("goods-not-a-set", ["run-combinatorial", FILE], _NUMBER_GOODS, 2),
+    ("bidders-over-cap", ["run-combinatorial", FILE], _SEVEN_BIDDERS, 3),
+    ("goods-over-cap-before-a-bad-row", ["run-combinatorial", FILE], _SEVEN_GOODS_BAD_ROW, 3),
     ("deep-json-argument", ["enumerate", "partitions", _nested_set(3000)], None, 3),
     ("json-argument-past-cap", ["enumerate", "partitions", _nested_set(101)], None, 3),
     ("json-argument-at-cap", ["enumerate", "partitions", _nested_set(100)], None, 0),
