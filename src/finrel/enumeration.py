@@ -25,6 +25,7 @@ from .values import (
     fset,
     intersection,
     pair,
+    union,
     _require_set,
     _set_of_sorted,
     _set_plus,
@@ -147,12 +148,13 @@ def injections_oracle(X: Value, Y: Value) -> Value:
 
 def insert_into_member_list(new_el, blocks: list, target: Value) -> list:
     """Enlarge one block: target + {new_el} prepended, first occurrence of
-    target removed from the rest."""
+    target removed from the rest.  coarser_partitions_with_list is checked
+    against this definition."""
     new_el = canonicalize(new_el)
     target = canonicalize(target)
     for idx, b in enumerate(blocks):
         if b == target:
-            enlarged = _set_plus(_require_set(target, "target block"), new_el)
+            enlarged = union(_require_set(target, "target block"), fset([new_el]))
             return [enlarged] + blocks[:idx] + blocks[idx + 1 :]
     raise ValueError(f"target block not present: {target!r}")
 

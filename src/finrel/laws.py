@@ -85,6 +85,7 @@ from .enumeration import (
 )
 from .auctions import (
     CombinatorialInstance,
+    _utility,
     clear_vickrey,
     dominant_strategy_check,
     dominant_strategy_counterexample,
@@ -718,11 +719,7 @@ def _first_price_violation_check(grid, bidders, i):
     # replay: the reported pair must itself violate the inequality
     vf = as_fraction(v)
     truthful = single_paste(b, i, v)
-    u_now = vf * as_fraction(eval_rel(m.alloc, b)) - as_fraction(eval_rel(m.price, b))
-    u_truth = vf * as_fraction(eval_rel(m.alloc, truthful)) - as_fraction(
-        eval_rel(m.price, truthful)
-    )
-    return u_now > u_truth
+    return _utility(vf, m.alloc, m.price, b) > _utility(vf, m.alloc, m.price, truthful)
 
 
 _register(
@@ -740,7 +737,6 @@ def _reduced_bid_compat_check(grid, bidders, i):
         functional_family(domain_of(m.alloc))
         and is_subset(domain_of(m.alloc), domain_of(m.price))
         and right_unique(m.price)
-        and dominant_strategy_check(m.bidder, m.alloc, m.price)
     )
     if not hypotheses:
         return False

@@ -116,15 +116,6 @@ def _same_set_plus(got, want):
     return got == joined and (got is s) == (joined == s)
 
 
-def _union_insert(new_el, blocks: list, target) -> list:
-    new_el = canonicalize(new_el)
-    target = canonicalize(target)
-    for idx, b in enumerate(blocks):
-        if b == target:
-            return [union(target, fset([new_el]))] + blocks[:idx] + blocks[idx + 1 :]
-    raise ValueError(f"target block not present: {target!r}")
-
-
 def _paste_injections(xs: list, Y) -> list:
     xs = [canonicalize(x) for x in xs]
     if not xs:
@@ -527,12 +518,6 @@ ROWS = (
             (MIXED[:n], fset(MIXED[3 : 3 + m])) for n in range(4) for m in range(5)]}, 20,
         lambda st: st.tuples(_arrangements(st, MIXED, 3),
                              _subsets(st, MIXED[2:]))),
-    Row("insert_into_member_list", enumeration.insert_into_member_list, _union_insert,
-        lambda: {"partitions of 4 mixed values, each block, each value": [
-            (new_el, blocks, target) for blocks in all_partitions_list(MIXED[:4])
-            for target in blocks for new_el in MIXED]}, 296,
-        lambda st: st.tuples(st.sampled_from(MIXED), _block_lists(st, MIXED).filter(bool),
-                             st.integers(0, 3)).map(lambda t: t[:2] + (t[1][t[2] % len(t[1])],))),
     Row("coarser_partitions_with_list", enumeration.coarser_partitions_with_list,
         lambda new_el, blocks: [[fset([new_el])] + blocks] + [
             enumeration.insert_into_member_list(new_el, blocks, b) for b in blocks],
@@ -582,28 +567,16 @@ ROWS = (
 ROW = {row.name: row for row in ROWS}
 
 
-@functools.cache
-def _first_disagreements(name: str) -> dict:
+def check(name: str) -> None:
+    """Fail at the first argument tuple of a row's sweep on which the fast
+    path and its oracle disagree."""
     row = ROW[name]
-    return {
-        part: next(
-            (case for case in cases if not row.same(row.fast(*case), row.oracle(*case))), None
-        )
-        for part, cases in row.sweep().items()
-    }
+    for label, cases in row.sweep().items():
+        for case in cases:
+            if not row.same(row.fast(*case), row.oracle(*case)):
+                raise AssertionError(f"{name} disagrees with its oracle on {label}: {case!r}")
 
 
-def check(name: str, part: str | None = None) -> None:
-    """Fail at the first argument tuple of a row's sweep, or of one part of
-    it, on which the fast path and its oracle disagree.  Each sweep runs
-    once per process, however many tests check it."""
-    verdicts = _first_disagreements(name)
-    for label in verdicts if part is None else [part]:
-        case = verdicts[label]
-        if case is not None:
-            raise AssertionError(f"{name} disagrees with its oracle on {label}: {case!r}")
-
-
-def checker(name: str, part: str | None = None) -> Callable[[], None]:
-    """check(name, part) as a test function, for a test module to name."""
-    return lambda: check(name, part)
+def checker(name: str) -> Callable[[], None]:
+    """check(name) as a test function, for a test module to name."""
+    return lambda: check(name)

@@ -20,6 +20,7 @@ from finrel.auctions import (
     dominant_strategy_counterexample,
     first_price_single_good,
     make_instance,
+    won_value,
 )
 from finrel.laws import LawConfig, _oracle_best_value, run_law
 
@@ -145,11 +146,7 @@ def test_criterion_10_combinatorial_clearing():
     assert out.welfare == Fraction(11)
     # recompute both payments from the independent assignment oracle
     for bidder, expected in ((V(1), Fraction(2)), (V(2), Fraction(4))):
-        own = sum(
-            (inst.value(bidder, p.first) for p in out.allocation.elements if p.second == bidder),
-            Fraction(0),
-        )
-        others = out.welfare - own
+        others = out.welfare - won_value(inst, out.allocation, bidder)
         rest = [n for n in inst.bidders.elements if n != bidder]
         recomputed = _oracle_best_value(inst, rest) - others
         assert recomputed == expected

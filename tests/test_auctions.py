@@ -5,14 +5,13 @@ import pytest
 
 from finrel.errors import CapExceeded, ParseError, ValidationError
 from finrel.values import EMPTY, UNDEFINED, V, fset, num, pair, sym
-from finrel.relations import domain_of, eval_rel, range_of, relation, right_unique
-from finrel.quotients import compatible, identity_on, kernel
+from finrel.relations import domain_of, eval_rel, relation, right_unique
+from finrel.quotients import kernel
 from finrel.auctions import (
     clear_vickrey,
     dominant_strategy_check,
     dominant_strategy_counterexample,
     first_price_single_good,
-    functional_family,
     make_instance,
     max_rival_bid,
     parse_instance,
@@ -104,12 +103,6 @@ def test_each_input_guard_raises_its_error(call, error, message):
         call()
 
 
-def test_second_price_dominant():
-    for i in (1, 2):
-        m = second_price_single_good(B12, GRID, V(i))
-        assert dominant_strategy_check(m.bidder, m.alloc, m.price)
-
-
 def test_first_price_not_dominant_with_replay():
     m = first_price_single_good(B12, GRID, V(1))
     cx = dominant_strategy_counterexample(m.bidder, m.alloc, m.price)
@@ -176,32 +169,9 @@ def test_reduced_bid_kernel_identifies_own_bid_changes():
     assert pair(b_lo, b_hi) in k.elements
 
 
-def test_reduced_price_is_right_unique():
-    m = second_price_single_good(B12, V([0, 1]), V(2))
-    rp = reduced_price_map(m.price, m.bidder, m.alloc)
-    assert right_unique(rp)
-
-
 def test_reduced_price_of_empty_price_relation():
     m = second_price_single_good(B12, V([0, 1]), V(2))
     assert reduced_price_map(relation(), m.bidder, m.alloc) == relation()
-
-
-def test_compatibility_chain_hypotheses():
-    m = second_price_single_good(B12, GRID, V(1))
-    assert functional_family(domain_of(m.alloc))
-    assert right_unique(m.price)
-    assert dominant_strategy_check(m.bidder, m.alloc, m.price)
-    k = kernel(reduced_bid_map(m.bidder, m.alloc))
-    assert compatible(m.price, k, identity_on(range_of(m.price)))
-
-
-def test_extracted_fee_satisfies_payment_form():
-    m = second_price_single_good(B12, GRID, V(2))
-    fee = reduced_fee_table(m.price, m.bidder, m.alloc)
-    assert vickrey_payment_form_check(
-        m.bidder, m.alloc, m.price, max_rival_bid, fee, num(0)
-    )
 
 
 def test_extracted_fee_undefined_for_tie_favored_bidder():
@@ -264,12 +234,6 @@ def test_clear_vickrey_worked_example():
     assert won_value(inst, out.allocation, V(2)) == Fraction(5)
 
 
-@pytest.mark.parametrize("n_goods, n_bidders", [(3, 4), (2, 5), (4, 2)])
-@pytest.mark.parametrize("value", [0, 5])
-def test_tie_heavy_clearing_matches_oracle(n_goods, n_bidders, value):
-    oracles.check("clear_vickrey", f"{n_goods}x{n_bidders} worth {value}")
-
-
 def test_clear_vickrey_single_bidder_pays_zero():
     inst = make_instance(V(["g1", "g2"]), V([1]), [(V(1), V(["g1", "g2"]), V(9))])
     out = clear_vickrey(inst)
@@ -307,21 +271,6 @@ def test_exclusion_formula_can_go_negative_without_free_disposal():
     out = clear_vickrey(inst)
     assert out.welfare == Fraction(20)
     assert out.payments == relation([(1, -10), (2, -10)])
-
-
-@pytest.mark.parametrize("shape", ["monotone", "zero", "equal", "sparse"])
-def test_subset_recursion_equals_enumeration_on_every_small_size(shape):
-    oracles.check("clear_vickrey", shape)
-
-
-@pytest.mark.parametrize("shape", ["monotone", "equal", "sparse"])
-def test_subset_recursion_equals_enumeration_at_five_by_five(shape):
-    oracles.check("clear_vickrey", f"5x5 {shape}")
-
-
-test_subset_recursion_equals_enumeration_without_free_disposal = oracles.checker(
-    "clear_vickrey", "no free disposal"
-)
 
 
 def test_random_instances_deterministic_and_monotone():
@@ -382,7 +331,8 @@ def test_instance_file_roundtrip():
 
 
 def test_outcome_writer_matches_json_dumps_of_the_object_form():
-    oracles.check("serialize_outcome")
+    # the serialize_outcome row compares the writer with json.dumps; here a
+    # non-ASCII good is written as itself, not as an escape
     [(out,)] = oracles.ROW["serialize_outcome"].sweep()["non-ASCII good"]
     assert '"gü"' in serialize_outcome(out)
 
@@ -396,13 +346,9 @@ def test_instance_file_errors():
         parse_instance('{"goods": ["set","g1"], "bidders": ["set",1,2], "valuations": 3}')
 
 
-test_bid_vectors_equal_the_pasted_construction = oracles.checker("bid_vectors")
-
-
 def test_fee_relation_through_to_function_matches_fee_closure():
-    # the fee closure against its own graph over the reduced bids, read back
-    # through to_function: the two table forms must give one verdict
-    oracles.check("reduced_fee_table")
+    # the reduced_fee_table row compares the fee closure with its own graph
+    # read back through to_function; here its sweep reaches every verdict
     row = oracles.ROW["reduced_fee_table"]
     [cases] = row.sweep().values()
     assert {row.fast(*case) for case in cases} == {True, False, "undefined fee"}

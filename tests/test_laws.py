@@ -127,10 +127,13 @@ def test_cases_are_tuples_of_values():
 
 
 def test_seeded_sampling_depends_on_seed():
+    cases = LAWS["vcg_matches_oracle"].cases
+    one, again, two = (list(cases(LawConfig("quick", seed))) for seed in (1, 1, 2))
+    assert one == again != two
     a = run_law("vcg_matches_oracle", LawConfig("quick", 1))
     b = run_law("vcg_matches_oracle", LawConfig("quick", 2))
     assert a.passed and b.passed
-    assert a.cases == b.cases
+    assert a.cases == b.cases == len(one)
 
 
 def test_serialized_reports_are_single_lines():
