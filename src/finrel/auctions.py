@@ -15,6 +15,7 @@ value order (lowest wins).
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,6 +58,9 @@ CAP_GOODS = 6
 CAP_BIDDERS = 6
 CAP_GRID = 5
 CAP_SINGLE_BIDDERS = 3
+# clearing sums valuations as integers over their common denominator up to
+# this many bits (about the 4,300-digit integer limit), as rationals beyond
+MAX_SCALE_BITS = 14_300
 
 
 @dataclass(frozen=True)
@@ -349,6 +353,17 @@ def won_value(inst: CombinatorialInstance, alloc: Value, bidder: Value) -> Fract
     )
 
 
+def _common_scale(amounts: Iterable[Fraction]) -> int | None:
+    """The least common denominator of the amounts, or None once it has
+    more than MAX_SCALE_BITS bits."""
+    scale = 1
+    for x in amounts:
+        scale = math.lcm(scale, x.denominator)
+        if scale.bit_length() > MAX_SCALE_BITS:
+            return None
+    return scale
+
+
 def clear_vickrey(inst: CombinatorialInstance) -> Outcome:
     """Welfare-maximizing allocation plus exclusion-formula payments.
 
@@ -368,6 +383,13 @@ def clear_vickrey(inst: CombinatorialInstance) -> Outcome:
     nothing, and the rest recurses (the winner-determination recurrence
     of Rothkopf, Pekec and Harstad, 1998).  One memo serves the optimum
     and every excluded optimum.
+
+    The recurrence runs on integers: every valuation times their common
+    denominator `scale`, which keeps sums, comparisons and ties exact.
+    Only the welfare and the excluded optima go back to rationals.  When
+    the common denominator passes MAX_SCALE_BITS, the same recurrence
+    runs on the rationals themselves (scale 1): integers over so large a
+    denominator cost more to add than the rationals they stand for.
     """
     _check_caps(inst.goods, inst.bidders)
     goods, bidders = inst.goods.payload, inst.bidders.payload
@@ -380,16 +402,23 @@ def clear_vickrey(inst: CombinatorialInstance) -> Outcome:
         for mask in range(all_goods + 1)
     ]
     val = [[inst.value(n, bundle) for bundle in bundles] for n in bidders]
-    memo: dict = {}
+    scale = _common_scale(inst.valuations.values())
+    if scale is None:
+        scale = 1
+    else:
+        val = [[x.numerator * (scale // x.denominator) for x in row] for row in val]
+    width = everyone + 1
+    unknown = object()
+    memo = [unknown] * ((all_goods + 1) * width)  # memo[S * width + avail]
 
     def best(S: int, avail: int):
         if not S:
-            return Fraction(0)
+            return 0
         if not avail:
             return None
-        key = (S, avail)
-        if key in memo:
-            return memo[key]
+        top = memo[S * width + avail]
+        if top is not unknown:
+            return top
         first = avail & -avail
         rest = avail ^ first
         row = val[first.bit_length() - 1]
@@ -400,12 +429,12 @@ def clear_vickrey(inst: CombinatorialInstance) -> Outcome:
             if after is not None and (top is None or row[T] + after > top):
                 top = row[T] + after
             T = (T - 1) & S
-        memo[key] = top
+        memo[S * width + avail] = top
         return top
 
     by_key = sorted(range(1, all_goods + 1), key=lambda mask: bundles[mask]._key)
 
-    def first_optimal_block(left: int, free: int, target: Fraction):
+    def first_optimal_block(left: int, free: int, target):
         # the blocks of an allocation sort by their lowest good, and a pair
         # by its bundle before its bidder, so the canonically least optimal
         # allocation starts with the least (block, bidder) that still
@@ -420,21 +449,22 @@ def clear_vickrey(inst: CombinatorialInstance) -> Outcome:
                             return T, k, after
         raise AssertionError("no block reaches the optimum")
 
-    welfare = best(all_goods, everyone)
+    optimum = best(all_goods, everyone)
     chosen = []
-    left, free, target = all_goods, everyone, welfare
+    left, free, target = all_goods, everyone, optimum
     while left:
         T, k, target = first_optimal_block(left, free, target)
         chosen.append(pair(bundles[T], bidders[k]))
         left, free = left ^ T, free ^ (1 << k)
     allocation = _set_of_sorted(tuple(chosen))
+    welfare = Fraction(optimum, scale)
     payments = []
     for k, n in enumerate(bidders):
         excluded = best(all_goods, everyone ^ (1 << k))
         if excluded is None:  # n is the only bidder
-            excluded = Fraction(0)
+            excluded = 0
         others = welfare - won_value(inst, allocation, n)
-        payments.append(pair(n, num(excluded - others)))
+        payments.append(pair(n, num(Fraction(excluded, scale) - others)))
     return Outcome(allocation, _set_of_sorted(tuple(payments)), welfare)
 
 

@@ -119,6 +119,8 @@ def _cmd_check_laws(args) -> int:
     for report, line in zip(reports, lines):
         print(line)
         print(f"{report.law_id}: {report.elapsed * 1000:.1f} ms", file=sys.stderr)
+        if report.error:
+            print(f"{report.law_id}: the checker raised {report.error}", file=sys.stderr)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")

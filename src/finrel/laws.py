@@ -139,6 +139,7 @@ class LawReport:
     passed: bool
     counterexample: tuple[Value, ...] | None
     elapsed: float
+    error: str | None = None  # what the checker raised on the counterexample
 
 
 LAWS: dict[str, Law] = {}
@@ -155,9 +156,14 @@ def run_law(law_id: str, config: LawConfig = LawConfig()) -> LawReport:
     start = time.perf_counter()
     count = 0
     found: tuple[Value, ...] | None = None
+    error = None
     for case in law.cases(config):
         count += 1
-        ok = law.check(*case)
+        try:
+            ok = law.check(*case)
+        except Exception as exc:  # a checker that raises fails its law on that case
+            found, error = case, f"{type(exc).__name__}: {exc}"
+            break
         if law.kind == "forall" and not ok:
             found = case
             break
@@ -165,8 +171,8 @@ def run_law(law_id: str, config: LawConfig = LawConfig()) -> LawReport:
             found = case
             break
     elapsed = time.perf_counter() - start
-    passed = (found is None) if law.kind == "forall" else (found is not None)
-    return LawReport(law_id, config.profile, config.seed, count, passed, found, elapsed)
+    passed = error is None and (found is None) == (law.kind == "forall")
+    return LawReport(law_id, config.profile, config.seed, count, passed, found, elapsed, error)
 
 
 def run_all(config: LawConfig = LawConfig()) -> list[LawReport]:
@@ -184,7 +190,7 @@ def serialize_report(report: LawReport) -> str:
         f" cases={report.cases} result={'pass' if report.passed else 'fail'}"
     )
     if report.counterexample is not None:
-        field = "witness" if LAWS[report.law_id].kind == "exists" else "counterexample"
+        field = "witness" if report.passed else "counterexample"
         line += f" {field}={_pack(*report.counterexample)!r}"
     return line
 

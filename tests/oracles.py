@@ -245,15 +245,16 @@ def _quotient_sweep():
     }
 
 
-def _shaped_instance(n_goods, n_bidders, shape, rng=None):
-    """Valuations "monotone", "sparse", or one number for every bundle."""
+def _shaped_instance(n_goods, n_bidders, shape, rng=None, denominators=(1, 2, 3)):
+    """Valuations "monotone" (over the denominators), "sparse", or one
+    number for every bundle."""
     goods = fset(sym(f"g{k}") for k in range(1, n_goods + 1))
     bidders = fset(num(k) for k in range(1, n_bidders + 1))
     bundles = [b for b in all_subsets(goods).payload if b.payload]
     triples = []
     for n in bidders.payload:
         if shape == "monotone":
-            raw = {b: Fraction(rng.randint(0, 12), rng.choice((1, 2, 3))) for b in bundles}
+            raw = {b: Fraction(rng.randint(0, 12), rng.choice(denominators)) for b in bundles}
             for b in bundles:
                 inner = [raw[s] for s in bundles if set(s.payload) <= set(b.payload)]
                 triples.append((n, b, num(max(inner))))
@@ -287,6 +288,14 @@ def _clearing_sweep():
     for value in (0, 5):
         for g, b in ((3, 4), (2, 5), (4, 2)):
             parts[f"{g}x{b} worth {value}"] = [(_shaped_instance(g, b, value),)]
+    # 1,000-digit denominators: one shared keeps clearing on integers, 21
+    # distinct ones put the common denominator past auctions.MAX_SCALE_BITS
+    rng = random.Random("dp:digits")
+    for label, count in (("one shared 1,000-digit denominator", 1),
+                         ("21 distinct 1,000-digit denominators", 21)):
+        denominators = [rng.randrange(10**999, 10**1000) for _ in range(count)]
+        parts[f"3x3 monotone over {label}"] = [
+            (_shaped_instance(3, 3, "monotone", rng, denominators),)]
     return parts
 
 
@@ -546,7 +555,7 @@ ROWS = (
                  [g for g in all_subsets(V([-1, rat(-1, 2), 0, rat(1, 2), 3])).payload if g]), 124,
         lambda st: st.tuples(_subsets(st, (num(1), num(2), sym("a"))),
                              _subsets(st, (num(-1), rat(1, 2), num(0), num(3))).filter(bool))),
-    Row("clear_vickrey", auctions.clear_vickrey, _clears_as_both, _clearing_sweep, 74,
+    Row("clear_vickrey", auctions.clear_vickrey, _clears_as_both, _clearing_sweep, 76,
         lambda st: _one(small_instances(st)), _same_clearing),
     Row("reduced_price_map", auctions.reduced_price_map, _quotient_reduced_price,
         _reduced_price_sweep, 42, lambda st: st.tuples(_mechanism_cases(st), st.integers(0, 2))

@@ -1,13 +1,18 @@
+import functools
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from finrel.errors import CapExceeded, ParseError, ValidationError
-from finrel.values import EMPTY, UNDEFINED, V, fset, num, pair, sym
+from finrel.values import EMPTY, UNDEFINED, V, as_fraction, fset, num, pair, sym
+from finrel.enumeration import all_subsets
 from finrel.relations import domain_of, eval_rel, relation, right_unique
 from finrel.quotients import kernel
 from finrel.auctions import (
+    MAX_SCALE_BITS,
+    _common_scale,
     clear_vickrey,
     dominant_strategy_check,
     dominant_strategy_counterexample,
@@ -273,6 +278,48 @@ def test_exclusion_formula_can_go_negative_without_free_disposal():
     assert out.payments == relation([(1, -10), (2, -10)])
 
 
+def test_clearing_sweep_has_a_case_on_each_side_of_the_scale_bound():
+    parts = oracles._clearing_sweep()
+    [(shared,)] = parts["3x3 monotone over one shared 1,000-digit denominator"]
+    [(distinct,)] = parts["3x3 monotone over 21 distinct 1,000-digit denominators"]
+    assert 0 < _common_scale(shared.valuations.values()).bit_length() <= MAX_SCALE_BITS
+    assert _common_scale(distinct.valuations.values()) is None
+
+
+@pytest.mark.parametrize("n_goods, n_bidders, cases", [(2, 2, 39_366), (1, 3, 243)])
+def test_truthful_reporting_is_a_dominant_strategy(n_goods, n_bidders, cases):
+    # every profile of nonempty-bundle values in {0, 1, 2}, and for each
+    # bidder every misreport from that family: the bidder's true value for
+    # what it wins, less its payment, is never higher under the misreport
+    goods = fset(sym(f"g{k}") for k in range(1, n_goods + 1))
+    bidders = [num(n) for n in range(1, n_bidders + 1)]
+    bundles = [b for b in all_subsets(goods).payload if b.payload]
+    reports = list(itertools.product(range(3), repeat=len(bundles)))
+
+    @functools.cache
+    def clear(profile):
+        triples = [(n, b, num(x)) for n, row in zip(bidders, profile) for b, x in zip(bundles, row)]
+        out = clear_vickrey(make_instance(goods, fset(bidders), triples))
+        won = {p.second: bundles.index(p.first) for p in out.allocation.payload}
+        return won, {p.first: as_fraction(p.second) for p in out.payments.payload}
+
+    def utility(truth, n, profile):
+        won, paid = clear(profile)
+        return (truth[won[n]] if n in won else 0) - paid[n]
+
+    tried = 0
+    for profile in itertools.product(reports, repeat=n_bidders):
+        for k, n in enumerate(bidders):
+            truthful = utility(profile[k], n, profile)
+            for lie in reports:
+                tried += 1
+                lied = profile[:k] + (lie,) + profile[k + 1:]
+                assert utility(profile[k], n, lied) <= truthful, (
+                    f"bidder {n!r} gains by reporting {lie} in profile {profile}"
+                    f" (values of {bundles} per bidder)")
+    assert tried == cases
+
+
 def test_random_instances_deterministic_and_monotone():
     a = random_instance(random.Random("seed:x"))
     b = random_instance(random.Random("seed:x"))
@@ -330,7 +377,7 @@ def test_instance_file_roundtrip():
     )
 
 
-def test_outcome_writer_matches_json_dumps_of_the_object_form():
+def test_outcome_writer_writes_non_ascii_goods_unescaped():
     # the serialize_outcome row compares the writer with json.dumps; here a
     # non-ASCII good is written as itself, not as an escape
     [(out,)] = oracles.ROW["serialize_outcome"].sweep()["non-ASCII good"]
@@ -346,7 +393,7 @@ def test_instance_file_errors():
         parse_instance('{"goods": ["set","g1"], "bidders": ["set",1,2], "valuations": 3}')
 
 
-def test_fee_relation_through_to_function_matches_fee_closure():
+def test_fee_sweep_reaches_every_payment_form_verdict():
     # the reduced_fee_table row compares the fee closure with its own graph
     # read back through to_function; here its sweep reaches every verdict
     row = oracles.ROW["reduced_fee_table"]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import pytest
 import finrel
 from finrel.cli import main
 from finrel.enumeration import CAP_ENUMERATE_LINES, _bell
+from finrel.laws import LAWS
 
 WORKED_INSTANCE = {
     "goods": ["set", "g1", "g2"],
@@ -279,6 +281,23 @@ def test_check_laws_report_file_deterministic(tmp_path, capsys):
 def test_check_laws_unknown_id(capsys):
     with pytest.raises(SystemExit):
         main(["check-laws", "--law", "nonsense"])
+
+
+def test_a_checker_that_raises_fails_its_law_and_the_other_laws_still_run(capsys, monkeypatch):
+    def raising(*case):
+        raise ValueError("checker broke")
+
+    for law_id in ("right_unique_cardinality", "compatibility_necessity"):  # forall, exists
+        monkeypatch.setitem(LAWS, law_id, dataclasses.replace(LAWS[law_id], check=raising))
+    code, out, err = run_cli(capsys, "check-laws")
+    assert code == 2
+    assert len(out.splitlines()) == 21
+    failed = [line for line in out.splitlines() if "result=fail" in line]
+    assert [line.split()[0] for line in failed] == [
+        "law=right_unique_cardinality", "law=compatibility_necessity"]
+    assert all(" cases=1 result=fail counterexample=" in line for line in failed)
+    assert err.count("raised ValueError: checker broke") == 2
+    assert "Traceback" not in err
 
 
 def test_version(capsys):

@@ -133,7 +133,7 @@ def test_arg_max():
         arg_max_set(f, V([1, 9]))  # outside the domain
 
 
-def test_arg_max_list_matches_set():
+def test_arg_max_list_keeps_input_order_and_rejects_empty():
     f = relation([(1, 5), (2, 9), (3, 9)])
     assert arg_max_list(f, [V(1), V(2), V(3)]) == [V(2), V(3)]  # input order preserved
     with pytest.raises(ValueError):
