@@ -246,7 +246,12 @@ def reduced_fee_table(price: Value, i, alloc: Value) -> Callable[[Value], Value]
     lowest allocation (the payment-form check reports those as errors).
     """
     i = canonicalize(i)
-    rp = reduced_price_map(price, i, alloc)
+    return _fee_table(reduced_price_map(price, i, alloc), i, alloc)
+
+
+def _fee_table(rp: Value, i: Value, alloc: Value) -> Callable[[Value], Value]:
+    """reduced_fee_table over a reduced price rp built already, for a
+    canonical bidder i."""
     lowest = min_of(range_of(alloc))
 
     def fee(reduced: Value) -> Value:
@@ -296,15 +301,16 @@ def make_instance(goods, bidders, triples: Iterable) -> CombinatorialInstance:
     for n in bidders.payload:
         if not (n.is_num or n.is_sym):
             raise ValidationError(f"bidder must be an atom: {n!r}")
+    known_bidders, known_goods = frozenset(bidders.payload), frozenset(goods.payload)
     table: dict = {}
     for bidder, bundle, value in triples:
         bidder = canonicalize(bidder)
         bundle = canonicalize(bundle)
         value = canonicalize(value)
-        if not member(bidder, bidders):
+        if bidder not in known_bidders:
             raise ValidationError(f"unknown bidder {bidder!r}")
         _input_set(bundle, "bundle")
-        if not all(member(g, goods) for g in bundle.payload):
+        if not known_goods.issuperset(bundle.payload):
             raise ValidationError(f"bundle {bundle!r} is not within the goods")
         if not value.is_num:
             raise ValidationError(f"valuation must be numeric: {value!r}")
@@ -401,7 +407,15 @@ def clear_vickrey(inst: CombinatorialInstance) -> Outcome:
         _set_of_sorted(tuple([g for k, g in enumerate(goods) if mask >> k & 1]))
         for mask in range(all_goods + 1)
     ]
-    val = [[inst.value(n, bundle) for bundle in bundles] for n in bidders]
+    # one pass over the rows: a key with a bidder or a good outside the
+    # instance is never asked for, and every other bundle is worth 0
+    row_of = {n: k for k, n in enumerate(bidders)}
+    bit = {g: 1 << k for k, g in enumerate(goods)}
+    val = [[Fraction(0)] * (all_goods + 1) for _ in bidders]
+    for (n, bundle), x in inst.valuations.items():
+        k = row_of.get(n)
+        if k is not None and bundle.is_set and all(g in bit for g in bundle.payload):
+            val[k][sum(bit[g] for g in bundle.payload)] = x
     scale = _common_scale(inst.valuations.values())
     if scale is None:
         scale = 1
@@ -510,11 +524,28 @@ def instance_from_obj(obj) -> CombinatorialInstance:
     raw = obj["valuations"]
     if not isinstance(raw, list):
         raise ValidationError("valuations must be an array of [bidder, bundle, value]")
+    # a row element that is an atom, or an array of atoms, is read once per
+    # file: each bidder and bundle repeats in many rows.  The exact type
+    # test keeps true and 1.0, which are errors, apart from 1.
+    read: dict = {}
+
+    def value_of(e) -> Value:
+        if type(e) is str or type(e) is int:
+            key = e
+        elif type(e) is list and all(type(x) is str or type(x) is int for x in e):
+            key = tuple(e)
+        else:
+            return value_from_obj(e)
+        v = read.get(key)
+        if v is None:
+            v = read[key] = value_from_obj(e)
+        return v
+
     triples = []
     for row in raw:
         if not isinstance(row, list) or len(row) != 3:
             raise ValidationError(f"bad valuation row: {row!r}")
-        triples.append(tuple(value_from_obj(e) for e in row))
+        triples.append((value_of(row[0]), value_of(row[1]), value_of(row[2])))
     return make_instance(goods, bidders, triples)
 
 

@@ -85,6 +85,7 @@ from .enumeration import (
 )
 from .auctions import (
     CombinatorialInstance,
+    _fee_table,
     _utility,
     clear_vickrey,
     dominant_strategy_check,
@@ -94,7 +95,6 @@ from .auctions import (
     max_rival_bid,
     random_instance,
     reduced_bid_map,
-    reduced_fee_table,
     reduced_price_map,
     second_price_single_good,
     vickrey_payment_form_check,
@@ -773,7 +773,7 @@ def _vickrey_form_check(grid, bidders, i):
     rp = reduced_price_map(m.price, m.bidder, m.alloc)
     if not right_unique(rp):
         return False
-    fee = reduced_fee_table(m.price, m.bidder, m.alloc)
+    fee = _fee_table(rp, m.bidder, m.alloc)
     return vickrey_payment_form_check(
         m.bidder, m.alloc, m.price, max_rival_bid, fee, num(0)
     )

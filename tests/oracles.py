@@ -15,13 +15,13 @@ import json
 import operator
 import random
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from typing import Callable, NamedTuple
 
 from finrel import auctions, encoding, enumeration, laws, quotients, relations, values
-from finrel.auctions import Outcome, make_instance, won_value
+from finrel.auctions import CombinatorialInstance, Outcome, make_instance, won_value
 from finrel.enumeration import all_partitions_list, all_subsets, is_partition_of
-from finrel.errors import CAP_DEPTH
+from finrel.errors import CAP_DEPTH, CapExceeded, ParseError, ValidationError
 from finrel.quotients import all_equivalences, all_partial_equivalences
 from finrel.relations import converse, image, paste, relation, right_unique
 from finrel.values import (
@@ -37,6 +37,19 @@ class Row(NamedTuple):
     count: int  # argument tuples in the whole sweep
     strategy: Callable  # hypothesis.strategies -> strategy of argument tuples
     same: Callable = operator.eq  # (fast result, oracle result) -> agree
+    # input errors that count as a result: raised, they compare as their
+    # type and message
+    errors: tuple = ()
+
+    def agrees(self, case: tuple) -> bool:
+        return self.same(*(_result(f, case, self.errors) for f in (self.fast, self.oracle)))
+
+
+def _result(f: Callable, case: tuple, errors: tuple):
+    try:
+        return f(*case)
+    except errors as e:
+        return type(e), str(e)
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +68,43 @@ SUBSETS_OF_5 = all_subsets(fset(MIXED[:5])).payload
 # escaping differs between JSON encoders
 WRITER_ATOMS = [num(0), num(-7), num(10**20), rat(-1, 2), rat(22, 7),
                 sym("a"), sym("é"), sym("\x7f"), sym("\u2028"), EMPTY]
+
+
+# valuation rows of a file with goods g1, g2 and bidders 1, 2: bundles
+# written twice, in another order or with a good repeated, 1/2 as "2/4",
+# 1 beside "1", true and 1.0, and one row for each way a row is refused
+INSTANCE_ROWS = [
+    [1, ["set", "g1", "g2"], 10],
+    [2, ["set", "g2", "g1"], "1/2"],
+    [2, ["set", "g1", "g2"], "2/4"],
+    [1, ["set", "g1", "g1"], 3],
+    [1, ["set", "g1"], "2/4"],
+    [2, ["set"], 0],
+    [True, ["set", "g1"], 1],
+    [1.0, ["set", "g2"], 1],
+    ["1", ["set", "g2"], 1],
+    [3, ["set", "g1"], 1],
+    [["pair", 1, 2], ["set", "g1"], 1],
+    [1, ["set", "g3"], 1],
+    [1, ["set", ["set", "g1"]], 1],
+    [1, ["set", "g1", True], 1],
+    [2, ["set", 1], 1],
+    [2, ["set", "1"], 1],
+    [2, "g1", 1],
+    [2, ["set"], 1],
+    [1, ["set", "g2"], -1],
+    [2, ["set", "g2"], "a"],
+    [2, ["set", "g2"], 1.5],
+    [2, ["set", "g2"], "1/0"],
+    [2, ["set", "g1"], "1" * 4301 + "/7"],
+    ["bad"],
+]
+
+
+def _instance_text(rows, goods=("g1", "g2"), bidders=(1, 2)) -> str:
+    return json.dumps(
+        {"goods": ["set", *goods], "bidders": ["set", *bidders], "valuations": rows}
+    )
 
 
 def _product(name: str, *axes) -> Callable[[], dict]:
@@ -186,6 +236,45 @@ def _same_clearing(out, want):
     }
 
 
+def _read_row_by_row(text):
+    """parse_instance with no memo: value_from_obj on every element of
+    every row, then each row checked as make_instance reads, with member."""
+    obj = encoding._load_json(text, "instance file")
+    goods = encoding.value_from_obj(obj["goods"])
+    bidders = encoding.value_from_obj(obj["bidders"])
+    auctions._check_caps(auctions._input_set(goods, "goods"), auctions._input_set(bidders, "bidders"))
+    rows = []
+    for row in obj["valuations"]:
+        if not isinstance(row, list) or len(row) != 3:
+            raise ValidationError(f"bad valuation row: {row!r}")
+        rows.append([encoding.value_from_obj(e) for e in row])
+    if not goods.payload:
+        raise ValidationError("no goods")
+    if not bidders.payload:
+        raise ValidationError("no bidders")
+    for what, atoms in (("good", goods), ("bidder", bidders)):
+        for x in atoms.payload:
+            if not (x.is_num or x.is_sym):
+                raise ValidationError(f"{what} must be an atom: {x!r}")
+    table = {}
+    for bidder, bundle, value in rows:
+        if not member(bidder, bidders):
+            raise ValidationError(f"unknown bidder {bidder!r}")
+        auctions._input_set(bundle, "bundle")
+        if not all(member(g, goods) for g in bundle.payload):
+            raise ValidationError(f"bundle {bundle!r} is not within the goods")
+        if not value.is_num:
+            raise ValidationError(f"valuation must be numeric: {value!r}")
+        if value.payload < 0:
+            raise ValidationError(f"negative valuation {value!r}")
+        if not bundle.payload and value.payload != 0:
+            raise ValidationError("the empty bundle must be worth 0")
+        if (bidder, bundle) in table:
+            raise ValidationError(f"duplicate valuation for {bidder!r}, {bundle!r}")
+        table[(bidder, bundle)] = value.payload
+    return CombinatorialInstance(goods, bidders, table)
+
+
 def _dumped(obj):
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
 
@@ -297,6 +386,26 @@ def _clearing_sweep():
         parts[f"3x3 monotone over {label}"] = [
             (_shaped_instance(3, 3, "monotone", rng, denominators),)]
     return parts
+
+
+def _instance_file_sweep():
+    # a benchmark-like file: every bundle once per bidder, over three
+    # denominators, the goods of each bundle in a seeded order
+    rng = random.Random("instance files")
+    bundles = [s for n in range(1, 5) for s in combinations(("g1", "g2", "g3", "g4"), n)]
+    dense = [[b, ["set", *rng.sample(s, len(s))], f"{rng.randint(0, 48)}/{rng.choice((2, 3, 4))}"]
+             for b in (1, 2, 3) for s in bundles]
+    return {
+        "0-2 rows of the row pool": [
+            (_instance_text(list(rows)),)
+            for n in range(3) for rows in product(INSTANCE_ROWS, repeat=n)],
+        "4 goods x 3 bidders, every bundle": [
+            (_instance_text(dense, ("g1", "g2", "g3", "g4"), (1, 2, 3)),)],
+        "goods or bidders refused": [
+            (_instance_text([], goods, bidders),) for goods, bidders in (
+                ((), (1,)), (("g1",), ()), ((["pair", 1, 2],), (1,)), (("g1",), (["set"],)),
+                (("g1",), tuple(range(7))))],
+    }
 
 
 def _outcome_sweep():
@@ -557,6 +666,10 @@ ROWS = (
                              _subsets(st, (num(-1), rat(1, 2), num(0), num(3))).filter(bool))),
     Row("clear_vickrey", auctions.clear_vickrey, _clears_as_both, _clearing_sweep, 76,
         lambda st: _one(small_instances(st)), _same_clearing),
+    Row("parse_instance", auctions.parse_instance, _read_row_by_row, _instance_file_sweep, 607,
+        lambda st: st.lists(st.sampled_from(INSTANCE_ROWS), max_size=4).map(
+            lambda rows: (_instance_text(rows),)),
+        errors=(ParseError, ValidationError, CapExceeded)),
     Row("reduced_price_map", auctions.reduced_price_map, _quotient_reduced_price,
         _reduced_price_sweep, 42, lambda st: st.tuples(_mechanism_cases(st), st.integers(0, 2))
         .map(lambda t: _price_arguments(*t[0])[t[1]])),
@@ -582,7 +695,7 @@ def check(name: str) -> None:
     row = ROW[name]
     for label, cases in row.sweep().items():
         for case in cases:
-            if not row.same(row.fast(*case), row.oracle(*case)):
+            if not row.agrees(case):
                 raise AssertionError(f"{name} disagrees with its oracle on {label}: {case!r}")
 
 

@@ -1,10 +1,12 @@
 import functools
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from finrel import auctions
 from finrel.errors import CapExceeded, ParseError, ValidationError
 from finrel.values import EMPTY, UNDEFINED, V, as_fraction, fset, num, pair, sym
 from finrel.enumeration import all_subsets
@@ -12,6 +14,7 @@ from finrel.relations import domain_of, eval_rel, relation, right_unique
 from finrel.quotients import kernel
 from finrel.auctions import (
     MAX_SCALE_BITS,
+    CombinatorialInstance,
     _common_scale,
     clear_vickrey,
     dominant_strategy_check,
@@ -263,6 +266,16 @@ def test_clear_vickrey_losers_pay_zero():
     assert out.payments == relation([(1, 4), (2, 0), (3, 0)])
 
 
+def test_clearing_ignores_valuations_outside_the_instance():
+    # a table built directly may hold keys inst.value is never asked for:
+    # another bidder, a bundle with another good, a bundle that is no set
+    inst = make_instance(V(["g1", "g2"]), B12, [(1, V(["g1"]), 4), (2, V(["g1", "g2"]), 5)])
+    table = dict(inst.valuations)
+    for key in ((V(3), V(["g1"])), (V(1), V(["g1", "g3"])), (V(2), V(["g3"])), (V(1), V(5))):
+        table[key] = Fraction(9)
+    assert clear_vickrey(CombinatorialInstance(inst.goods, inst.bidders, table)) == clear_vickrey(inst)
+
+
 def test_exclusion_formula_can_go_negative_without_free_disposal():
     # non-monotone valuations break non-negativity under this allocation
     # space: each bidder wants one good and values the whole lot at zero,
@@ -391,6 +404,23 @@ def test_instance_file_errors():
         parse_instance('{"goods": ["set", "g1"]}')
     with pytest.raises(ValidationError):
         parse_instance('{"goods": ["set","g1"], "bidders": ["set",1,2], "valuations": 3}')
+
+
+def test_an_instance_file_reads_each_distinct_row_element_once(monkeypatch):
+    # read row by row, the 378 rows of this file take 1,134 reads
+    goods = [f"g{k}" for k in range(1, 7)]
+    bundles = [["set", *s] for n in range(1, 7) for s in itertools.combinations(goods, n)]
+    rng = random.Random("6x6 dense")
+    rows = [[b, s, rng.randint(0, 24)] for b in range(1, 7) for s in bundles]
+    text = json.dumps(
+        {"goods": ["set", *goods], "bidders": ["set", *range(1, 7)], "valuations": rows}
+    )
+    reads = []
+    read = auctions.value_from_obj
+    monkeypatch.setattr(auctions, "value_from_obj", lambda obj: reads.append(obj) or read(obj))
+    assert len(parse_instance(text).valuations) == len(rows)
+    distinct = {json.dumps(e) for row in rows for e in row}
+    assert len(reads) <= len(distinct) + 2  # and the goods and the bidders
 
 
 def test_fee_sweep_reaches_every_payment_form_verdict():

@@ -161,6 +161,14 @@ def test_run_combinatorial_cap_exit(tmp_path, capsys):
     assert code == 3
 
 
+def test_one_bundle_written_in_two_orders_is_a_duplicate(tmp_path, capsys):
+    inst = tmp_path / "twice.json"
+    inst.write_text(_rows([1, ["set", "g2", "g1"], 1], [1, ["set", "g1", "g2"], 2]))
+    code, _, err = run_cli(capsys, "run-combinatorial", str(inst))
+    assert code == 2
+    assert "duplicate valuation" in err
+
+
 def test_run_combinatorial_parse_exit(tmp_path, capsys):
     inst = tmp_path / "broken.json"
     inst.write_text("{]")
@@ -192,6 +200,19 @@ _HUGE_SUM = dict(
     valuations=[[1, ["set", "g1"], f"1/{_BIG + 1}"], [2, ["set", "g2"], f"1/{_BIG + 3}"]],
 )
 
+
+def _rows(*rows) -> str:
+    return json.dumps(dict(WORKED_INSTANCE, valuations=list(rows)))
+
+
+# an element read once per file must still be refused wherever it is written
+_TRUE_AFTER_ONE = _rows([1, ["set", "g1"], 1], [True, ["set", "g2"], 1])
+_FLOAT_AFTER_ONE = _rows([1, ["set", "g1"], 1], [1.0, ["set", "g2"], 1])
+# every row is read before any is checked: the amount's cap wins
+_UNKNOWN_THEN_LONG = _rows(
+    [3, ["set", "g1"], 1], *([1, ["set", "g1"], 1],) * 3, [2, ["set", "g2"], "1" * 4301 + "/7"]
+)
+
 EXIT_CASES = [
     # (case, command, contents of FILE or None for no file, exit code)
     ("operator-rejects-argument", ["eval", FILE], "eval({1}, 0)", 2),
@@ -221,6 +242,9 @@ EXIT_CASES = [
     ("long-json-number", ["enumerate", "partitions", f'["set",{_LONG}]'], None, 3),
     ("long-json-rational", ["enumerate", "partitions", f'["set","1/{_LONG}"]'], None, 3),
     ("outcome-past-digit-limit", ["run-combinatorial", FILE], json.dumps(_HUGE_SUM), 3),
+    ("true-bidder-after-1", ["run-combinatorial", FILE], _TRUE_AFTER_ONE, 2),
+    ("float-bidder-after-1", ["run-combinatorial", FILE], _FLOAT_AFTER_ONE, 2),
+    ("unknown-bidder-then-long-amount", ["run-combinatorial", FILE], _UNKNOWN_THEN_LONG, 3),
     ("lone-surrogate-symbol", ["enumerate", "partitions", '["set","\\ud800"]'], None, 2),
     ("non-utf8-expression", ["eval", FILE], b"{1} \xff", 1),
     ("non-utf8-instance", ["run-combinatorial", FILE], b'{"goods": "\xff"}', 1),
