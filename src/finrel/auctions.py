@@ -47,7 +47,6 @@ from .relations import (
     eval_rel,
     is_relation,
     range_of,
-    relation,
     right_unique,
     single_outside,
     single_paste,
@@ -107,9 +106,13 @@ def _check_single_good_args(bidders: Value, grid: Value, i: Value):
 
 def bid_vectors(bidders: Value, grid: Value) -> list[Value]:
     """Every function from the bidders into the grid, canonically ordered
-    coordinate-wise."""
+    coordinate-wise.  The bidders are sorted and distinct, so each vector's
+    pairs are too."""
     bs = bidders.payload
-    return [relation(zip(bs, gs)) for gs in itertools.product(grid.payload, repeat=len(bs))]
+    return [
+        _set_of_sorted(tuple(map(pair, bs, gs)))
+        for gs in itertools.product(grid.payload, repeat=len(bs))
+    ]
 
 
 def _single_good(bidders, grid, i, price_rule) -> SingleGoodMechanism:

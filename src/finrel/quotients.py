@@ -11,7 +11,6 @@ any relations; the hypotheses only matter for the laws.
 from __future__ import annotations
 
 from .values import (
-    EMPTY,
     Value,
     cartesian_product,
     fset,
@@ -20,6 +19,7 @@ from .values import (
     union,
     _require_set,
     _set_of_sorted,
+    _sort_key,
 )
 from .relations import (
     _by_first,
@@ -36,34 +36,41 @@ from .enumeration import all_partitions_list, all_subsets
 
 def projector(R: Value) -> Value:
     """The relation { (x, image of x through R) | x in Domain R }, built
-    once and kept in R's views."""
+    once and kept in R's views: each image tuple of the index wrapped as
+    its set."""
     views = _views(R)
     projected = views.projector
     if projected is None:
         # the index is in domain order, so the pairs are too
         projected = views.projector = _set_of_sorted(
-            tuple([pair(x, ys) for x, ys in _by_first(R).items()])
+            tuple([pair(x, _set_of_sorted(ys)) for x, ys in _by_first(R).items()])
         )
     return projected
 
 
+def _classes(E: Value) -> list:
+    """The distinct image sets of E, Range (projector E), in canonical
+    order."""
+    return sorted(dict.fromkeys([p.payload[1] for p in projector(E).payload]), key=_sort_key)
+
+
 def quotient(R: Value, P: Value, Q: Value) -> Value:
-    """Relation between P-classes and Q-classes whose product meets R."""
+    """Relation between P-classes and Q-classes whose product meets R.
+
+    Both class lists are sorted, so the pairs come out in canonical order.
+    """
     r_images = _by_first(R)
-    # the classes are the distinct image sets, i.e. Range (projector P)
-    pclasses = dict.fromkeys(_by_first(P).values())
-    qclasses = dict.fromkeys(_by_first(Q).values())
+    pclasses = _classes(P)
+    qclasses = _classes(Q)
     out = []
     for pc in pclasses:
-        touching = frozenset(
-            [y for x in pc.payload for y in r_images.get(x, EMPTY).payload]
-        )
+        touching = frozenset([y for x in pc.payload for y in r_images.get(x, ())])
         if not touching:
             continue
         for qc in qclasses:
             if not touching.isdisjoint(qc.payload):
                 out.append(pair(pc, qc))
-    return fset(out)
+    return _set_of_sorted(tuple(out))
 
 
 def compatible(R: Value, P: Value, Q: Value) -> bool:

@@ -9,6 +9,8 @@ UNDEFINED marker instead of raising.  Callers that need definedness
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import groupby
 from typing import Callable, Iterable
 
 from .values import (
@@ -24,6 +26,7 @@ from .values import (
     the_elem,
     _require_set,
     _set_of_sorted,
+    _sort_key,
 )
 
 
@@ -51,7 +54,8 @@ def _require_relation(v) -> Value:
 
 
 class _Views:
-    """What a relation derives from its own pairs, each None until built.
+    """What a relation derives from its own pairs, each None until built:
+    the by-first index of image tuples, the projector and the converse.
 
     Only a set that has passed the relation check gets one, so having it
     is the check's result.  The views are pure functions of the immutable
@@ -77,7 +81,8 @@ def _views(R: Value) -> _Views:
 
 
 def _by_first(R: Value) -> dict:
-    """Map each domain point of R to its image set, in canonical order.
+    """Map each domain point of R to the tuple of its images, in canonical
+    order: the payload of its image set.
 
     The function view of R, kept in R's views record: built on the first
     call and returned as is after.  Callers only read it.
@@ -91,8 +96,22 @@ def _by_first(R: Value) -> dict:
             runs.setdefault(x, []).append(y)
         # R is sorted by (first, second), so each run of images is
         # already distinct and in order
-        index = views.by_first = {x: _set_of_sorted(tuple(ys)) for x, ys in runs.items()}
+        index = views.by_first = {x: tuple(ys) for x, ys in runs.items()}
     return index
+
+
+def _first(p: Value) -> Value:
+    return p.payload[0]
+
+
+def _run_of(R: Value, x: Value) -> tuple[int, int]:
+    """The slice of R's sorted payload holding the pairs whose first
+    component is x; empty, at x's place, when x is off the domain."""
+    keys = R._key[1]
+    lo = hi = bisect_left(keys, (PAIR, x._key))
+    while hi < len(keys) and keys[hi][1] == x._key:
+        hi += 1
+    return lo, hi
 
 
 def domain_of(R: Value) -> Value:
@@ -128,16 +147,25 @@ def converse(R: Value) -> Value:
 
 
 def compose(R: Value, S: Value) -> Value:
-    """Left-to-right composition: { (x, z) | (x, y) in R and (y, z) in S }."""
+    """Left-to-right composition: { (x, z) | (x, y) in R and (y, z) in S }.
+
+    R is sorted, so the pairs of each x are one run of its payload, and the
+    x's come in order.  Each image tuple of S is sorted, so a run that
+    reaches one of them emits it as it is; only a run that reaches several
+    merges their z's.
+    """
     _require_relation(R)
     s_images = _by_first(S)
     out = []
-    for p in R.payload:
-        x, y = p.payload
-        zs = s_images.get(y)
-        if zs is not None:
-            out.extend([pair(x, z) for z in zs.payload])
-    return fset(out)
+    for x, run in groupby(R.payload, _first):
+        images = [zs for p in run if (zs := s_images.get(p.payload[1])) is not None]
+        if not images:
+            continue
+        zs = images[0] if len(images) == 1 else sorted(
+            dict.fromkeys([z for image in images for z in image]), key=_sort_key
+        )
+        out.extend([pair(x, z) for z in zs])
+    return _set_of_sorted(tuple(out))
 
 
 def outside(R: Value, X: Value) -> Value:
@@ -153,18 +181,32 @@ def outside(R: Value, X: Value) -> Value:
 
 
 def single_outside(R: Value, x) -> Value:
-    return outside(R, fset([x]))
+    """R with x removed from its domain: its run of pairs cut out."""
+    x = canonicalize(x)
+    _require_relation(R)
+    lo, hi = _run_of(R, x)
+    return _set_of_sorted(R.payload[:lo] + R.payload[hi:])
 
 
 def paste(P: Value, Q: Value) -> Value:
-    """Overriding union: Q's values win on Q's domain, P elsewhere."""
+    """Overriding union: Q's values win on Q's domain, P elsewhere.
+
+    The pairs of P kept and the pairs of Q are two sorted runs with no
+    pair in common, so one sort merges them.
+    """
     _require_relation(Q)
-    return fset(outside(P, domain_of(Q)).payload + Q.payload)
+    _require_relation(P)
+    q_domain = frozenset([p.payload[0] for p in Q.payload])
+    kept = [p for p in P.payload if p.payload[0] not in q_domain]
+    return _set_of_sorted(tuple(sorted(kept + list(Q.payload), key=_sort_key)))
 
 
 def single_paste(F: Value, x, y) -> Value:
-    """Pointwise update: F with x now mapped to y."""
-    return paste(F, relation([(canonicalize(x), canonicalize(y))]))
+    """Pointwise update: F with x now mapped to y, in place of x's run."""
+    xy = pair(canonicalize(x), canonicalize(y))
+    _require_relation(F)
+    lo, hi = _run_of(F, xy.payload[0])
+    return _set_of_sorted(F.payload[:lo] + (xy,) + F.payload[hi:])
 
 
 def trivial(s: Value) -> bool:
@@ -241,9 +283,9 @@ def eval_rel(R: Value, x) -> Value:
     """Unique image of x through R; UNDEFINED when there is none or many."""
     x = canonicalize(x)
     ys = _by_first(R).get(x)
-    if ys is None or len(ys.payload) != 1:
+    if ys is None or len(ys) != 1:
         return UNDEFINED
-    return ys.payload[0]
+    return ys[0]
 
 
 def eval_rel_union(R: Value, x) -> Value:

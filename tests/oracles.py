@@ -64,6 +64,18 @@ POINTS = [V(1), 2, 3, 4, 10, V(11), "a", V([1])]
 # one element of every kind, in an order that is not the canonical one
 MIXED = [sym("é"), V(0), pair("a", 1), rat(-1, 2), EMPTY, sym("a"), V([1]), V(7)]
 SUBSETS_OF_5 = all_subsets(fset(MIXED[:5])).payload
+# points on and off the 3x2 domain, with every kind of key a pointwise
+# update compares: raw ints, a rational, a symbol, a nested set, a pair
+EDGE_POINTS = [V(1), 2, 3, 0, 4, rat(1, 2), "a", V([1]), pair(1, 10)]
+# relations with first components of mixed kinds, 1/2 with two images
+MIXED_RELATIONS = all_subsets(fset([
+    pair(rat(1, 2), 10), pair(rat(1, 2), "b"), pair("a", 10), pair(V([1]), 11),
+    pair(pair(1, 10), EMPTY)])).payload
+# a set with a non-pair member, a pair, a number, an int and last a
+# relation, so that each meets the other argument's error; then arguments
+# that are not values
+NOT_RELATIONS = [V([1, pair(1, 10)]), pair(1, 10), num(1), 5, relation([(1, 10)])]
+UNREADABLE = [1.5, "1", True]
 # every atom the text encoding treats apart, with the symbols whose
 # escaping differs between JSON encoders
 WRITER_ATOMS = [num(0), num(-7), num(10**20), rat(-1, 2), rat(22, 7),
@@ -127,6 +139,19 @@ def _literal_compose(R, S):
     return fset(
         pair(p.first, q.second) for p in R.payload for q in S.payload if p.second == q.first
     )
+
+
+def _literal_paste(P, Q):
+    """(P - Domain Q x Range P) + Q."""
+    return union(
+        values.difference(P, cartesian_product(relations.domain_of(Q), relations.range_of(P))), Q
+    )
+
+
+def _literal_single_outside(R, x):
+    """The pairs of R not from x; x is read before R is checked."""
+    x = canonicalize(x)
+    return fset(p for p in relations._require_relation(R).payload if p.first != x)
 
 
 @functools.cache
@@ -430,6 +455,48 @@ def _mechanism_sweep():
     ]}
 
 
+def _compose_sweep():
+    # the fan sends 0 to every atom and "a" to 0; on the right every atom
+    # has images of several kinds, so a run of a subset of the fan reaches
+    # several image tuples whose keys are of every kind
+    fan = fset([pair(ATOMS[0], y) for y in ATOMS] + [pair(ATOMS[2], ATOMS[0])])
+    atoms = fset(ATOMS)
+    shift = fset(pair(a, ATOMS[(k + d) % 5]) for k, a in enumerate(ATOMS) for d in (1, 2))
+    to_zero = fset(pair(a, ATOMS[0]) for a in ATOMS)
+    return {"3x2 then 2x3": list(product(RELATIONS_3X2, CONVERSES_3X2)),
+            "2x3 then 3x2": list(product(CONVERSES_3X2, RELATIONS_3X2)),
+            "subsets of a fan over the atoms, then images of mixed kinds": list(product(
+                all_subsets(fan).payload, (cartesian_product(atoms, atoms), shift, to_zero, fan)))}
+
+
+def _paste_sweep():
+    return {
+        "3x2 relations": list(product(RELATIONS_3X2, RELATIONS_3X2)),
+        "relations on mixed points": list(product(MIXED_RELATIONS, MIXED_RELATIONS)),
+        "not relations": list(product(NOT_RELATIONS, NOT_RELATIONS)),
+    }
+
+
+def _single_paste_sweep():
+    return {
+        "3x2 relations, points on and off them": list(
+            product(RELATIONS_3X2, EDGE_POINTS, [11, rat(1, 2), "b"])),
+        "relations on mixed points, points on and off them": list(
+            product(MIXED_RELATIONS, EDGE_POINTS, [11])),
+        "not relations or not values": list(
+            product(NOT_RELATIONS, UNREADABLE + [V(1)], [11, 1.5])),
+    }
+
+
+def _single_outside_sweep():
+    return {
+        "3x2 and mixed relations, points on and off them": list(
+            product(RELATIONS_3X2 + MIXED_RELATIONS, EDGE_POINTS)),
+        "not relations or not values": list(
+            product(NOT_RELATIONS, UNREADABLE + [V(1)])),
+    }
+
+
 def _reduced_price_sweep():
     [mechanisms] = _mechanism_sweep().values()
     return {"each mechanism, with its price, its allocation or nothing as the price": [
@@ -585,10 +652,20 @@ ROWS = (
     Row("converse", converse, _literal_converse,
         _product("3x2 relations and their converses", RELATIONS_3X2 + CONVERSES_3X2), 128,
         lambda st: _one(_subsets(st, PAIRS))),
-    Row("compose", relations.compose, _literal_compose,
-        lambda: {"3x2 then 2x3": list(product(RELATIONS_3X2, CONVERSES_3X2)),
-                 "2x3 then 3x2": list(product(CONVERSES_3X2, RELATIONS_3X2))}, 8192,
+    Row("compose", relations.compose, _literal_compose, _compose_sweep, 8448,
         lambda st: st.tuples(_subsets(st, PAIRS), _subsets(st, PAIRS))),
+    Row("paste", relations.paste, _literal_paste, _paste_sweep, 5145,
+        lambda st: st.tuples(_subsets(st, PAIRS), _subsets(st, PAIRS)),
+        errors=(TypeError, ValueError)),
+    Row("single_paste", relations.single_paste,
+        lambda F, x, y: _literal_paste(F, fset([(x, y)])), _single_paste_sweep, 2056,
+        lambda st: st.tuples(_subsets(st, PAIRS), st.sampled_from(ATOMS + (num(7),)),
+                             st.sampled_from(ATOMS)),
+        errors=(TypeError, ValueError)),
+    Row("single_outside", relations.single_outside, _literal_single_outside,
+        _single_outside_sweep, 884,
+        lambda st: st.tuples(_subsets(st, PAIRS), st.sampled_from(ATOMS + (num(7),))),
+        errors=(TypeError, ValueError)),
     Row("eval_rel", relations.eval_rel, lambda R, x: values.the_elem(image(R, fset([x]))),
         _product("3x2 relations, points on and off them", RELATIONS_3X2, POINTS), 512,
         lambda st: st.tuples(_subsets(st, PAIRS), st.sampled_from(ATOMS + (num(7),)))),

@@ -13,11 +13,11 @@ import oracles
 # A fast path is a public function that names one of these shortcuts past
 # canonical construction, in its own body or a nested function: _views
 # returns a view kept from an earlier call.  fset is the definition of a
-# canonical set; bid_vectors and all_partitions_list reach the shortcuts
-# only through other functions, and parse_instance reads each distinct
-# row element of a file once.
+# canonical set; all_partitions_list reaches the shortcuts only through
+# other functions, and parse_instance reads each distinct row element of
+# a file once.
 SHORTCUTS = {"_by_first", "_views", "_set_of_sorted", "_set_plus", "_write"}
-NAMED = {auctions.bid_vectors, enumeration.all_partitions_list, auctions.parse_instance}
+NAMED = {enumeration.all_partitions_list, auctions.parse_instance}
 
 
 def _names(code):

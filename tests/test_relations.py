@@ -1,6 +1,7 @@
 import pytest
 
-from finrel.values import EMPTY, UNDEFINED, V, fset, num, pair
+from finrel import relations
+from finrel.values import EMPTY, UNDEFINED, V, cartesian_product, fset, num, pair
 from finrel.relations import (
     RIGHT_UNIQUE_CHARACTERIZATIONS,
     arg_max_list,
@@ -63,6 +64,21 @@ def test_paste():
         [(1, 10), (2, 21), (3, 30)]
     )
     assert paste(R_EXAMPLE, relation()) == R_EXAMPLE
+
+
+def test_compose_and_single_paste_build_only_the_pairs_they_return(monkeypatch):
+    points = V(list(range(6)))
+    square = cartesian_product(points, points)
+    built = []
+    build = relations.pair
+    monkeypatch.setattr(relations, "pair", lambda a, b: built.append(a) or build(a, b))
+    # each of the 36 pairs is reached through 6 middle points
+    assert compose(square, square) == square
+    assert len(built) == 36
+    built.clear()
+    pasted = single_paste(square, 2, 9)
+    assert len(built) == 1
+    assert pasted == paste(square, relation([(2, 9)]))
 
 
 def test_documented_evaluation_examples():
