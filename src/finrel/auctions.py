@@ -40,7 +40,6 @@ from .values import (
     _set_of_sorted,
 )
 from .relations import (
-    arg_max_set,
     compose,
     converse,
     domain_of,
@@ -104,43 +103,39 @@ def _check_single_good_args(bidders: Value, grid: Value, i: Value):
         raise ValidationError(f"bidder {i!r} not among {bidders!r}")
 
 
-def bid_vectors(bidders: Value, grid: Value) -> list[Value]:
-    """Every function from the bidders into the grid, canonically ordered
-    coordinate-wise.  The bidders are sorted and distinct, so each vector's
-    pairs are too."""
-    bs = bidders.payload
-    return [
-        _set_of_sorted(tuple(map(pair, bs, gs)))
-        for gs in itertools.product(grid.payload, repeat=len(bs))
-    ]
-
-
 def _single_good(bidders, grid, i, price_rule) -> SingleGoodMechanism:
     bidders = canonicalize(bidders)
     grid = canonicalize(grid)
     i = canonicalize(i)
     _check_single_good_args(bidders, grid, i)
+    bs = bidders.payload
+    k = bs.index(i)
+    zero, one = num(0), num(1)
     alloc_pairs = []
     price_pairs = []
-    for b in bid_vectors(bidders, grid):
-        wins = arg_max_set(b, bidders).payload[0] == i  # canonical tie-break
-        alloc_pairs.append(pair(b, num(1 if wins else 0)))
-        price_pairs.append(pair(b, price_rule(b) if wins else num(0)))
-    return SingleGoodMechanism(bidders, grid, i, fset(alloc_pairs), fset(price_pairs))
+    # the bid tuples, and so their vectors, come in canonical order; max keeps
+    # the first highest bid, the least bidder's: the canonical tie-break
+    for gs in itertools.product(grid.payload, repeat=len(bs)):
+        b = _set_of_sorted(tuple(map(pair, bs, gs)))
+        wins = gs.index(max(gs)) == k
+        alloc_pairs.append(pair(b, one if wins else zero))
+        price_pairs.append(pair(b, price_rule(gs, k) if wins else zero))
+    alloc, price = (_set_of_sorted(tuple(ps)) for ps in (alloc_pairs, price_pairs))
+    return SingleGoodMechanism(bidders, grid, i, alloc, price)
 
 
 def second_price_single_good(bidders, grid, i) -> SingleGoodMechanism:
     """Winner pays the highest rival bid."""
-    return _single_good(bidders, grid, i, lambda b: max_rival_bid(single_outside(b, i)))
+    return _single_good(bidders, grid, i, lambda gs, k: max(gs[:k] + gs[k + 1:]))
 
 
 def first_price_single_good(bidders, grid, i) -> SingleGoodMechanism:
     """Winner pays their own bid; the classic non-truthful mutant."""
-    return _single_good(bidders, grid, i, lambda b: eval_rel(b, i))
+    return _single_good(bidders, grid, i, lambda gs, k: gs[k])
 
 
-def _utility(valuation: Fraction, alloc: Value, price: Value, b: Value) -> Fraction:
-    return valuation * as_fraction(eval_rel(alloc, b)) - as_fraction(eval_rel(price, b))
+def _utility(valuation: Value, won: Value, paid: Value) -> Fraction:
+    return as_fraction(valuation) * as_fraction(won) - as_fraction(paid)
 
 
 def dominant_strategy_counterexample(
@@ -150,19 +145,20 @@ def dominant_strategy_counterexample(
     would hurt bidder i; None when bidding truthfully always weakly wins.
 
     The candidate valuations are every bid value of i that occurs in the
-    common domain, which covers all deviations that stay inside it.
+    common domain, which covers all deviations that stay inside it.  A
+    pasted vector bids for i, so it is in the common domain exactly when
+    it is one of i's vectors, each looked up in alloc and price once.
     """
     common = intersection(domain_of(alloc), domain_of(price))
-    cmembers = frozenset(common.payload)
-    bids_of_i = [b for b in common.payload if member(i, domain_of(b))]
-    deviations = fset(eval_rel(b, i) for b in bids_of_i)
-    for b in bids_of_i:
+    outcome = {
+        b: (eval_rel(alloc, b), eval_rel(price, b))
+        for b in common.payload if member(i, domain_of(b))
+    }
+    deviations = fset(eval_rel(b, i) for b in outcome)
+    for b, (won, paid) in outcome.items():
         for v in deviations.payload:
-            truthful = single_paste(b, i, v)
-            if truthful not in cmembers:
-                continue
-            vf = as_fraction(v)
-            if _utility(vf, alloc, price, b) > _utility(vf, alloc, price, truthful):
+            truthful = outcome.get(single_paste(b, i, v))
+            if truthful is not None and _utility(v, won, paid) > _utility(v, *truthful):
                 return b, v
     return None
 
@@ -223,13 +219,14 @@ def reduced_bid_map(i, alloc: Value) -> Value:
     i = canonicalize(i)
     if not right_unique(alloc):
         raise ValueError("allocation relation must be right-unique")
+    # alloc is right-unique and sorted, so its pairs give each b once, in order
     out = []
-    for b in domain_of(alloc).payload:
+    for p in alloc.payload:
+        b, won = p.payload
         if not is_relation(b):
             raise ValueError(f"domain member is not a bid vector: {b!r}")
-        triple = pair(domain_of(b), pair(single_outside(b, i), eval_rel(alloc, b)))
-        out.append(pair(b, triple))
-    return fset(out)
+        out.append(pair(b, pair(domain_of(b), pair(single_outside(b, i), won))))
+    return _set_of_sorted(tuple(out))
 
 
 def reduced_price_map(price: Value, i, alloc: Value) -> Value:

@@ -723,9 +723,10 @@ def _first_price_violation_check(grid, bidders, i):
         return False
     b, v = cx
     # replay: the reported pair must itself violate the inequality
-    vf = as_fraction(v)
     truthful = single_paste(b, i, v)
-    return _utility(vf, m.alloc, m.price, b) > _utility(vf, m.alloc, m.price, truthful)
+    return _utility(v, eval_rel(m.alloc, b), eval_rel(m.price, b)) > _utility(
+        v, eval_rel(m.alloc, truthful), eval_rel(m.price, truthful)
+    )
 
 
 _register(

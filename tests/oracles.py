@@ -228,6 +228,59 @@ def _pasted_bid_vectors(bidders, grid):
     return out
 
 
+def _paper_single_good(price_rule):
+    """The grid mechanism of the paper, read on sets: the bid vectors built
+    by pasting, the winner the canonically least maximizer of the bid
+    vector, price_rule(b, i) the winner's payment."""
+
+    def build(bidders, grid, i):
+        bidders, grid, i = canonicalize(bidders), canonicalize(grid), canonicalize(i)
+        auctions._check_single_good_args(bidders, grid, i)
+        alloc, price = [], []
+        for b in _pasted_bid_vectors(bidders, grid):
+            wins = relations.arg_max_set(b, bidders).payload[0] == i
+            alloc.append(pair(b, num(1 if wins else 0)))
+            price.append(pair(b, price_rule(b, i) if wins else num(0)))
+        return auctions.SingleGoodMechanism(bidders, grid, i, fset(alloc), fset(price))
+
+    return build
+
+
+def _utility_at(v, alloc, price, b):
+    return values.as_fraction(v) * values.as_fraction(relations.eval_rel(alloc, b)) - (
+        values.as_fraction(relations.eval_rel(price, b)))
+
+
+def _deviation_walk(i, alloc, price):
+    """The dominance check as a walk over (bid vector, deviation): each
+    deviation pasted in for i, kept when the pasted vector is in the common
+    domain, and both vectors read from alloc and price again."""
+    common = values.intersection(relations.domain_of(alloc), relations.domain_of(price))
+    bids_of_i = [b for b in common.payload if member(i, relations.domain_of(b))]
+    deviations = fset(relations.eval_rel(b, i) for b in bids_of_i)
+    for b in bids_of_i:
+        for v in deviations.payload:
+            truthful = relations.single_paste(b, i, v)
+            if member(truthful, common) and (
+                    _utility_at(v, alloc, price, b) > _utility_at(v, alloc, price, truthful)):
+                return b, v
+    return None
+
+
+def _literal_reduced_bid_map(i, alloc):
+    i = canonicalize(i)
+    if not right_unique(alloc):
+        raise ValueError("allocation relation must be right-unique")
+    out = []
+    for b in relations.domain_of(alloc).payload:
+        if not relations.is_relation(b):
+            raise ValueError(f"domain member is not a bid vector: {b!r}")
+        triple = pair(relations.domain_of(b),
+                      pair(relations.single_outside(b, i), relations.eval_rel(alloc, b)))
+        out.append(pair(b, triple))
+    return fset(out)
+
+
 def _reference_clear(inst):
     """Clearing read off the paper's enumeration: the canonical least of
     the welfare-optimal allocations in `possible_allocations`, and each
@@ -455,6 +508,51 @@ def _mechanism_sweep():
     ]}
 
 
+# every nonempty grid of five rationals, a grid with a symbol and one past
+# the grid cap
+SINGLE_GOOD_GRIDS = [g for g in all_subsets(V([-1, rat(-1, 2), 0, rat(1, 2), 3])).payload if g] + [
+    V([0, "a"]), V(list(range(6)))]
+
+
+def _single_good_sweep():
+    return {f"{n} bidders, each of them and one outside": [
+        (V(list(range(1, n + 1))), grid, num(i)) for grid in SINGLE_GOOD_GRIDS
+        for i in range(1, n + 2)] for n in range(1, 5)}
+
+
+def _dominance_sweep():
+    [mechanisms] = _mechanism_sweep().values()
+    m = mechanisms[0][0]
+    one = relation([(1, 1), (2, 1)])
+    lone, twice = relation([(2, 1)]), relation([(1, 0), (1, 2), (2, 0)])
+    *paid, last = m.price.payload
+    return {
+        "the grid mechanisms of the mechanism sweep": [
+            (x.bidder, x.alloc, x.price) for (x,) in mechanisms],
+        "a one-vector domain, domains that differ, a vector without the bidder, "
+        "a vector with two bids for it, a price that is no number, a domain "
+        "member that is no vector": [
+            (V(1), relation([(one, 1)]), relation([(one, 1)])),
+            (m.bidder, m.alloc, fset(m.price.payload[::2])),
+            (m.bidder, union(m.alloc, relation([(lone, 0)])), union(m.price, relation([(lone, 5)]))),
+            (m.bidder, union(m.alloc, relation([(twice, 1)])), union(m.price, relation([(twice, 0)]))),
+            (m.bidder, m.alloc, fset(paid + [pair(last.first, "x")])),
+            (V(1), relation([(5, 0)]), relation([(5, 0)])),
+        ],
+    }
+
+
+def _reduced_bid_sweep():
+    [cases] = _reduced_price_sweep().values()
+    b = relation([(1, 0), (2, 1)])
+    return {
+        "each relation of the reduced-price sweep as the allocation": list(dict.fromkeys(
+            (i, R) for price, i, alloc in cases for R in (price, alloc))),
+        "an allocation that is not right-unique or not over bid vectors": [
+            (V(1), relation([(b, 0), (b, 1)])), (V(1), relation([(5, 0)]))],
+    }
+
+
 def _compose_sweep():
     # the fan sends 0 to every atom and "a" to 0; on the right every atom
     # has images of several kinds, so a run of a subset of the fan reaches
@@ -575,6 +673,14 @@ def small_instances(st):
     disposal, so a bundle may be worth less than its parts."""
     sizes = st.integers(1, 3)
     return st.builds(_small_instance, sizes, sizes, st.integers(0, 6**21 - 1))
+
+
+def _single_good_cases(st):
+    """Up to 3 bidders, a grid that may hold a symbol, a bidder among them
+    or not."""
+    return st.tuples(_subsets(st, (num(1), num(2), sym("a"))),
+                     _subsets(st, (num(-1), rat(1, 2), num(0), num(3), sym("b"))),
+                     st.sampled_from((num(1), num(2), sym("a"), num(7))))
 
 
 def _mechanism_cases(st):
@@ -735,12 +841,20 @@ ROWS = (
                  all_subsets(V(["a", "b", "c"])).payload), 2048,
         lambda st: st.tuples(_subsets(st, all_subsets(fset(MIXED[:4])).payload),
                              _subsets(st, MIXED[:4]))),
-    Row("bid_vectors", auctions.bid_vectors, _pasted_bid_vectors,
-        _product("0-3 bidders, nonempty grids of 5 rationals",
-                 [V(list(range(1, n + 1))) for n in range(4)],
-                 [g for g in all_subsets(V([-1, rat(-1, 2), 0, rat(1, 2), 3])).payload if g]), 124,
-        lambda st: st.tuples(_subsets(st, (num(1), num(2), sym("a"))),
-                             _subsets(st, (num(-1), rat(1, 2), num(0), num(3))).filter(bool))),
+    Row("second_price_single_good", auctions.second_price_single_good,
+        _paper_single_good(lambda b, i: auctions.max_rival_bid(relations.single_outside(b, i))),
+        _single_good_sweep, 462, _single_good_cases, errors=(ValidationError, CapExceeded)),
+    Row("first_price_single_good", auctions.first_price_single_good,
+        _paper_single_good(relations.eval_rel),
+        _single_good_sweep, 462, _single_good_cases, errors=(ValidationError, CapExceeded)),
+    Row("dominant_strategy_counterexample", auctions.dominant_strategy_counterexample,
+        _deviation_walk, _dominance_sweep, 20,
+        lambda st: _mechanism_cases(st).map(lambda t: (t[0].bidder, t[0].alloc, t[0].price)),
+        errors=(TypeError, ValueError)),
+    Row("reduced_bid_map", auctions.reduced_bid_map, _literal_reduced_bid_map,
+        _reduced_bid_sweep, 25, lambda st: st.tuples(_mechanism_cases(st), st.booleans()).map(
+            lambda t: (t[0][0].bidder, t[0][0].price if t[1] else t[0][0].alloc)),
+        errors=(ValueError,)),
     Row("clear_vickrey", auctions.clear_vickrey, _clears_as_both, _clearing_sweep, 76,
         lambda st: _one(small_instances(st)), _same_clearing),
     Row("parse_instance", auctions.parse_instance, _read_row_by_row, _instance_file_sweep, 607,

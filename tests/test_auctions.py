@@ -130,6 +130,27 @@ def test_dominance_vacuous_on_single_point_domain():
     assert dominant_strategy_check(V(1), alloc, price)
 
 
+def test_grid_mechanism_and_dominance_read_each_bid_vector_once(monkeypatch):
+    # each of the 125 vectors is built from its bid tuple, with no arg max,
+    # rival-bid set or re-sort, and the dominance check looks it up once
+    from finrel import relations, values
+
+    made = []
+    for module, name in ((relations, "arg_max_set"), (relations, "single_outside"),
+                         (relations, "range_of"), (values, "max_of"), (values, "fset")):
+        f = getattr(module, name)
+        monkeypatch.setattr(auctions, name, lambda *a, f=f, name=name: made.append(name) or f(*a),
+                            raising=False)
+    m = second_price_single_good(V([1, 2, 3]), V([0, 1, 2, 3, 4]), V(1))
+    assert len(m.alloc.payload) == 125 and made == []
+    looked_up = []
+    lookup = auctions.eval_rel
+    monkeypatch.setattr(auctions, "eval_rel", lambda R, x: looked_up.append(R is m.alloc) or lookup(R, x))
+    assert dominant_strategy_counterexample(m.bidder, m.alloc, m.price) is None
+    assert looked_up.count(True) == 125
+    assert made == ["fset"]  # the deviations, once
+
+
 def test_payment_form_with_constant_fee():
     m = second_price_single_good(B12, GRID, V(2))
     assert vickrey_payment_form_check(

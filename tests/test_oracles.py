@@ -11,7 +11,8 @@ from finrel import auctions, encoding, enumeration, quotients, relations, values
 import oracles
 
 # A fast path is a public function that names one of these shortcuts past
-# canonical construction, in its own body or a nested function: _views
+# canonical construction, in its own body or a nested function, or names a
+# private function of its own module that does (one level down): _views
 # returns a view kept from an earlier call.  fset is the definition of a
 # canonical set; all_partitions_list reaches the shortcuts only through
 # other functions, and parse_instance reads each distinct row element of
@@ -27,6 +28,10 @@ def _names(code):
             yield from _names(const)
 
 
+def _shortcut_in(fn) -> bool:
+    return bool(SHORTCUTS & set(_names(fn.__code__)))
+
+
 def fast_paths() -> list:
     found = []
     for module in (values, relations, quotients, enumeration, auctions, encoding):
@@ -35,7 +40,12 @@ def fast_paths() -> list:
                 continue
             if fn.__module__ != module.__name__ or fn is values.fset:
                 continue
-            if fn in NAMED or SHORTCUTS & set(_names(fn.__code__)):
+            helpers = [
+                h for h in map(vars(module).get, _names(fn.__code__))
+                if inspect.isfunction(h) and h.__name__.startswith("_")
+                and h.__module__ == module.__name__
+            ]
+            if fn in NAMED or _shortcut_in(fn) or any(map(_shortcut_in, helpers)):
                 found.append(fn)
     return found
 
