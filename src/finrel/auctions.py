@@ -57,7 +57,9 @@ CAP_BIDDERS = 6
 CAP_GRID = 5
 CAP_SINGLE_BIDDERS = 3
 # clearing sums valuations as integers over their common denominator up to
-# this many bits (about the 4,300-digit integer limit), as rationals beyond
+# this many bits (about the 4,300-digit integer limit), as rationals beyond;
+# the bound limits the integers' size, and past it either path can be the
+# faster one (README, "Combinatorial instances")
 MAX_SCALE_BITS = 14_300
 
 
@@ -394,8 +396,10 @@ def clear_vickrey(inst: CombinatorialInstance) -> Outcome:
     denominator `scale`, which keeps sums, comparisons and ties exact.
     Only the welfare and the excluded optima go back to rationals.  When
     the common denominator passes MAX_SCALE_BITS, the same recurrence
-    runs on the rationals themselves (scale 1): integers over so large a
-    denominator cost more to add than the rationals they stand for.
+    runs on the rationals themselves (scale 1).  The bound limits the
+    size of the integers, not the time: past it the integers are slower
+    when many denominators are distinct, and faster when a few huge ones
+    are shared.
     """
     _check_caps(inst.goods, inst.bidders)
     goods, bidders = inst.goods.payload, inst.bidders.payload

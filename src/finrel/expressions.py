@@ -13,17 +13,21 @@ are skipped, so examples written for typed systems evaluate unchanged:
 from __future__ import annotations
 
 import re
+from collections import Counter
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .encoding import _read_int
 from .errors import CAP_DEPTH, CapExceeded, ParseError, ValidationError
 from .values import Value, fset, num, pair, sym
 from .relations import (
+    _by_first,
     compose,
     converse,
     eval_rel,
     eval_rel_union,
     image,
+    is_relation,
     outside,
     paste,
     single_outside,
@@ -38,24 +42,55 @@ def _infix_single_paste(left: Value, right: Value) -> Value:
     return single_paste(left, right.first, right.second)
 
 
-# one row per operator: (prefix name, infix token, arity, function)
+# Steps of work one operator may take in `eval`, counted from its operands
+# before it builds anything: the same cap as `enumerate`'s lines.
+CAP_EVAL_WORK = 150_000
+
+
+def _compose_work(R: Value, S: Value) -> int:
+    """Images compose(R, S) reads: |S(y)| summed over the pairs (x, y) of R."""
+    s_images = _by_first(S)
+    return sum([len(s_images.get(p.payload[1], ())) for p in R.payload])
+
+
+def _kernel_work(f: Value) -> int:
+    """Images kernel(f) = f ; f^-1 reads: each pair (x, y) of f reads the
+    points f maps to y."""
+    return sum([n * n for n in Counter([p.payload[1] for p in f.payload]).values()])
+
+
+def _quotient_work(R: Value, P: Value, Q: Value) -> int:
+    """Class pairs quotient(R, P, Q) tests: P-classes times Q-classes."""
+    return len(set(_by_first(P).values())) * len(set(_by_first(Q).values()))
+
+
+class Operator(NamedTuple):
+    name: str | None  # as a prefix call
+    token: str | None  # as an infix token
+    arity: int
+    fn: Callable
+    # the operator's super-linear work on relation operands, checked
+    # against CAP_EVAL_WORK before it runs; None when it is linear
+    work: Callable | None = None
+
+
 OPERATORS = (
-    ("outside", "outside", 2, outside),
-    ("paste", "+*", 2, paste),
-    ("single_paste", None, 3, single_paste),
-    (None, "+<", 2, _infix_single_paste),
-    (None, "--", 2, single_outside),
-    ("eval", ",,", 2, eval_rel),
-    ("eval2", ",,,", 2, eval_rel_union),
-    ("image", None, 2, image),
-    ("converse", None, 1, converse),
-    ("compose", "O", 2, compose),
-    ("projector", None, 1, projector),
-    ("quotient", None, 3, quotient),
-    ("kernel", None, 1, kernel),
+    Operator("outside", "outside", 2, outside),
+    Operator("paste", "+*", 2, paste),
+    Operator("single_paste", None, 3, single_paste),
+    Operator(None, "+<", 2, _infix_single_paste),
+    Operator(None, "--", 2, single_outside),
+    Operator("eval", ",,", 2, eval_rel),
+    Operator("eval2", ",,,", 2, eval_rel_union),
+    Operator("image", None, 2, image),
+    Operator("converse", None, 1, converse),
+    Operator("compose", "O", 2, compose, _compose_work),
+    Operator("projector", None, 1, projector),
+    Operator("quotient", None, 3, quotient, _quotient_work),
+    Operator("kernel", None, 1, kernel, _kernel_work),
 )
-_PREFIX = {name: (arity, fn) for name, _, arity, fn in OPERATORS if name}
-_INFIX = {token: fn for _, token, _, fn in OPERATORS if token}
+_PREFIX = {op.name: op for op in OPERATORS if op.name}
+_INFIX = {op.token: op for op in OPERATORS if op.token}
 
 _TOKEN = re.compile(
     r"""
@@ -177,20 +212,29 @@ class _Parser:
         raise ParseError(f"expected ')' or ',' at position {tok[2]}, got {tok[1]!r}")
 
     def call(self, name: str, at: int) -> Value:
-        arity, fn = _PREFIX[name]
+        op = _PREFIX[name]
         self.expect("(")
         args = self.items(")")
-        if len(args) != arity:
+        if len(args) != op.arity:
             raise ParseError(
-                f"{name} takes {arity} argument(s), got {len(args)} at position {at}"
+                f"{name} takes {op.arity} argument(s), got {len(args)} at position {at}"
             )
-        return _apply(name, fn, args, at)
+        return _apply(name, op, args, at)
 
 
-def _apply(name: str, fn, args, at: int) -> Value:
-    """Run one operator: the text parsed, so arguments it rejects are invalid input."""
+def _apply(name: str, op: Operator, args, at: int) -> Value:
+    """Run one operator: the text parsed, so arguments it rejects are invalid
+    input.  Operands that are not all relations go to the operator as they
+    are, which rejects them with its own message."""
+    if op.work is not None and all(map(is_relation, args)):
+        work = op.work(*args)
+        if work > CAP_EVAL_WORK:
+            raise CapExceeded(
+                f"operator {name!r} at position {at} would take {work} steps, "
+                f"more than {CAP_EVAL_WORK}"
+            )
     try:
-        return fn(*args)
+        return op.fn(*args)
     except (TypeError, ValueError) as e:
         raise ValidationError(f"operator {name!r} at position {at}: {e}") from None
 

@@ -60,15 +60,23 @@ class Value:
         )
 
     def __lt__(self, other):
+        if not isinstance(other, Value):
+            return NotImplemented
         return self._key < other._key
 
     def __le__(self, other):
+        if not isinstance(other, Value):
+            return NotImplemented
         return self._key <= other._key
 
     def __gt__(self, other):
+        if not isinstance(other, Value):
+            return NotImplemented
         return self._key > other._key
 
     def __ge__(self, other):
+        if not isinstance(other, Value):
+            return NotImplemented
         return self._key >= other._key
 
     def __hash__(self):

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from finrel import auctions
 from finrel.errors import CapExceeded, ParseError, ValidationError
 from finrel.values import EMPTY, UNDEFINED, V, as_fraction, fset, num, pair, sym
 from finrel.enumeration import all_subsets
@@ -128,27 +127,6 @@ def test_dominance_vacuous_on_single_point_domain():
     alloc = relation([(b, 1)])
     price = relation([(b, 1)])
     assert dominant_strategy_check(V(1), alloc, price)
-
-
-def test_grid_mechanism_and_dominance_read_each_bid_vector_once(monkeypatch):
-    # each of the 125 vectors is built from its bid tuple, with no arg max,
-    # rival-bid set or re-sort, and the dominance check looks it up once
-    from finrel import relations, values
-
-    made = []
-    for module, name in ((relations, "arg_max_set"), (relations, "single_outside"),
-                         (relations, "range_of"), (values, "max_of"), (values, "fset")):
-        f = getattr(module, name)
-        monkeypatch.setattr(auctions, name, lambda *a, f=f, name=name: made.append(name) or f(*a),
-                            raising=False)
-    m = second_price_single_good(V([1, 2, 3]), V([0, 1, 2, 3, 4]), V(1))
-    assert len(m.alloc.payload) == 125 and made == []
-    looked_up = []
-    lookup = auctions.eval_rel
-    monkeypatch.setattr(auctions, "eval_rel", lambda R, x: looked_up.append(R is m.alloc) or lookup(R, x))
-    assert dominant_strategy_counterexample(m.bidder, m.alloc, m.price) is None
-    assert looked_up.count(True) == 125
-    assert made == ["fset"]  # the deviations, once
 
 
 def test_payment_form_with_constant_fee():
@@ -425,23 +403,6 @@ def test_instance_file_errors():
         parse_instance('{"goods": ["set", "g1"]}')
     with pytest.raises(ValidationError):
         parse_instance('{"goods": ["set","g1"], "bidders": ["set",1,2], "valuations": 3}')
-
-
-def test_an_instance_file_reads_each_distinct_row_element_once(monkeypatch):
-    # read row by row, the 378 rows of this file take 1,134 reads
-    goods = [f"g{k}" for k in range(1, 7)]
-    bundles = [["set", *s] for n in range(1, 7) for s in itertools.combinations(goods, n)]
-    rng = random.Random("6x6 dense")
-    rows = [[b, s, rng.randint(0, 24)] for b in range(1, 7) for s in bundles]
-    text = json.dumps(
-        {"goods": ["set", *goods], "bidders": ["set", *range(1, 7)], "valuations": rows}
-    )
-    reads = []
-    read = auctions.value_from_obj
-    monkeypatch.setattr(auctions, "value_from_obj", lambda obj: reads.append(obj) or read(obj))
-    assert len(parse_instance(text).valuations) == len(rows)
-    distinct = {json.dumps(e) for row in rows for e in row}
-    assert len(reads) <= len(distinct) + 2  # and the goods and the bidders
 
 
 def test_fee_sweep_reaches_every_payment_form_verdict():

@@ -213,6 +213,21 @@ _UNKNOWN_THEN_LONG = _rows(
     [3, ["set", "g1"], 1], *([1, ["set", "g1"], 1],) * 3, [2, ["set", "g2"], "1" * 4301 + "/7"]
 )
 
+
+def _relation(pairs) -> str:
+    return "{" + ",".join(f"({x},{y})" for x, y in pairs) + "}"
+
+
+# eval's super-linear operators, refused before they build anything: the
+# kernel of a constant function reads 400 x 400 images; composing two such
+# kernels on 60 points reads 216,000 images for a 3,600-pair result; the
+# quotient by the identity tests 400 x 400 class pairs
+_KERNEL_400 = f"kernel({_relation((x, 0) for x in range(400))})"
+_KERNEL_60 = f"kernel({_relation((x, 0) for x in range(60))})"
+_COMPOSED_KERNELS_60 = f"compose({_KERNEL_60}, {_KERNEL_60})"
+_IDENTITY_400 = _relation((x, x) for x in range(400))
+_QUOTIENT_400 = f"quotient({_IDENTITY_400}, {_IDENTITY_400}, {_IDENTITY_400})"
+
 EXIT_CASES = [
     # (case, command, contents of FILE or None for no file, exit code)
     ("operator-rejects-argument", ["eval", FILE], "eval({1}, 0)", 2),
@@ -249,6 +264,9 @@ EXIT_CASES = [
     ("non-utf8-expression", ["eval", FILE], b"{1} \xff", 1),
     ("non-utf8-instance", ["run-combinatorial", FILE], b'{"goods": "\xff"}', 1),
     ("missing-file", ["eval", FILE], None, 2),
+    ("kernel-of-a-constant-on-400", ["eval", FILE], _KERNEL_400, 3),
+    ("compose-of-kernels-on-60", ["eval", FILE], _COMPOSED_KERNELS_60, 3),
+    ("quotient-by-identity-on-400", ["eval", FILE], _QUOTIENT_400, 3),
     # refused before any work: the count is not built in full
     ("partitions-of-3000", ["enumerate", "partitions", json.dumps(["set", *range(3000)])], None, 3),
     (

@@ -1,9 +1,13 @@
 import pytest
 
-from finrel.errors import ParseError, ValidationError
+from finrel import expressions
+from finrel.errors import CapExceeded, ParseError, ValidationError
 from finrel.values import EMPTY, UNDEFINED, V, num, pair, rat, sym
-from finrel.relations import relation
+from finrel.relations import converse, range_of, relation
+from finrel.quotients import all_equivalences, projector
 from finrel.expressions import evaluate_expression as E
+
+import oracles
 
 
 def test_evaluation_examples():
@@ -44,6 +48,30 @@ def test_prefix_calls():
     assert E("single_paste({(0,10)}, 0, 11)") == relation([(0, 11)])
     assert E("paste({(1,10)}, {(1,11)})") == relation([(1, 11)])
     assert E("outside({(1,10),(2,20)}, {1})") == relation([(2, 20)])
+
+
+def test_each_work_bound_counts_the_steps_of_its_operator():
+    # compose reads one image per (x, y, z) with (x, y) in R and (y, z) in S
+    for R in oracles.RELATIONS_3X2:
+        for S in oracles.CONVERSES_3X2[::7]:
+            steps = sum(p.second == q.first for p in R.payload for q in S.payload)
+            assert expressions._compose_work(R, S) == steps
+    for f in oracles.FUNCTIONS_3X2:
+        assert expressions._kernel_work(f) == expressions._compose_work(f, converse(f))
+    equivalences = all_equivalences(V([1, 2, 3]))
+    for P in equivalences:
+        for Q in equivalences:
+            classes = [len(range_of(projector(eq)).payload) for eq in (P, Q)]
+            assert expressions._quotient_work(P, P, Q) == classes[0] * classes[1]
+
+
+def test_eval_refuses_work_past_the_cap_before_it_starts(monkeypatch):
+    text = "kernel({(1,0),(2,0),(3,0)})"  # 9 image reads
+    monkeypatch.setattr(expressions, "CAP_EVAL_WORK", 9)
+    assert len(E(text).payload) == 9
+    monkeypatch.setattr(expressions, "CAP_EVAL_WORK", 8)
+    with pytest.raises(CapExceeded, match="'kernel' at position 0 would take 9 steps"):
+        E(text)
 
 
 def test_literals():

@@ -109,8 +109,8 @@ def test_one_shared_table_writes_each_line_as_it_is_written_alone(lines):
 # ---------------------------------------------------------------------------
 # expressions: token soup and well-formed calls over small relations
 
-_PREFIX_NAMES = sorted(name for name, _, _, _ in OPERATORS if name)
-_INFIX_TOKENS = sorted(token for _, token, _, _ in OPERATORS if token)
+_PREFIX_NAMES = sorted(op.name for op in OPERATORS if op.name)
+_INFIX_TOKENS = sorted(op.token for op in OPERATORS if op.token)
 _LITERALS = ["1", "-2", "3/4", "1/0", '"a"', '"12"', "{}", "{1, 2}", "{(1,2),(2,3)}",
              "(1, {3})", "{(1,1),(1,2),(2,2)}", "{(1,{7}),(2,{8})}", "x", "::nat", "@"]
 _TOKENS = _LITERALS + _PREFIX_NAMES + _INFIX_TOKENS + ["{", "}", "(", ")", ","]

@@ -216,4 +216,5 @@ def test_non_relations_raise_on_every_call():
             is_equivalence(bad, V([1]))
 
 
+
 test_kernel_equals_its_relational_and_pointwise_definitions = oracles.checker("kernel")

@@ -95,6 +95,15 @@ def test_order_kinds_and_nesting():
     assert pair(1, 1) < pair(1, 2) < pair(2, 0)
 
 
+def test_values_do_not_order_against_other_objects():
+    for compare in (lambda: V(1) < 2, lambda: V(1) <= 2, lambda: 2 > V(1), lambda: V(1) >= 2):
+        with pytest.raises(TypeError, match="not supported between instances"):
+            compare()
+    with pytest.raises(TypeError, match="not supported between instances"):
+        sorted([V(1), 2])
+    assert V(1) != 1
+
+
 def test_integers_and_unit_rationals_coincide():
     assert num(2) == canonicalize(Fraction(4, 2))
     assert V([num(2), rat(2, 1)]) == V([2])
