@@ -24,6 +24,7 @@ from typing import Callable, Iterable
 from .encoding import _load_json, serialize_value, value_from_obj
 from .errors import CapExceeded, ValidationError
 from .values import (
+    NUM,
     Value,
     as_fraction,
     canonicalize,
@@ -48,7 +49,8 @@ from .relations import (
     range_of,
     right_unique,
     single_outside,
-    single_paste,
+    _require_relation,
+    _run_of,
 )
 from .enumeration import all_partitions_list, all_subsets, injections_alg
 
@@ -56,9 +58,10 @@ CAP_GOODS = 6
 CAP_BIDDERS = 6
 CAP_GRID = 5
 CAP_SINGLE_BIDDERS = 3
-# clearing sums valuations as integers over their common denominator up to
-# this many bits (about the 4,300-digit integer limit), as rationals beyond;
-# the bound limits the integers' size, and past it either path can be the
+# clear_vickrey sums valuations, and dominant_strategy_counterexample
+# compares utilities, as integers over their common denominator up to this
+# many bits (about the 4,300-digit integer limit), as rationals beyond; the
+# bound limits the integers' size, and past it either path can be the
 # faster one (README, "Combinatorial instances")
 MAX_SCALE_BITS = 14_300
 
@@ -140,27 +143,74 @@ def _utility(valuation: Value, won: Value, paid: Value) -> Fraction:
     return as_fraction(valuation) * as_fraction(won) - as_fraction(paid)
 
 
+def _scaled(x: Value, scale: int | None):
+    """A numeric x times scale, as an integer; x's Fraction when scale is
+    None; None when x is not a number."""
+    if x._key[0] != NUM:
+        return None
+    f = x.payload
+    return f if scale is None else f.numerator * (scale // f.denominator)
+
+
 def dominant_strategy_counterexample(
     i: Value, alloc: Value, price: Value
 ) -> tuple[Value, Value] | None:
     """First (bid vector, valuation) where switching to the true valuation
     would hurt bidder i; None when bidding truthfully always weakly wins.
 
-    The candidate valuations are every bid value of i that occurs in the
-    common domain, which covers all deviations that stay inside it.  A
-    pasted vector bids for i, so it is in the common domain exactly when
-    it is one of i's vectors, each looked up in alloc and price once.
+    This is the paper's definition: for each vector b of the common
+    domain of alloc and price that bids for i, and each valuation v, paste
+    (i, v) into b; when the pasted vector is in the common domain too,
+    compare i's utility v * won - paid at b with that at the pasted
+    vector.  The valuations are i's bids in the common domain (i's image
+    under a vector, UNDEFINED when i has several), so every deviation
+    that stays inside the domain is tried.  The pairs (b, v) come in
+    canonical order, b first.
+
+    Nothing is pasted.  The pasted vector is b's rival pairs plus the one
+    pair (i, v), so each vector with exactly one bid for i is filed under
+    the keys of its rival pairs and that bid, and a pasted vector is a
+    dict lookup; alloc and price are read once per vector.  Utilities are
+    compared as integers: every number times the common denominator
+    `scale` of the bids, wins and payments, so v * won - paid compares as
+    V * W - P * scale.  When that denominator passes MAX_SCALE_BITS the
+    same comparison runs on the rationals (scale 1).  A comparison that
+    meets a non-number goes through `_utility`, which raises the first
+    TypeError in the paper's order: v, won and paid at b, then at the
+    pasted vector.
     """
     common = intersection(domain_of(alloc), domain_of(price))
-    outcome = {
-        b: (eval_rel(alloc, b), eval_rel(price, b))
-        for b in common.payload if member(i, domain_of(b))
-    }
-    deviations = fset(eval_rel(b, i) for b in outcome)
-    for b, (won, paid) in outcome.items():
-        for v in deviations.payload:
-            truthful = outcome.get(single_paste(b, i, v))
-            if truthful is not None and _utility(v, won, paid) > _utility(v, *truthful):
+    read = []  # (b, its rival keys, i's one bid or None, won, paid)
+    for b in common.payload:
+        # b is checked before i is read, so each input error is the one
+        # the membership test i in domain(b) raises
+        _require_relation(b)
+        lo, hi = _run_of(b, canonicalize(i))
+        if lo < hi:
+            keys = b._key[1]
+            bid = b.payload[lo].payload[1] if hi - lo == 1 else None
+            read.append((b, keys[:lo] + keys[hi:], bid, eval_rel(alloc, b), eval_rel(price, b)))
+    scale = _common_scale(
+        x.payload for entry in read for x in entry[2:] if x is not None and x._key[0] == NUM
+    )
+    vectors = []
+    by_rivals: dict = {}  # rival keys -> {one bid v for i: (V, outcome there)}
+    for b, rivals, bid, won, paid in read:
+        outcome = (won, paid, _scaled(won, scale), _scaled(paid, scale))
+        vectors.append((b, rivals, outcome))
+        if bid is not None:
+            by_rivals.setdefault(rivals, {})[bid] = (_scaled(bid, scale), outcome)
+    if scale is None:
+        scale = 1
+    # vectors that differ only in i's bid sort by that bid, so each dict
+    # of by_rivals holds its bids in canonical order
+    for b, rivals, (won, paid, W, P) in vectors:
+        for v, (V, (t_won, t_paid, TW, TP)) in by_rivals.get(rivals, {}).items():
+            if V is None or W is None or P is None or TW is None or TP is None:
+                hurts = _utility(v, won, paid) > _utility(v, t_won, t_paid)
+            else:
+                hurts = V * W - P * scale > V * TW - TP * scale
+            if hurts:
                 return b, v
     return None
 
@@ -223,11 +273,18 @@ def reduced_bid_map(i, alloc: Value) -> Value:
         raise ValueError("allocation relation must be right-unique")
     # alloc is right-unique and sorted, so its pairs give each b once, in order
     out = []
+    # the vectors of a grid mechanism share one domain: each domain is
+    # built once, keyed by the keys of its vectors' first components
+    domains: dict = {}
     for p in alloc.payload:
         b, won = p.payload
         if not is_relation(b):
             raise ValueError(f"domain member is not a bid vector: {b!r}")
-        out.append(pair(b, pair(domain_of(b), pair(single_outside(b, i), won))))
+        firsts = tuple([key[1] for key in b._key[1]])
+        domain = domains.get(firsts)
+        if domain is None:
+            domain = domains[firsts] = domain_of(b)
+        out.append(pair(b, pair(domain, pair(single_outside(b, i), won))))
     return _set_of_sorted(tuple(out))
 
 

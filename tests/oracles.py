@@ -520,12 +520,25 @@ def _single_good_sweep():
         for i in range(1, n + 2)] for n in range(1, 5)}
 
 
+# grid values over 3^1900, 5^1300, 7^1100, 11^900 and 13^800: the common
+# denominator of all five has about 15,190 bits, past
+# auctions.MAX_SCALE_BITS, and of the first four about 12,230, below it
+HUGE_DENOMINATOR_GRID = [rat(k, p**e) for k, (p, e) in enumerate(
+    ((3, 1900), (5, 1300), (7, 1100), (11, 900), (13, 800)), start=1)]
+
+
 def _dominance_sweep():
     [mechanisms] = _mechanism_sweep().values()
     m = mechanisms[0][0]
     one = relation([(1, 1), (2, 1)])
     lone, twice = relation([(2, 1)]), relation([(1, 0), (1, 2), (2, 0)])
     *paid, last = m.price.payload
+    *won, last_won = m.alloc.payload
+    first = auctions.first_price_single_good(V([1, 2]), V([0, 1, 2]), 1)
+    last_bidder = mechanisms[1][0]
+    twice_last = relation([(1, 0), (2, 0), (2, 2)])
+    huge = [auctions.second_price_single_good(V([1, 2]), fset(grid), 2)
+            for grid in (HUGE_DENOMINATOR_GRID, HUGE_DENOMINATOR_GRID[:-1])]
     return {
         "the grid mechanisms of the mechanism sweep": [
             (x.bidder, x.alloc, x.price) for (x,) in mechanisms],
@@ -539,17 +552,36 @@ def _dominance_sweep():
             (m.bidder, m.alloc, fset(paid + [pair(last.first, "x")])),
             (V(1), relation([(5, 0)]), relation([(5, 0)])),
         ],
+        "grid denominators past the scale bound and below it": [
+            (x.bidder, x.alloc, x.price) for x in huge],
+        "the bidder as a raw int": [(1, first.alloc, first.price)],
+        # bidder 2 bids 0 and 2: the vector sorts after the one where 2
+        # bids 0 alone, but it is never the pasted vector of a bid of 0
+        "a vector with two bids for the last bidder and a worse outcome": [
+            (last_bidder.bidder, union(last_bidder.alloc, relation([(twice_last, 0)])),
+             union(last_bidder.price, relation([(twice_last, 5)])))],
+        # the last vector's outcome is met after numeric comparisons; its
+        # allocation comes before its price
+        "an allocation and a price that are no numbers at the last vector": [
+            (m.bidder, fset(won + [pair(last_won.first, "x")]),
+             fset(paid + [pair(last.first, "y")]))],
     }
 
 
 def _reduced_bid_sweep():
     [cases] = _reduced_price_sweep().values()
     b = relation([(1, 0), (2, 1)])
+    # domains {1, 2}, {1, 3}, {2} and {}, and {1, 2} again from a vector
+    # with two bids for 1
+    vectors = [b, relation([(1, 0), (3, 1)]), relation([(2, 1)]), fset(),
+               relation([(1, 0), (1, 2), (2, 0)])]
     return {
         "each relation of the reduced-price sweep as the allocation": list(dict.fromkeys(
             (i, R) for price, i, alloc in cases for R in (price, alloc))),
         "an allocation that is not right-unique or not over bid vectors": [
             (V(1), relation([(b, 0), (b, 1)])), (V(1), relation([(5, 0)]))],
+        "vectors over different domains": [
+            (V(1), relation([(x, k % 2) for k, x in enumerate(vectors)]))],
     }
 
 
@@ -848,11 +880,11 @@ ROWS = (
         _paper_single_good(relations.eval_rel),
         _single_good_sweep, 462, _single_good_cases, errors=(ValidationError, CapExceeded)),
     Row("dominant_strategy_counterexample", auctions.dominant_strategy_counterexample,
-        _deviation_walk, _dominance_sweep, 20,
+        _deviation_walk, _dominance_sweep, 25,
         lambda st: _mechanism_cases(st).map(lambda t: (t[0].bidder, t[0].alloc, t[0].price)),
         errors=(TypeError, ValueError)),
     Row("reduced_bid_map", auctions.reduced_bid_map, _literal_reduced_bid_map,
-        _reduced_bid_sweep, 25, lambda st: st.tuples(_mechanism_cases(st), st.booleans()).map(
+        _reduced_bid_sweep, 26, lambda st: st.tuples(_mechanism_cases(st), st.booleans()).map(
             lambda t: (t[0][0].bidder, t[0][0].price if t[1] else t[0][0].alloc)),
         errors=(ValueError,)),
     Row("clear_vickrey", auctions.clear_vickrey, _clears_as_both, _clearing_sweep, 76,

@@ -1,0 +1,103 @@
+"""Seeded fuzzing of the command line: every generated input ends in one of
+the documented exit codes, with no exception out of `main`, and a failure
+writes one line to stderr and nothing to stdout.
+
+Only the standard library is used, so this runs in tier-1 without the
+test extra.  The cases are drawn once from a fixed seed and their number
+is pinned.  A random draw reaches no cap, so the inputs aimed at the caps
+are written out, and each of them must exit 3.
+
+Covered so far: `run-single`.
+"""
+
+from __future__ import annotations
+
+import io
+import random
+import traceback
+from contextlib import redirect_stderr, redirect_stdout
+
+from finrel.cli import main
+
+# value texts of every kind: numbers written several ways, the same number
+# twice (1/2 and 2/4), symbols, a pair, sets empty and nested
+ATOMS = ["0", "1", "2", "3", "-1", '"1/2"', '"2/4"', '"-3/4"', '"a"', '"é"',
+         '["pair",1,2]', '["set"]', '["set",1]', '["set",["set",1]]']
+# texts that are no value, or a value of the wrong shape for an argument
+BROKEN = ["", "[", '["set",1', "true", "null", "1.5", '"1/0"', '["bag",1]', '["pair",1]',
+          "{}", '"1"', "[]", '"⊥"']
+# mostly valid elements, so that a fair share of the draws builds a mechanism
+BIDDER_POOL = ["1", "2", "3"] * 3 + ['"a"', '"1/2"', '["set",1]', '["pair",1,2]']
+GRID_POOL = ["0", "1", "2", "3", '"1/2"', '"2/4"', "-1", '"-3/4"'] * 2 + ['"a"', '["set"]']
+
+_DIGITS = "1" * 4301
+_DEEP = '["set",' * 101 + "1" + "]" * 101
+_VALID = {"bidders": '["set",1,2,3]', "grid": '["set",0,1,2]', "bidder": "1"}
+# each input aimed at a cap, the other arguments valid
+RUN_SINGLE_CAPS = [
+    {"bidders": '["set",1,2,3,4]'},
+    {"grid": '["set",0,1,2,3,4,5]'},
+    {"grid": f'["set",0,{_DIGITS}]'},
+    {"grid": f'["set",0,"1/{_DIGITS}"]'},
+    {"bidder": _DIGITS},
+    {"bidders": _DEEP},
+    {"grid": _DEEP},
+    {"bidder": _DEEP},
+]
+RANDOM_CASES = 300
+
+
+def _set_text(rng: random.Random, pool: list, most: int) -> tuple[str, list]:
+    """A set text of up to `most` elements drawn with repeats, and its
+    element texts; now and then a text that is no set."""
+    if rng.random() < 0.1:
+        return rng.choice(BROKEN + ATOMS), []
+    elements = [rng.choice(pool) for _ in range(rng.randint(0, most))]
+    return "[" + ",".join(['"set"'] + elements) + "]", elements
+
+
+def _run_single_argv(fields: dict, rule: str) -> list:
+    # --name=text, so that a text starting with "-" is not read as an option
+    return ["run-single"] + [f"--{name}={text}" for name, text in fields.items()] + [f"--rule={rule}"]
+
+
+def run_single_cases() -> list:
+    """(argv, must exit 3) for every case: the random ones, then the caps."""
+    rng = random.Random("fuzz: run-single")
+    cases = []
+    for _ in range(RANDOM_CASES):
+        bidders, named = _set_text(rng, BIDDER_POOL, 4)
+        grid, _ = _set_text(rng, GRID_POOL, 6)
+        bidder = rng.choice(named) if named and rng.random() < 0.7 else rng.choice(ATOMS + BROKEN)
+        fields = {"bidders": bidders, "grid": grid, "bidder": bidder}
+        cases.append((_run_single_argv(fields, rng.choice(["second-price", "first-price"])), False))
+    for cap in RUN_SINGLE_CAPS:
+        cases.append((_run_single_argv({**_VALID, **cap}, "second-price"), True))
+    return cases
+
+
+def _run(argv: list) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except (Exception, SystemExit):
+            code = traceback.format_exc()
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_run_single_inputs_end_in_an_exit_code():
+    cases = run_single_cases()
+    assert len(cases) == 308
+    bad, codes = [], set()
+    for argv, at_cap in cases:
+        code, out, err = _run(argv)
+        codes.add(code)
+        if code not in (0, 1, 2, 3):
+            bad.append((argv, "escaped main", code))
+        elif at_cap and code != 3:
+            bad.append((argv, "cap input exited", code))
+        elif code and (err.count("\n") != 1 or not err.endswith("\n") or out):
+            bad.append((argv, "failure output", err, out))
+    assert not bad, bad[:3]
+    assert codes == {0, 1, 2, 3}

@@ -169,21 +169,19 @@ ROWS = (
         "encoding.value_from_obj": 2,
         "encoding.serialize_value": 24}),
     Row("run-single-second-price", _single("second-price"), None, {
-        "values.fset": 3,
-        "values._set_of_sorted": 883,
-        "values.pair": 1_250,
-        "relations.eval_rel": 375,
-        "relations.domain_of": 127,
-        "relations.single_paste": 625,
+        "values.fset": 2,
+        "values._set_of_sorted": 132,
+        "values.pair": 625,
+        "relations.eval_rel": 250,
+        "relations.domain_of": 2,
         "encoding.value_from_obj": 3,
         "encoding.serialize_value": 5}),
     Row("run-single-first-price", _single("first-price"), None, {
-        "values.fset": 3,
-        "values._set_of_sorted": 260,
-        "values.pair": 627,
-        "relations.eval_rel": 375,
-        "relations.domain_of": 127,
-        "relations.single_paste": 2,
+        "values.fset": 2,
+        "values._set_of_sorted": 132,
+        "values.pair": 625,
+        "relations.eval_rel": 250,
+        "relations.domain_of": 2,
         "encoding.value_from_obj": 3,
         "encoding.serialize_value": 7}),
     Row("run-combinatorial-6x6-dense", ("run-combinatorial", FILE), _dense_instance(), {
@@ -193,11 +191,11 @@ ROWS = (
         "encoding.value_from_obj": 90,
         "encoding.serialize_value": 3}),
     Row("check-laws-quick", ("check-laws", "--profile", "quick"), None, {
-        "values.fset": 16_793,
-        "values._set_of_sorted": 64_240,
-        "values.pair": 20_868,
-        "relations.eval_rel": 3_148,
+        "values.fset": 16_745,
+        "values._set_of_sorted": 63_024,
+        "values.pair": 20_320,
+        "relations.eval_rel": 2_767,
         "relations.compose": 5_849,
-        "relations.domain_of": 6_701,
-        "relations.single_paste": 561}),
+        "relations.domain_of": 6_081,
+        "relations.single_paste": 13}),
 )
