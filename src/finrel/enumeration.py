@@ -117,8 +117,10 @@ def injections_alg(xs: list, Y: Value) -> list[Value]:
 def injections_oracle(X: Value, Y: Value) -> Value:
     """All injections from X into Y, by filtering the powerset of X x Y.
 
-    A candidate survives when its domain is exactly X, its range is
-    within Y, and both it and its converse are right-unique.
+    Pool index k*|Y| + j is the pair (x_k, y_j), so row k of a mask is the
+    |Y| bits of x_k's pairs.  A candidate survives when every row has one
+    pair (its domain is X and it is right-unique) and no column is hit
+    twice (its converse is right-unique).
     """
     _require_set(X)
     _require_set(Y)
@@ -127,22 +129,19 @@ def injections_oracle(X: Value, Y: Value) -> Value:
         raise CapExceeded(
             f"injection oracle over {len(pool)} candidate pairs (cap {INJECTION_ORACLE_CAP})"
         )
-    xset = frozenset(X.payload)
-    yset = frozenset(Y.payload)
+    width = len(Y.payload)
+    full = (1 << width) - 1
+    shifts = [k * width for k in range(len(X.payload))]
     survivors = []
     for mask in range(1 << len(pool)):
-        chosen = [pool[i] for i in range(len(pool)) if mask >> i & 1]
-        dom = {x for x, _ in chosen}
-        rng = {y for _, y in chosen}
-        if dom != xset:
-            continue
-        if not rng <= yset:
-            continue
-        if len(dom) != len(chosen):  # right-unique
-            continue
-        if len(rng) != len(chosen):  # converse right-unique
-            continue
-        survivors.append(relation(chosen))
+        hit = 0
+        for shift in shifts:
+            row = mask >> shift & full
+            if not row or row & row - 1 or row & hit:
+                break
+            hit |= row
+        else:
+            survivors.append(relation([pool[i] for i in range(len(pool)) if mask >> i & 1]))
     return fset(survivors)
 
 

@@ -44,6 +44,7 @@ from .values import (
     rat,
     sym,
     union,
+    _set_of_sorted,
 )
 from .relations import (
     RIGHT_UNIQUE_CHARACTERIZATIONS,
@@ -222,11 +223,14 @@ def _right_unique_relations(A: list[Value], B: list[Value]) -> Iterable[Value]:
 
 
 def _pair_pool(A: list[Value], B: list[Value]) -> list[Value]:
+    """Every pair of A x B.  A and B come ascending (every caller passes
+    _atoms), so the pool is in canonical order and so is each subset that
+    _masked takes of it."""
     return [pair(a, b) for a in A for b in B]
 
 
 def _masked(pool: list[Value], mask: int) -> Value:
-    return fset(pool[i] for i in range(len(pool)) if mask >> i & 1)
+    return _set_of_sorted(tuple([pool[i] for i in range(len(pool)) if mask >> i & 1]))
 
 
 def _random_relation(rng: random.Random, pool: list[Value]) -> Value:

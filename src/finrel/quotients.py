@@ -48,16 +48,22 @@ def projector(R: Value) -> Value:
     return projected
 
 
-def _classes(E: Value) -> list:
+def _classes(E: Value) -> tuple:
     """The distinct image sets of E, Range (projector E), in canonical
-    order."""
-    return sorted(dict.fromkeys([p.payload[1] for p in projector(E).payload]), key=_sort_key)
+    order: built once and kept in E's views."""
+    views = _views(E)
+    classes = views.classes
+    if classes is None:
+        classes = views.classes = tuple(
+            sorted(dict.fromkeys([p.payload[1] for p in projector(E).payload]), key=_sort_key)
+        )
+    return classes
 
 
 def quotient(R: Value, P: Value, Q: Value) -> Value:
     """Relation between P-classes and Q-classes whose product meets R.
 
-    Both class lists are sorted, so the pairs come out in canonical order.
+    Both class tuples are sorted, so the pairs come out in canonical order.
     """
     r_images = _by_first(R)
     pclasses = _classes(P)

@@ -55,7 +55,8 @@ def _require_relation(v) -> Value:
 
 class _Views:
     """What a relation derives from its own pairs, each None until built:
-    the by-first index of image tuples, the projector and the converse.
+    the by-first index of image tuples, the projector, the tuple of its
+    image classes and the converse.
 
     Only a set that has passed the relation check gets one, so having it
     is the check's result.  The views are pure functions of the immutable
@@ -63,10 +64,10 @@ class _Views:
     relation.  A thread that races to build one writes an equal one.
     """
 
-    __slots__ = ("by_first", "projector", "converse")
+    __slots__ = ("by_first", "projector", "classes", "converse")
 
     def __init__(self):
-        self.by_first = self.projector = self.converse = None
+        self.by_first = self.projector = self.classes = self.converse = None
 
 
 def _views(R: Value) -> _Views:

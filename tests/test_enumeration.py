@@ -3,7 +3,7 @@ import math
 import pytest
 
 from finrel.errors import CapExceeded
-from finrel.values import EMPTY, V, fset, pair, sym
+from finrel.values import EMPTY, V, fset, num, pair, sym
 from finrel.relations import relation
 from finrel.enumeration import (
     CAP_ENUMERATE_LINES,
@@ -35,6 +35,31 @@ def test_injections_oracle_examples():
     assert injections_oracle(EMPTY, V([1, 2])) == fset([relation()])
     assert len(injections_oracle(fset([A, B]), V([1, 2, 3])).elements) == 6
     assert injections_oracle(fset([A, B]), V([1])) == EMPTY  # pigeonhole
+
+
+def _literal_injections_oracle(X, Y):
+    """The defining filter over every subset of X x Y, on sets of the
+    chosen pairs' components."""
+    pool = [(x, y) for x in X.payload for y in Y.payload]
+    xset = frozenset(X.payload)
+    yset = frozenset(Y.payload)
+    survivors = []
+    for mask in range(1 << len(pool)):
+        chosen = [pool[i] for i in range(len(pool)) if mask >> i & 1]
+        dom = {x for x, _ in chosen}
+        rng = {y for _, y in chosen}
+        if dom == xset and rng <= yset and len(dom) == len(rng) == len(chosen):
+            survivors.append(relation(chosen))
+    return fset(survivors)
+
+
+def test_injections_oracle_is_its_literal_filter():
+    xs, ys = [A, B, C], [num(1), sym("a"), num(0), V([1])]
+    for m in range(4):
+        for n in range(5):
+            X, Y = fset(xs[:m]), fset(ys[:n])
+            assert injections_oracle(X, Y) == _literal_injections_oracle(X, Y), (m, n)
+            assert len(injections_oracle(X, Y).elements) == math.perm(n, m)
 
 
 def test_injections_alg_examples():

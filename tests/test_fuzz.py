@@ -7,7 +7,7 @@ test extra.  The cases are drawn once from a fixed seed and their number
 is pinned.  A random draw reaches no cap, so the inputs aimed at the caps
 are written out, and each of them must exit 3.
 
-Covered so far: `run-single`.
+Covered so far: `run-single` and `enumerate`.
 """
 
 from __future__ import annotations
@@ -47,6 +47,23 @@ RUN_SINGLE_CAPS = [
 RANDOM_CASES = 300
 
 
+def _set_of(elements) -> str:
+    return "[" + ",".join(['"set"', *map(str, elements)]) + "]"
+
+
+# each input aimed at a cap: the line count (partitions of 11, injections
+# of 6 into 10), then the depth and digit caps of each argument
+ENUMERATE_CAPS = [
+    ["partitions", _set_of(range(11))],
+    ["injections", _set_of(range(6)), _set_of(range(10))],
+    ["partitions", _DEEP],
+    ["partitions", f'["set",0,{_DIGITS}]'],
+    ["injections", _DEEP, '["set",1]'],
+    ["injections", '["set",1]', f'["set","1/{_DIGITS}"]'],
+]
+ENUMERATE_RANDOM_CASES = 200
+
+
 def _set_text(rng: random.Random, pool: list, most: int) -> tuple[str, list]:
     """A set text of up to `most` elements drawn with repeats, and its
     element texts; now and then a text that is no set."""
@@ -76,6 +93,25 @@ def run_single_cases() -> list:
     return cases
 
 
+def enumerate_cases() -> list:
+    """(argv, must exit 3) for every case: the random ones, then the caps.
+    Sets stay small enough to list: partitions of up to 5 elements and
+    injections of up to 3 into up to 5."""
+    rng = random.Random("fuzz: enumerate")
+    cases = []
+    for _ in range(ENUMERATE_RANDOM_CASES):
+        if rng.random() < 0.5:
+            args = ["partitions", _set_text(rng, ATOMS, 5)[0]]
+        else:
+            args = ["injections", _set_text(rng, ATOMS, 3)[0], _set_text(rng, ATOMS, 5)[0]]
+        if rng.random() < 0.1:  # an argument that is no value text
+            args[rng.randrange(1, len(args))] = rng.choice(BROKEN)
+        cases.append((["enumerate", *args], False))
+    for cap in ENUMERATE_CAPS:
+        cases.append((["enumerate", *cap], True))
+    return cases
+
+
 def _run(argv: list) -> tuple:
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -86,9 +122,7 @@ def _run(argv: list) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
-def test_run_single_inputs_end_in_an_exit_code():
-    cases = run_single_cases()
-    assert len(cases) == 308
+def _assert_exit_codes(cases: list):
     bad, codes = [], set()
     for argv, at_cap in cases:
         code, out, err = _run(argv)
@@ -101,3 +135,15 @@ def test_run_single_inputs_end_in_an_exit_code():
             bad.append((argv, "failure output", err, out))
     assert not bad, bad[:3]
     assert codes == {0, 1, 2, 3}
+
+
+def test_run_single_inputs_end_in_an_exit_code():
+    cases = run_single_cases()
+    assert len(cases) == 308
+    _assert_exit_codes(cases)
+
+
+def test_enumerate_inputs_end_in_an_exit_code():
+    cases = enumerate_cases()
+    assert len(cases) == 206
+    _assert_exit_codes(cases)

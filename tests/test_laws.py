@@ -1,11 +1,16 @@
+import itertools
+
 import pytest
 
 from finrel.errors import ValidationError
-from finrel.values import V, Value
+from finrel.values import V, Value, fset
 from finrel.laws import (
     LAWS,
     PROFILES,
     LawConfig,
+    _atoms,
+    _masked,
+    _pair_pool,
     run_all,
     run_law,
     serialize_report,
@@ -141,3 +146,26 @@ def test_serialized_reports_are_single_lines():
         line = serialize_report(run_law(law_id, QUICK))
         assert "\n" not in line
         assert line.startswith(f"law={law_id} profile=quick seed=0 cases=")
+
+
+def _assert_canonical(R):
+    """R is built as fset builds the same pairs: same key, same payload."""
+    built = fset(R.payload)
+    assert R._key == built._key and R.payload == built.payload, R
+
+
+def test_masked_pool_subsets_are_the_sets_fset_builds():
+    for A, B in ((_atoms(2), _atoms(2, 10)), (_atoms(3), _atoms(3)), (_atoms(3), _atoms(3, 10))):
+        pool = _pair_pool(A, B)
+        for mask in range(1 << len(pool)):
+            _assert_canonical(_masked(pool, mask))
+
+
+@pytest.mark.parametrize("law_id", ["paste_associative", "paste_outside_domains"])
+def test_random_law_cases_are_the_sets_fset_builds(law_id):
+    cases = LAWS[law_id].cases
+    exhaustive = sum(1 for _ in cases(QUICK))
+    full = LawConfig("full", 0)
+    for case in itertools.islice(cases(full), exhaustive, exhaustive + 500):
+        for R in case:
+            _assert_canonical(R)

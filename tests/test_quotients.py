@@ -14,6 +14,7 @@ from finrel.relations import (
     right_unique,
 )
 from finrel.quotients import (
+    _classes,
     all_equivalences,
     all_partial_equivalences,
     compatible,
@@ -157,13 +158,22 @@ def _fresh_sweep(name):
             yield R, fset(R.payload)
 
 
-@pytest.mark.parametrize("name", ["projector", "converse"])
+# each view, and what it must equal; the class tuple is the sorted
+# classes of the quotient oracle
+VIEWS = {
+    "projector": (projector, oracles.ROW["projector"].oracle),
+    "converse": (converse, oracles.ROW["converse"].oracle),
+    "classes": (_classes, lambda R: tuple(sorted(oracles._classes(R)))),
+}
+
+
+@pytest.mark.parametrize("name", VIEWS)
 def test_views_are_built_once_and_agree_with_the_oracle(name):
-    row = oracles.ROW[name]
-    for R, fresh in _fresh_sweep(name):
-        first = row.fast(fresh)
-        assert row.fast(fresh) is first
-        assert first == row.oracle(R)
+    fast, oracle = VIEWS[name]
+    for R, fresh in _fresh_sweep("projector"):
+        first = fast(fresh)
+        assert fast(fresh) is first
+        assert first == oracle(R)
 
 
 def test_a_projector_does_not_depend_on_the_index_being_built_first():
@@ -183,7 +193,8 @@ def test_threads_racing_to_build_views_get_equal_ones():
     def build(mine):
         for _, fresh in shared:
             barrier.wait()  # both threads start on the same fresh relation
-            mine.append((projector(fresh), converse(fresh)))
+            # the quotient builds the index, the projector and the classes
+            mine.append((quotient(fresh, fresh, fresh), projector(fresh), converse(fresh)))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often enough to interleave the builds
@@ -197,7 +208,8 @@ def test_threads_racing_to_build_views_get_equal_ones():
         sys.setswitchinterval(interval)
     for mine in built:
         assert len(mine) == len(shared)
-        for (R, _), (projected, flipped) in zip(shared, mine):
+        for (R, _), (quotiented, projected, flipped) in zip(shared, mine):
+            assert quotiented == oracles._literal_quotient(R, R, R)
             assert projected == oracles.ROW["projector"].oracle(R)
             assert flipped == oracles.ROW["converse"].oracle(R)
 

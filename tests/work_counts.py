@@ -191,7 +191,7 @@ ROWS = (
         "encoding.value_from_obj": 90,
         "encoding.serialize_value": 3}),
     Row("check-laws-quick", ("check-laws", "--profile", "quick"), None, {
-        "values.fset": 16_745,
+        "values.fset": 16_505,
         "values._set_of_sorted": 63_024,
         "values.pair": 20_320,
         "relations.eval_rel": 2_767,
