@@ -58,11 +58,11 @@ CAP_GOODS = 6
 CAP_BIDDERS = 6
 CAP_GRID = 5
 CAP_SINGLE_BIDDERS = 3
-# clear_vickrey sums valuations, and dominant_strategy_counterexample
-# compares utilities, as integers over their common denominator up to this
-# many bits (about the 4,300-digit integer limit), as rationals beyond; the
-# bound limits the integers' size, and past it either path can be the
-# faster one (README, "Combinatorial instances")
+# _common_scale, which clear_vickrey and dominant_strategy_counterexample
+# share, scales amounts to integers over their common denominator up to
+# this many bits (about the 4,300-digit integer limit) and leaves them
+# rationals beyond; the bound limits the integers' size, and past it either
+# path can be the faster one (README, "Combinatorial instances")
 MAX_SCALE_BITS = 14_300
 
 
@@ -143,15 +143,6 @@ def _utility(valuation: Value, won: Value, paid: Value) -> Fraction:
     return as_fraction(valuation) * as_fraction(won) - as_fraction(paid)
 
 
-def _scaled(x: Value, scale: int | None):
-    """A numeric x times scale, as an integer; x's Fraction when scale is
-    None; None when x is not a number."""
-    if x._key[0] != NUM:
-        return None
-    f = x.payload
-    return f if scale is None else f.numerator * (scale // f.denominator)
-
-
 def dominant_strategy_counterexample(
     i: Value, alloc: Value, price: Value
 ) -> tuple[Value, Value] | None:
@@ -190,18 +181,16 @@ def dominant_strategy_counterexample(
             keys = b._key[1]
             bid = b.payload[lo].payload[1] if hi - lo == 1 else None
             read.append((b, keys[:lo] + keys[hi:], bid, eval_rel(alloc, b), eval_rel(price, b)))
-    scale = _common_scale(
-        x.payload for entry in read for x in entry[2:] if x is not None and x._key[0] == NUM
-    )
+    numbers = {x for entry in read for x in entry[2:] if x is not None and x._key[0] == NUM}
+    scale, up = _common_scale(x.payload for x in numbers)
+    scaled = {x: up(x.payload) for x in numbers}  # a non-number gets None
     vectors = []
     by_rivals: dict = {}  # rival keys -> {one bid v for i: (V, outcome there)}
     for b, rivals, bid, won, paid in read:
-        outcome = (won, paid, _scaled(won, scale), _scaled(paid, scale))
+        outcome = (won, paid, scaled.get(won), scaled.get(paid))
         vectors.append((b, rivals, outcome))
         if bid is not None:
-            by_rivals.setdefault(rivals, {})[bid] = (_scaled(bid, scale), outcome)
-    if scale is None:
-        scale = 1
+            by_rivals.setdefault(rivals, {})[bid] = (scaled.get(bid), outcome)
     # vectors that differ only in i's bid sort by that bid, so each dict
     # of by_rivals holds its bids in canonical order
     for b, rivals, (won, paid, W, P) in vectors:
@@ -418,15 +407,17 @@ def won_value(inst: CombinatorialInstance, alloc: Value, bidder: Value) -> Fract
     )
 
 
-def _common_scale(amounts: Iterable[Fraction]) -> int | None:
-    """The least common denominator of the amounts, or None once it has
-    more than MAX_SCALE_BITS bits."""
+def _common_scale(amounts: Iterable[Fraction]) -> tuple[int, Callable]:
+    """(scale, up): the least common denominator of the amounts, and up(f)
+    = f * scale as an integer for each amount f.  Once the denominator has
+    more than MAX_SCALE_BITS bits it is (1, identity), so the same code runs
+    on the rationals themselves."""
     scale = 1
     for x in amounts:
         scale = math.lcm(scale, x.denominator)
         if scale.bit_length() > MAX_SCALE_BITS:
-            return None
-    return scale
+            return 1, lambda f: f
+    return scale, lambda f: f.numerator * (scale // f.denominator)
 
 
 def clear_vickrey(inst: CombinatorialInstance) -> Outcome:
@@ -450,10 +441,12 @@ def clear_vickrey(inst: CombinatorialInstance) -> Outcome:
     and every excluded optimum.
 
     The recurrence runs on integers: every valuation times their common
-    denominator `scale`, which keeps sums, comparisons and ties exact.
-    Only the welfare and the excluded optima go back to rationals.  When
-    the common denominator passes MAX_SCALE_BITS, the same recurrence
-    runs on the rationals themselves (scale 1).  The bound limits the
+    denominator `scale` (`_common_scale`), which keeps sums, comparisons
+    and ties exact.  Bidder k's payment is read off the memo as
+    excluded - (optimum - own[k]), with own[k] k's value for the block it
+    is given, and only the welfare and the payments go back to rationals.
+    When the common denominator passes MAX_SCALE_BITS, the same code runs
+    on the rationals themselves (scale 1).  The bound limits the
     size of the integers, not the time: past it the integers are slower
     when many denominators are distinct, and faster when a few huge ones
     are shared.
@@ -462,26 +455,16 @@ def clear_vickrey(inst: CombinatorialInstance) -> Outcome:
     goods, bidders = inst.goods.payload, inst.bidders.payload
     all_goods = (1 << len(goods)) - 1
     everyone = (1 << len(bidders)) - 1
-    # bit k of a mask is goods[k], and the goods are in canonical order, so
-    # each bundle's elements come out already sorted
-    bundles = [
-        _set_of_sorted(tuple([g for k, g in enumerate(goods) if mask >> k & 1]))
-        for mask in range(all_goods + 1)
-    ]
+    scale, up = _common_scale(inst.valuations.values())
     # one pass over the rows: a key with a bidder or a good outside the
     # instance is never asked for, and every other bundle is worth 0
     row_of = {n: k for k, n in enumerate(bidders)}
     bit = {g: 1 << k for k, g in enumerate(goods)}
-    val = [[Fraction(0)] * (all_goods + 1) for _ in bidders]
+    val = [[0] * (all_goods + 1) for _ in bidders]
     for (n, bundle), x in inst.valuations.items():
         k = row_of.get(n)
         if k is not None and bundle.is_set and all(g in bit for g in bundle.payload):
-            val[k][sum(bit[g] for g in bundle.payload)] = x
-    scale = _common_scale(inst.valuations.values())
-    if scale is None:
-        scale = 1
-    else:
-        val = [[x.numerator * (scale // x.denominator) for x in row] for row in val]
+            val[k][sum(bit[g] for g in bundle.payload)] = up(x)
     width = everyone + 1
     unknown = object()
     memo = [unknown] * ((all_goods + 1) * width)  # memo[S * width + avail]
@@ -507,7 +490,10 @@ def clear_vickrey(inst: CombinatorialInstance) -> Outcome:
         memo[S * width + avail] = top
         return top
 
-    by_key = sorted(range(1, all_goods + 1), key=lambda mask: bundles[mask]._key)
+    # bit k of a mask is goods[k], and the goods are in canonical order, so
+    # masks sort as their bundles by the positions of their goods
+    positions = [[k for k in range(len(goods)) if mask >> k & 1] for mask in range(all_goods + 1)]
+    by_key = sorted(range(1, all_goods + 1), key=positions.__getitem__)
 
     def first_optimal_block(left: int, free: int, target):
         # the blocks of an allocation sort by their lowest good, and a pair
@@ -526,21 +512,22 @@ def clear_vickrey(inst: CombinatorialInstance) -> Outcome:
 
     optimum = best(all_goods, everyone)
     chosen = []
+    own = [0] * len(bidders)  # each bidder's scaled value for its block
     left, free, target = all_goods, everyone, optimum
     while left:
         T, k, target = first_optimal_block(left, free, target)
-        chosen.append(pair(bundles[T], bidders[k]))
+        chosen.append(pair(_set_of_sorted(tuple([goods[g] for g in positions[T]])), bidders[k]))
+        own[k] = val[k][T]
         left, free = left ^ T, free ^ (1 << k)
-    allocation = _set_of_sorted(tuple(chosen))
-    welfare = Fraction(optimum, scale)
     payments = []
     for k, n in enumerate(bidders):
         excluded = best(all_goods, everyone ^ (1 << k))
         if excluded is None:  # n is the only bidder
             excluded = 0
-        others = welfare - won_value(inst, allocation, n)
-        payments.append(pair(n, num(Fraction(excluded, scale) - others)))
-    return Outcome(allocation, _set_of_sorted(tuple(payments)), welfare)
+        payments.append(pair(n, num(Fraction(excluded - (optimum - own[k]), scale))))
+    return Outcome(
+        _set_of_sorted(tuple(chosen)), _set_of_sorted(tuple(payments)), Fraction(optimum, scale)
+    )
 
 
 def random_instance(rng) -> CombinatorialInstance:

@@ -218,19 +218,12 @@ def trivial(s: Value) -> bool:
 
 def right_unique(R: Value) -> bool:
     """True iff no domain point has two images."""
-    _require_relation(R)
-    seen: dict = {}
-    for p in R.payload:
-        k = p.first
-        if k in seen and seen[k] != p.second:
-            return False
-        seen[k] = p.second
-    return True
+    return all(len(ys) == 1 for ys in _by_first(R).values())
 
 
 # Alternative formulations of right-uniqueness.  All are proven equivalent
-# on finite relations by the law suite; right_unique above is the pairwise
-# scan, which is the only directly executable one.
+# on finite relations by the law suite; right_unique above reads the
+# by-first index, which is the only directly executable one.
 
 def _ru_image_of_points_trivial(R: Value) -> bool:
     return all(trivial(image(R, fset([x]))) for x in domain_of(R).payload)

@@ -370,12 +370,20 @@ def _fee_closure_verdict(m):
     return _payment_form_verdict(m, auctions.reduced_fee_table(m.price, m.bidder, m.alloc))
 
 
-def _fee_relation_verdict(m):
-    """The verdict with the fee closure's graph over the reduced bids, read
-    back through to_function."""
-    fee = auctions.reduced_fee_table(m.price, m.bidder, m.alloc)
-    reduced = fset(relations.single_outside(p.first, m.bidder) for p in m.alloc.payload)
-    return _payment_form_verdict(m, relations.to_function(relations.graph(reduced, fee)))
+def _fee_definition_verdict(m):
+    """The verdict with the fee read off its definition: at a reduced bid,
+    the one payment over the vectors b that bid for the bidder, reduce to
+    it, and get the lowest allocation; UNDEFINED unless there is exactly one."""
+    lowest = values.min_of(relations.range_of(m.alloc))
+
+    def fee(reduced):
+        paid = {p.second for p in m.price.payload
+                if member(m.bidder, relations.domain_of(p.first))
+                and relations.single_outside(p.first, m.bidder) == reduced
+                and relations.eval_rel(m.alloc, p.first) == lowest}
+        return paid.pop() if len(paid) == 1 else UNDEFINED
+
+    return _payment_form_verdict(m, fee)
 
 
 def _quotient_reduced_price(price, i, alloc):
@@ -896,7 +904,7 @@ ROWS = (
     Row("reduced_price_map", auctions.reduced_price_map, _quotient_reduced_price,
         _reduced_price_sweep, 42, lambda st: st.tuples(_mechanism_cases(st), st.integers(0, 2))
         .map(lambda t: _price_arguments(*t[0])[t[1]])),
-    Row("reduced_fee_table", _fee_closure_verdict, _fee_relation_verdict, _mechanism_sweep, 14,
+    Row("reduced_fee_table", _fee_closure_verdict, _fee_definition_verdict, _mechanism_sweep, 14,
         _mechanism_cases),
     Row("serialize_value", encoding.serialize_value, lambda v: _dumped(encoding.value_to_obj(v)),
         lambda: {"writer atoms, their pairs and their sets": [(v,) for v in (

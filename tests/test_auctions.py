@@ -12,7 +12,6 @@ from finrel.enumeration import all_subsets
 from finrel.relations import domain_of, eval_rel, relation, right_unique
 from finrel.quotients import kernel
 from finrel.auctions import (
-    MAX_SCALE_BITS,
     CombinatorialInstance,
     _common_scale,
     clear_vickrey,
@@ -294,16 +293,16 @@ def test_clearing_sweep_has_a_case_on_each_side_of_the_scale_bound():
     parts = oracles._clearing_sweep()
     [(shared,)] = parts["3x3 monotone over one shared 1,000-digit denominator"]
     [(distinct,)] = parts["3x3 monotone over 21 distinct 1,000-digit denominators"]
-    assert 0 < _common_scale(shared.valuations.values()).bit_length() <= MAX_SCALE_BITS
-    assert _common_scale(distinct.valuations.values()) is None
+    assert _common_scale(shared.valuations.values())[0] > 1
+    assert _common_scale(distinct.valuations.values())[0] == 1
 
 
 def test_dominance_sweep_has_a_case_on_each_side_of_the_scale_bound():
     # a grid mechanism's wins are 0 and 1 and its payments are grid values
     # or 0, so the grid sets the common denominator of the comparison
     grid = [as_fraction(x) for x in oracles.HUGE_DENOMINATOR_GRID]
-    assert _common_scale(grid) is None
-    assert 0 < _common_scale(grid[:-1]).bit_length() <= MAX_SCALE_BITS
+    assert _common_scale(grid)[0] == 1
+    assert _common_scale(grid[:-1])[0] > 1
 
 
 @pytest.mark.parametrize("n_goods, n_bidders, cases", [(2, 2, 39_366), (1, 3, 243)])
@@ -414,8 +413,8 @@ def test_instance_file_errors():
 
 
 def test_fee_sweep_reaches_every_payment_form_verdict():
-    # the reduced_fee_table row compares the fee closure with its own graph
-    # read back through to_function; here its sweep reaches every verdict
+    # the reduced_fee_table row compares the fee closure with the fee read
+    # off its definition; here its sweep reaches every verdict
     row = oracles.ROW["reduced_fee_table"]
     [cases] = row.sweep().values()
     assert {row.fast(*case) for case in cases} == {True, False, "undefined fee"}

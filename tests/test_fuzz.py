@@ -7,7 +7,7 @@ test extra.  The cases are drawn once from a fixed seed and their number
 is pinned.  A random draw reaches no cap, so the inputs aimed at the caps
 are written out, and each of them must exit 3.
 
-Covered so far: `run-single` and `enumerate`.
+Covered so far: `run-single`, `enumerate` and `run-combinatorial`.
 """
 
 from __future__ import annotations
@@ -63,6 +63,37 @@ ENUMERATE_CAPS = [
 ]
 ENUMERATE_RANDOM_CASES = 200
 
+# goods and bidders: atoms mostly, now and then a value that is no atom
+GOOD_POOL = ['"g1"', '"g2"', '"g3"', '"g4"', "1", '"1/2"', '"é"'] * 8 + ['["pair",1,2]', '["set"]']
+COMBINATORIAL_BIDDER_POOL = (["1", "2", "3"] * 4 + ['"a"', '"-1/2"']) * 3 + ['["set",1]']
+# amounts: the same rationals written several ways, and zeros
+AMOUNTS = ["0", "1", "3", "12", '"1/2"', '"2/4"', '"4/2"', '"7/3"', '"14/6"', '"0/3"', '"-0/1"']
+# texts that are no amount, or a negative one
+BAD_AMOUNTS = ["-1", '"-3/4"', '"a"', '["set"]', "1.5", "true"]
+# rows and documents of the wrong shape
+BROKEN_ROWS = ["[]", "[1]", '[1,["set"]]', '[1,["set"],1,2]', "{}", '"row"', "null"]
+BROKEN_DOCUMENTS = BROKEN + [
+    "[]", '{"goods":["set","g1"]}', '{"goods":1,"bidders":1,"valuations":[]}']
+
+
+def _document(fields: dict) -> str:
+    """The instance document of the texts of its fields."""
+    return "{" + ",".join(f'"{key}":{text}' for key, text in fields.items()) + "}"
+
+
+_TWO_BY_TWO = {"goods": '["set","g1","g2"]', "bidders": '["set",1,2]', "valuations": "[]"}
+# each input aimed at a cap, the rest of the document valid; the last one's
+# outcome outgrows the digit limit its inputs meet: 1/(10^4000 + 1) +
+# 1/(10^4000 + 3) has a denominator of 8,001 digits
+RUN_COMBINATORIAL_CAPS = [_document({**_TWO_BY_TWO, **cap}) for cap in (
+    {"goods": _set_of(f'"g{k}"' for k in range(1, 8))},
+    {"bidders": _set_of(range(1, 8))},
+    {"valuations": f"[[1,{_DEEP},1]]"},
+    {"valuations": f'[[1,["set","g1"],{_DIGITS}]]'},
+    {"valuations": f'[[1,["set","g1"],"1/{10**4000 + 1}"],[2,["set","g2"],"1/{10**4000 + 3}"]]'},
+)]
+RUN_COMBINATORIAL_RANDOM_CASES = 250
+
 
 def _set_text(rng: random.Random, pool: list, most: int) -> tuple[str, list]:
     """A set text of up to `most` elements drawn with repeats, and its
@@ -112,6 +143,54 @@ def enumerate_cases() -> list:
     return cases
 
 
+def _size(rng: random.Random, most: int) -> int:
+    """1 to most, now and then 0."""
+    return rng.randint(0 if rng.random() < 0.05 or not most else 1, most)
+
+
+def _random_document(rng: random.Random) -> str:
+    """An instance document: sets of up to 4 goods and 3 bidders and up to 6
+    rows whose bidders and bundles mostly come from them; now and then a
+    broken row, a key left out, or a text that is no instance at all."""
+    if rng.random() < 0.05:
+        return rng.choice(BROKEN_DOCUMENTS)
+    good_texts = [rng.choice(GOOD_POOL) for _ in range(_size(rng, 4))]
+    bidder_texts = [rng.choice(COMBINATORIAL_BIDDER_POOL) for _ in range(_size(rng, 3))]
+    goods, bidders = _set_of(good_texts), _set_of(bidder_texts)
+    rows = []
+    for _ in range(rng.randint(0, 6)):
+        if rng.random() < 0.02:
+            rows.append(rng.choice(BROKEN_ROWS))
+            continue
+        in_bidders = bidder_texts and rng.random() < 0.97
+        bidder = rng.choice(bidder_texts if in_bidders else ATOMS)
+        # a repeated good is read as one; the empty bundle is worth 0 or refused
+        bundle = rng.sample(good_texts, _size(rng, len(good_texts)))
+        if rng.random() < 0.02:  # a good outside the goods, or no good at all
+            bundle.append(rng.choice(GOOD_POOL + ATOMS))
+        amount = rng.choice(BAD_AMOUNTS if rng.random() < 0.03 else AMOUNTS)
+        rows.append(f"[{bidder},{_set_of(bundle)},{amount}]")
+    fields = {"goods": goods, "bidders": bidders, "valuations": "[" + ",".join(rows) + "]"}
+    if rng.random() < 0.03:
+        del fields[rng.choice(sorted(fields))]
+    elif rng.random() < 0.03:
+        fields[rng.choice(sorted(fields))] = rng.choice(BROKEN + ATOMS)
+    return _document(fields)
+
+
+def run_combinatorial_cases(directory) -> list:
+    """(argv, must exit 3) for every case, each document written to a file
+    in directory: the random ones, then the caps."""
+    rng = random.Random("fuzz: run-combinatorial")
+    documents = [_random_document(rng) for _ in range(RUN_COMBINATORIAL_RANDOM_CASES)]
+    cases = []
+    for k, text in enumerate(documents + RUN_COMBINATORIAL_CAPS):
+        path = directory / f"instance-{k}.json"
+        path.write_text(text, encoding="utf-8")
+        cases.append((["run-combinatorial", str(path)], k >= len(documents)))
+    return cases
+
+
 def _run(argv: list) -> tuple:
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -146,4 +225,10 @@ def test_run_single_inputs_end_in_an_exit_code():
 def test_enumerate_inputs_end_in_an_exit_code():
     cases = enumerate_cases()
     assert len(cases) == 206
+    _assert_exit_codes(cases)
+
+
+def test_run_combinatorial_inputs_end_in_an_exit_code(tmp_path):
+    cases = run_combinatorial_cases(tmp_path)
+    assert len(cases) == 255
     _assert_exit_codes(cases)

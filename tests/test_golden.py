@@ -53,6 +53,20 @@ def _flat_instance(n_goods: int, n_bidders: int, value: int) -> dict:
     return {"goods": ["set", *goods], "bidders": ["set", *range(1, n_bidders + 1)], "valuations": rows}
 
 
+def _huge_denominator_instance(denominators: list) -> dict:
+    """3 goods x 3 bidders, every nonempty bundle valued by a fixed formula
+    over the denominators in turn, one per row."""
+    goods = ["g1", "g2", "g3"]
+    rows = []
+    for b in (1, 2, 3):
+        for mask in range(1, 8):
+            bundle = [g for k, g in enumerate(goods) if mask >> k & 1]
+            denominator = denominators[len(rows) % len(denominators)]
+            v = Fraction((b * 13 + mask * 7) % 17 + len(bundle), denominator)
+            rows.append([b, ["set", *bundle], str(v)])
+    return {"goods": ["set", *goods], "bidders": ["set", 1, 2, 3], "valuations": rows}
+
+
 GRID = '["set",-1,"-1/2",0,"1/2",3]'
 BIDDERS = '["set",1,2,3]'
 
@@ -71,6 +85,11 @@ COMMANDS = [
     ("run-combinatorial dense 6x6", ["run-combinatorial", "{dense6}"]),
     ("run-combinatorial all-equal 6x6", ["run-combinatorial", "{equal6}"]),
     ("run-combinatorial all-zero 5x3", ["run-combinatorial", "{zero53}"]),
+    # one shared denominator clears on integers; 21 distinct ones put the
+    # common denominator past auctions.MAX_SCALE_BITS, onto the rationals
+    ("run-combinatorial 3x3 shared 1,000-digit", ["run-combinatorial", "{shared1000}"]),
+    ("run-combinatorial 3x3 distinct 500-digit", ["run-combinatorial", "{distinct500}"]),
+    ("check-laws full 0", ["check-laws", "--profile", "full", "--seed", "0"]),
     (
         "enumerate partitions mixed 6",
         ["enumerate", "partitions", '["set",1,"-1/2","a",["pair",1,2],["set"],["set",3]]'],
@@ -143,6 +162,10 @@ GOLDEN = {
     # across lines
     'enumerate partitions numbers 9': ('5ad395ef7e2119919c0f3b254736eb870d59ff71d89ef6bcde0a0ac9da3839c9', 21147),
     'enumerate injections nested 6 into 7': ('4758ad8e3960b88399c0c904e386dfc10772cc1d09a2af62551a6cb7b9747534', 5040),
+    # recorded before clearing read its payments off the integer memo
+    'run-combinatorial 3x3 shared 1,000-digit': ('929dd0f7d5398ccf3b5c5eff7f67c3aa3dd2c64619f4088f6de7a2dc77b3a49e', 1),
+    'run-combinatorial 3x3 distinct 500-digit': ('6b012c1c66a00a45aa46038411d7ca587f9a9175c3871a1eb42fdd1206785c8f', 1),
+    'check-laws full 0': ('9a87faa9ab161b9705b4dcb06385e8499a4bcfd07bfa8301a7c258e6e29f6f5f', 21),
 }
 
 
@@ -154,6 +177,8 @@ def files(tmp_path):
         "dense6": tmp_path / "dense6.json",
         "equal6": tmp_path / "equal6.json",
         "zero53": tmp_path / "zero53.json",
+        "shared1000": tmp_path / "shared1000.json",
+        "distinct500": tmp_path / "distinct500.json",
         "expr": tmp_path / "expr.txt",
         "expr_non_ascii": tmp_path / "expr_non_ascii.txt",
     }
@@ -162,6 +187,11 @@ def files(tmp_path):
     paths["dense6"].write_text(json.dumps(_dense_instance(6, 6)), encoding="utf-8")
     paths["equal6"].write_text(json.dumps(_flat_instance(6, 6, 1)), encoding="utf-8")
     paths["zero53"].write_text(json.dumps(_flat_instance(5, 3, 0)), encoding="utf-8")
+    paths["shared1000"].write_text(
+        json.dumps(_huge_denominator_instance([10**999 + 7])), encoding="utf-8")
+    paths["distinct500"].write_text(
+        json.dumps(_huge_denominator_instance([10**499 + k for k in range(1, 42, 2)])),
+        encoding="utf-8")
     paths["expr"].write_text("({(0::nat,10),(1,11),(1,12)} +< (1,13::nat)) ,, 1\n", encoding="utf-8")
     paths["expr_non_ascii"].write_text(
         '{(1,"é"),(-1/2,{-3/4,"ü⊥"})} +< (-7/3, {"ß", -2})\n', encoding="utf-8"

@@ -186,13 +186,13 @@ ROWS = (
         "encoding.serialize_value": 7}),
     Row("run-combinatorial-6x6-dense", ("run-combinatorial", FILE), _dense_instance(), {
         "values.fset": 65,
-        "values._set_of_sorted": 131,
+        "values._set_of_sorted": 73,
         "values.pair": 12,
         "encoding.value_from_obj": 90,
         "encoding.serialize_value": 3}),
     Row("check-laws-quick", ("check-laws", "--profile", "quick"), None, {
         "values.fset": 16_505,
-        "values._set_of_sorted": 63_024,
+        "values._set_of_sorted": 62_720,
         "values.pair": 20_320,
         "relations.eval_rel": 2_767,
         "relations.compose": 5_849,
