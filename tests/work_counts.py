@@ -38,6 +38,7 @@ COUNTED = (
     "relations.single_paste",
     "encoding.value_from_obj",
     "encoding.serialize_value",
+    "auctions._input_set",
 )
 
 FILE = "<file>"  # stands in the arguments for the path of the row's file
@@ -160,14 +161,16 @@ ROWS = (
         "values.fset": 53,
         "values._set_of_sorted": 128,
         "encoding.value_from_obj": 1,
-        "encoding.serialize_value": 52}),
+        "encoding.serialize_value": 52,
+        "auctions._input_set": 1}),
     Row("enumerate-injections",
         ("enumerate", "injections", '["set",1,2,3]', '["set","a","b","c","d"]'), None, {
         "values.fset": 3,
         "values._set_of_sorted": 43,
         "values.pair": 12,
         "encoding.value_from_obj": 2,
-        "encoding.serialize_value": 24}),
+        "encoding.serialize_value": 24,
+        "auctions._input_set": 2}),
     Row("run-single-second-price", _single("second-price"), None, {
         "values.fset": 2,
         "values._set_of_sorted": 132,
@@ -175,7 +178,8 @@ ROWS = (
         "relations.eval_rel": 250,
         "relations.domain_of": 2,
         "encoding.value_from_obj": 3,
-        "encoding.serialize_value": 5}),
+        "encoding.serialize_value": 5,
+        "auctions._input_set": 2}),
     Row("run-single-first-price", _single("first-price"), None, {
         "values.fset": 2,
         "values._set_of_sorted": 132,
@@ -183,13 +187,15 @@ ROWS = (
         "relations.eval_rel": 250,
         "relations.domain_of": 2,
         "encoding.value_from_obj": 3,
-        "encoding.serialize_value": 7}),
+        "encoding.serialize_value": 7,
+        "auctions._input_set": 2}),
     Row("run-combinatorial-6x6-dense", ("run-combinatorial", FILE), _dense_instance(), {
         "values.fset": 65,
         "values._set_of_sorted": 73,
         "values.pair": 12,
         "encoding.value_from_obj": 90,
-        "encoding.serialize_value": 3}),
+        "encoding.serialize_value": 3,
+        "auctions._input_set": 382}),
     Row("check-laws-quick", ("check-laws", "--profile", "quick"), None, {
         "values.fset": 16_505,
         "values._set_of_sorted": 62_720,
@@ -197,5 +203,6 @@ ROWS = (
         "relations.eval_rel": 2_767,
         "relations.compose": 5_849,
         "relations.domain_of": 6_081,
-        "relations.single_paste": 13}),
+        "relations.single_paste": 13,
+        "auctions._input_set": 1_072}),
 )
