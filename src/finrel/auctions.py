@@ -350,6 +350,11 @@ def make_instance(goods, bidders, triples: Iterable) -> CombinatorialInstance:
         if not (n.is_num or n.is_sym):
             raise ValidationError(f"bidder must be an atom: {n!r}")
     known_bidders, known_goods = frozenset(bidders.payload), frozenset(goods.payload)
+    # each bundle and amount is checked the first time a row names it: a
+    # file names the same few many times.  The sets hold the Values, not
+    # their ids, so a Value freed by the caller cannot pass for a new one.
+    good_bundles: set = set()
+    good_amounts: set = set()
     table: dict = {}
     for bidder, bundle, value in triples:
         bidder = canonicalize(bidder)
@@ -357,14 +362,18 @@ def make_instance(goods, bidders, triples: Iterable) -> CombinatorialInstance:
         value = canonicalize(value)
         if bidder not in known_bidders:
             raise ValidationError(f"unknown bidder {bidder!r}")
-        _input_set(bundle, "bundle")
-        if not known_goods.issuperset(bundle.payload):
-            raise ValidationError(f"bundle {bundle!r} is not within the goods")
-        if not value.is_num:
-            raise ValidationError(f"valuation must be numeric: {value!r}")
-        f = as_fraction(value)
-        if f < 0:
-            raise ValidationError(f"negative valuation {value!r}")
+        if bundle not in good_bundles:
+            _input_set(bundle, "bundle")
+            if not known_goods.issuperset(bundle.payload):
+                raise ValidationError(f"bundle {bundle!r} is not within the goods")
+            good_bundles.add(bundle)
+        if value not in good_amounts:
+            if not value.is_num:
+                raise ValidationError(f"valuation must be numeric: {value!r}")
+            if value.payload < 0:
+                raise ValidationError(f"negative valuation {value!r}")
+            good_amounts.add(value)
+        f = value.payload
         if not bundle.payload and f != 0:
             raise ValidationError("the empty bundle must be worth 0")
         if (bidder, bundle) in table:
@@ -461,12 +470,19 @@ def clear_vickrey(inst: CombinatorialInstance) -> Outcome:
     row_of = {n: k for k, n in enumerate(bidders)}
     bit = {g: 1 << k for k, g in enumerate(goods)}
     val = [[0] * (all_goods + 1) for _ in bidders]
+    unknown = object()
+    mask_of: dict = {}  # bundle -> its mask, or None when never asked for
     for (n, bundle), x in inst.valuations.items():
         k = row_of.get(n)
-        if k is not None and bundle.is_set and all(g in bit for g in bundle.payload):
-            val[k][sum(bit[g] for g in bundle.payload)] = up(x)
+        if k is None:
+            continue
+        mask = mask_of.get(bundle, unknown)
+        if mask is unknown:
+            inside = bundle.is_set and all(g in bit for g in bundle.payload)
+            mask = mask_of[bundle] = sum(bit[g] for g in bundle.payload) if inside else None
+        if mask is not None:
+            val[k][mask] = up(x)
     width = everyone + 1
-    unknown = object()
     memo = [unknown] * ((all_goods + 1) * width)  # memo[S * width + avail]
 
     def best(S: int, avail: int):
@@ -573,8 +589,9 @@ def instance_from_obj(obj) -> CombinatorialInstance:
     if not isinstance(raw, list):
         raise ValidationError("valuations must be an array of [bidder, bundle, value]")
     # a row element that is an atom, or an array of atoms, is read once per
-    # file: each bidder and bundle repeats in many rows.  The exact type
-    # test keeps true and 1.0, which are errors, apart from 1.
+    # file: each bidder and bundle repeats in many rows.  A set of atoms is
+    # built from the atoms read already, so each good is read once per file.
+    # The exact type test keeps true and 1.0, which are errors, apart from 1.
     read: dict = {}
 
     def value_of(e) -> Value:
@@ -586,7 +603,11 @@ def instance_from_obj(obj) -> CombinatorialInstance:
             return value_from_obj(e)
         v = read.get(key)
         if v is None:
-            v = read[key] = value_from_obj(e)
+            if type(e) is list and e and e[0] == "set":
+                v = fset([value_of(x) for x in e[1:]])
+            else:
+                v = value_from_obj(e)
+            read[key] = v
         return v
 
     triples = []

@@ -111,6 +111,31 @@ INSTANCE_ROWS = [
     [2, ["set", "g1"], "1" * 4301 + "/7"],
     ["bad"],
 ]
+_G1, _G2, _G12 = ["set", "g1"], ["set", "g2"], ["set", "g1", "g2"]
+# files of two to four rows in which a bundle or an amount comes back: a
+# bundle for both bidders and then again as a duplicate, written in the
+# other order or with a good repeated; 1/2 as "2/4"; a bad bundle or a bad
+# amount first met after valid rows of its bidder; a pair bundle and a
+# nested bundle, each written twice
+SHARED_PART_ROWS = [
+    [[1, _G12, 1], [2, _G12, 2]],
+    [[1, _G12, 1], [2, _G12, 2], [1, _G12, 3]],
+    [[1, ["set", "g2", "g1"], 1], [2, _G12, 2]],
+    [[1, ["set", "g2", "g1"], 1], [2, _G12, 2], [2, ["set", "g2", "g1"], 3]],
+    [[1, _G1, 1], [2, ["set", "g1", "g1"], 2]],
+    [[1, ["set", "g1", "g1"], 1], [2, _G1, 2], [1, _G1, 2]],
+    [[1, _G1, "1/2"], [2, _G1, "2/4"], [1, _G2, "1/2"]],
+    [[1, _G1, "1/2"], [2, _G1, "2/4"], [2, ["set"], "2/4"]],
+    [[1, ["set"], 0], [2, ["set"], 0], [1, _G1, 0]],
+    [[1, _G1, 1], [1, _G2, 2], [1, ["set", "g3"], 1]],
+    [[1, _G1, 1], [1, _G12, 2], [1, ["set", _G1], 2]],
+    [[2, _G1, 1], [2, _G2, "1/2"], [2, _G12, "-1/2"]],
+    [[1, _G1, 1], [1, _G2, 1], [2, _G1, 1], [1, _G12, -1]],
+    [[2, _G1, 1], [2, _G2, 1], [2, _G12, "a"]],
+    [[1, ["pair", "g1", "g2"], 1], [2, ["pair", "g1", "g2"], 1]],
+    [[1, _G1, 1], [2, ["pair", "g1", "g2"], 1], [1, ["pair", "g1", "g2"], 1]],
+    [[1, ["set", _G1], 1], [2, ["set", _G1], 1]],
+]
 
 
 def _instance_text(rows, goods=("g1", "g2"), bidders=(1, 2)) -> str:
@@ -491,6 +516,10 @@ def _instance_file_sweep():
             (_instance_text([], goods, bidders),) for goods, bidders in (
                 ((), (1,)), (("g1",), ()), ((["pair", 1, 2],), (1,)), (("g1",), (["set"],)),
                 (("g1",), tuple(range(7))))],
+        # each bundle and amount is checked once per file: the same one
+        # written again, or written another way, meets the first one's check
+        "rows that share a bundle or an amount": [
+            (_instance_text(rows),) for rows in SHARED_PART_ROWS],
     }
 
 
@@ -897,7 +926,7 @@ ROWS = (
         errors=(ValueError,)),
     Row("clear_vickrey", auctions.clear_vickrey, _clears_as_both, _clearing_sweep, 76,
         lambda st: _one(small_instances(st)), _same_clearing),
-    Row("parse_instance", auctions.parse_instance, _read_row_by_row, _instance_file_sweep, 607,
+    Row("parse_instance", auctions.parse_instance, _read_row_by_row, _instance_file_sweep, 624,
         lambda st: st.lists(st.sampled_from(INSTANCE_ROWS), max_size=4).map(
             lambda rows: (_instance_text(rows),)),
         errors=(ParseError, ValidationError, CapExceeded)),

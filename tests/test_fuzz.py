@@ -7,7 +7,7 @@ test extra.  The cases are drawn once from a fixed seed and their number
 is pinned.  A random draw reaches no cap, so the inputs aimed at the caps
 are written out, and each of them must exit 3.
 
-Covered so far: `run-single`, `enumerate` and `run-combinatorial`.
+Covered so far: `run-single`, `enumerate`, `run-combinatorial` and `eval`.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ import traceback
 from contextlib import redirect_stderr, redirect_stdout
 
 from finrel.cli import main
+from finrel.expressions import OPERATORS
+from test_cli import _COMPOSED_KERNELS_60, _KERNEL_400, _QUOTIENT_400
 
 # value texts of every kind: numbers written several ways, the same number
 # twice (1/2 and 2/4), symbols, a pair, sets empty and nested
@@ -191,6 +193,50 @@ def run_combinatorial_cases(directory) -> list:
     return cases
 
 
+# operands of every kind: relations (empty, a function, a point with two
+# images, the identity, pairs over a set and a pair), a set with a member
+# that is no pair, numbers, a symbol, a pair, and a call as an operand
+OPERANDS = ["{}", "{(1,2),(2,3)}", "{(1,2),(1,3),(2,2)}", "{(1,1),(2,2),(3,3)}",
+            '{("a",{1}),((1,2),3)}', "{1,2}", "{(1,2),3}", "0", "-1", "3/4", '"a"', "(1,2)",
+            "converse({(1,2)})", "{(1,2)}::rel"]
+# texts that are no expression
+BROKEN_EXPRESSIONS = ["", "{", "(1,2", "1/0", "@", '"a', "{1,}", "foo(1)", "kernel", ",,", '"1"']
+# each input aimed at a cap: eval's work cap on kernel, compose and
+# quotient, then an expression 101 calls deep
+EVAL_CAPS = [_KERNEL_400, _COMPOSED_KERNELS_60, _QUOTIENT_400,
+             "converse(" * 101 + "{}" + ")" * 101]
+EVAL_RANDOM_CASES = 200
+
+
+def _random_expression(rng: random.Random) -> str:
+    """One operator of `expressions.OPERATORS` called on operands of any
+    kind, mostly with its own arity, now and then one fewer or one more;
+    prefix or infix where it has both; now and then no expression at all."""
+    if rng.random() < 0.05:
+        return rng.choice(BROKEN_EXPRESSIONS)
+    op = rng.choice(OPERATORS)
+    arity = rng.choice([op.arity] * 4 + [op.arity - 1, op.arity + 1])
+    args = [rng.choice(OPERANDS) for _ in range(arity)]
+    if op.name and (op.token is None or rng.random() < 0.5):
+        return f"{op.name}({', '.join(args)})"
+    if len(args) == 1:  # the infix token with one operand missing
+        return f"{args[0]} {op.token}" if rng.random() < 0.5 else f"{op.token} {args[0]}"
+    return f" {op.token} ".join(args)
+
+
+def eval_cases(directory) -> list:
+    """(argv, must exit 3) for every case, each expression written to a file
+    in directory: the random ones, then the caps."""
+    rng = random.Random("fuzz: eval")
+    texts = [_random_expression(rng) for _ in range(EVAL_RANDOM_CASES)]
+    cases = []
+    for k, text in enumerate(texts + EVAL_CAPS):
+        path = directory / f"expression-{k}.txt"
+        path.write_text(text, encoding="utf-8")
+        cases.append((["eval", str(path)], k >= len(texts)))
+    return cases
+
+
 def _run(argv: list) -> tuple:
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -231,4 +277,10 @@ def test_enumerate_inputs_end_in_an_exit_code():
 def test_run_combinatorial_inputs_end_in_an_exit_code(tmp_path):
     cases = run_combinatorial_cases(tmp_path)
     assert len(cases) == 255
+    _assert_exit_codes(cases)
+
+
+def test_eval_inputs_end_in_an_exit_code(tmp_path):
+    cases = eval_cases(tmp_path)
+    assert len(cases) == 204
     _assert_exit_codes(cases)

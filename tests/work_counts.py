@@ -193,9 +193,9 @@ ROWS = (
         "values.fset": 65,
         "values._set_of_sorted": 73,
         "values.pair": 12,
-        "encoding.value_from_obj": 90,
+        "encoding.value_from_obj": 33,
         "encoding.serialize_value": 3,
-        "auctions._input_set": 382}),
+        "auctions._input_set": 67}),
     Row("check-laws-quick", ("check-laws", "--profile", "quick"), None, {
         "values.fset": 16_505,
         "values._set_of_sorted": 62_720,
@@ -204,5 +204,5 @@ ROWS = (
         "relations.compose": 5_849,
         "relations.domain_of": 6_081,
         "relations.single_paste": 13,
-        "auctions._input_set": 1_072}),
+        "auctions._input_set": 658}),
 )
