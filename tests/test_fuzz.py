@@ -180,17 +180,22 @@ def _random_document(rng: random.Random) -> str:
     return _document(fields)
 
 
+def _file_cases(directory, command: str, texts: list, caps: list) -> list:
+    """(argv, must exit 3) for every case of a command that reads a file,
+    each text written to a file in directory: the random ones, then the
+    caps."""
+    cases = []
+    for k, text in enumerate(texts + caps):
+        path = directory / f"{command}-{k}"
+        path.write_text(text, encoding="utf-8")
+        cases.append(([command, str(path)], k >= len(texts)))
+    return cases
+
+
 def run_combinatorial_cases(directory) -> list:
-    """(argv, must exit 3) for every case, each document written to a file
-    in directory: the random ones, then the caps."""
     rng = random.Random("fuzz: run-combinatorial")
     documents = [_random_document(rng) for _ in range(RUN_COMBINATORIAL_RANDOM_CASES)]
-    cases = []
-    for k, text in enumerate(documents + RUN_COMBINATORIAL_CAPS):
-        path = directory / f"instance-{k}.json"
-        path.write_text(text, encoding="utf-8")
-        cases.append((["run-combinatorial", str(path)], k >= len(documents)))
-    return cases
+    return _file_cases(directory, "run-combinatorial", documents, RUN_COMBINATORIAL_CAPS)
 
 
 # operands of every kind: relations (empty, a function, a point with two
@@ -225,16 +230,9 @@ def _random_expression(rng: random.Random) -> str:
 
 
 def eval_cases(directory) -> list:
-    """(argv, must exit 3) for every case, each expression written to a file
-    in directory: the random ones, then the caps."""
     rng = random.Random("fuzz: eval")
     texts = [_random_expression(rng) for _ in range(EVAL_RANDOM_CASES)]
-    cases = []
-    for k, text in enumerate(texts + EVAL_CAPS):
-        path = directory / f"expression-{k}.txt"
-        path.write_text(text, encoding="utf-8")
-        cases.append((["eval", str(path)], k >= len(texts)))
-    return cases
+    return _file_cases(directory, "eval", texts, EVAL_CAPS)
 
 
 def _run(argv: list) -> tuple:
