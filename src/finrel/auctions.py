@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .encoding import _load_json, serialize_value, value_from_obj
+from .encoding import _from_array, _load_json, serialize_value, value_from_obj
 from .errors import CapExceeded, ValidationError
 from .values import (
     NUM,
@@ -350,11 +350,10 @@ def make_instance(goods, bidders, triples: Iterable) -> CombinatorialInstance:
         if not (n.is_num or n.is_sym):
             raise ValidationError(f"bidder must be an atom: {n!r}")
     known_bidders, known_goods = frozenset(bidders.payload), frozenset(goods.payload)
-    # each bundle and amount is checked the first time a row names it: a
-    # file names the same few many times.  The sets hold the Values, not
-    # their ids, so a Value freed by the caller cannot pass for a new one.
+    # each bundle is checked the first time a row names it: a file names
+    # the same few many times.  The set holds the Values, not their ids,
+    # so a Value freed by the caller cannot pass for a new one.
     good_bundles: set = set()
-    good_amounts: set = set()
     table: dict = {}
     for bidder, bundle, value in triples:
         bidder = canonicalize(bidder)
@@ -367,13 +366,11 @@ def make_instance(goods, bidders, triples: Iterable) -> CombinatorialInstance:
             if not known_goods.issuperset(bundle.payload):
                 raise ValidationError(f"bundle {bundle!r} is not within the goods")
             good_bundles.add(bundle)
-        if value not in good_amounts:
-            if not value.is_num:
-                raise ValidationError(f"valuation must be numeric: {value!r}")
-            if value.payload < 0:
-                raise ValidationError(f"negative valuation {value!r}")
-            good_amounts.add(value)
+        if not value.is_num:
+            raise ValidationError(f"valuation must be numeric: {value!r}")
         f = value.payload
+        if f < 0:
+            raise ValidationError(f"negative valuation {value!r}")
         if not bundle.payload and f != 0:
             raise ValidationError("the empty bundle must be worth 0")
         if (bidder, bundle) in table:
@@ -589,8 +586,9 @@ def instance_from_obj(obj) -> CombinatorialInstance:
     if not isinstance(raw, list):
         raise ValidationError("valuations must be an array of [bidder, bundle, value]")
     # a row element that is an atom, or an array of atoms, is read once per
-    # file: each bidder and bundle repeats in many rows.  A set of atoms is
-    # built from the atoms read already, so each good is read once per file.
+    # file: each bidder and bundle repeats in many rows.  An array of atoms
+    # is built from the atoms read already, so each good of the rows is
+    # read once per file.
     # The exact type test keeps true and 1.0, which are errors, apart from 1.
     read: dict = {}
 
@@ -603,11 +601,7 @@ def instance_from_obj(obj) -> CombinatorialInstance:
             return value_from_obj(e)
         v = read.get(key)
         if v is None:
-            if type(e) is list and e and e[0] == "set":
-                v = fset([value_of(x) for x in e[1:]])
-            else:
-                v = value_from_obj(e)
-            read[key] = v
+            v = read[key] = _from_array(e, value_of) if type(e) is list else value_from_obj(e)
         return v
 
     triples = []

@@ -76,17 +76,24 @@ def _from_obj(obj, room: int) -> Value:
     if isinstance(obj, list):
         if room == 0:
             raise CapExceeded(f"value nested deeper than {CAP_DEPTH} levels")
-        if not obj:
-            raise ValidationError('untagged array; expected ["set", ...] or ["pair", a, b]')
-        tag, rest = obj[0], obj[1:]
-        if tag == "pair":
-            if len(rest) != 2:
-                raise ValidationError(f"pair needs exactly 2 components, got {len(rest)}")
-            return pair(_from_obj(rest[0], room - 1), _from_obj(rest[1], room - 1))
-        if tag == "set":
-            return fset(_from_obj(e, room - 1) for e in rest)
-        raise ValidationError(f"unknown tag {tag!r}; expected \"set\" or \"pair\"")
+        return _from_array(obj, lambda e: _from_obj(e, room - 1))
     raise ValidationError(f"cannot read {obj!r} as a value")
+
+
+def _from_array(obj: list, read) -> Value:
+    """The set or pair a tagged array stands for, each component read by
+    read: the one rule for arrays, also for readers that share the values
+    of components met before (auctions.instance_from_obj)."""
+    if not obj:
+        raise ValidationError('untagged array; expected ["set", ...] or ["pair", a, b]')
+    tag, rest = obj[0], obj[1:]
+    if tag == "pair":
+        if len(rest) != 2:
+            raise ValidationError(f"pair needs exactly 2 components, got {len(rest)}")
+        return pair(read(rest[0]), read(rest[1]))
+    if tag == "set":
+        return fset(read(e) for e in rest)
+    raise ValidationError(f"unknown tag {tag!r}; expected \"set\" or \"pair\"")
 
 
 def value_to_obj(v: Value):

