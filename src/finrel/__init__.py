@@ -7,10 +7,13 @@ The package is organized bottom-up:
 - relations: the operator suite over relations-as-pair-sets (outside,
   paste, evaluation, right-uniqueness, graphs, maximizer sets).
 - quotients: projector, quotient, compatibility, kernel.
-- enumeration: injections and partitions, each with a constructive
-  recursion and a predicate-filtering oracle.
+- enumeration: injections and partitions by constructive recursion.
 - auctions: single-good second-price mechanisms with the dominance and
   payment-form checks, and combinatorial Vickrey clearing.
+- paper: the paper's set-theoretic formulations (seven of
+  right-uniqueness, the partition predicates and oracle, the allocation
+  space, brute-force welfare), the oracles the fast paths above are
+  checked against; no module above imports it.
 - laws: a registry of executable laws verifying the algebra over small
   finite universes, exhaustively or with seeded sampling.
 - encoding / expressions / cli: the text formats and command line.
@@ -31,7 +34,6 @@ from .values import (
     fset,
     intersection,
     is_subset,
-    is_undefined,
     max_of,
     member,
     min_of,
@@ -49,7 +51,6 @@ from .relations import (
     compose,
     converse,
     domain_of,
-    endpoints,
     eval_rel,
     eval_rel_union,
     graph,
@@ -68,19 +69,15 @@ from .relations import (
 from .quotients import (
     compatible,
     identity_on,
-    is_equivalence,
     kernel,
     projector,
     quotient,
 )
 from .enumeration import (
     all_partitions_list,
-    all_partitions_oracle,
     all_subsets,
     injections_alg,
     injections_oracle,
-    is_partition,
-    is_partition_of,
     partition_as_set,
 )
 from .auctions import (
@@ -92,11 +89,13 @@ from .auctions import (
     dominant_strategy_counterexample,
     first_price_single_good,
     make_instance,
-    possible_allocations,
     second_price_single_good,
     vickrey_payment_form_check,
 )
 from .encoding import parse_value, serialize_value
 from .expressions import evaluate_expression
 from .laws import LAWS, LawConfig, LawReport, run_all, run_law
+from .paper import (
+    all_partitions_oracle, is_equivalence, is_partition, is_partition_of, possible_allocations,
+)
 from .errors import CapExceeded, ParseError, ValidationError

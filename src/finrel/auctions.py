@@ -37,7 +37,6 @@ from .values import (
     pair,
     sym,
     union,
-    _require_set,
     _set_of_sorted,
 )
 from .relations import (
@@ -52,7 +51,7 @@ from .relations import (
     _require_relation,
     _run_of,
 )
-from .enumeration import all_partitions_list, all_subsets, injections_alg
+from .enumeration import all_subsets
 
 CAP_GOODS = 6
 CAP_BIDDERS = 6
@@ -244,12 +243,6 @@ def max_rival_bid(reduced: Value) -> Value:
     return max_of(range_of(reduced))
 
 
-def functional_family(X: Value) -> bool:
-    """True iff every member of X is a right-unique relation."""
-    _require_set(X)
-    return all(is_relation(b) and right_unique(b) for b in X.payload)
-
-
 def reduced_bid_map(i, alloc: Value) -> Value:
     """Send each bid vector b to (domain of b, (b without i, winner flag)).
 
@@ -355,7 +348,7 @@ def make_instance(goods, bidders, triples: Iterable) -> CombinatorialInstance:
     # so a Value freed by the caller cannot pass for a new one.
     good_bundles: set = set()
     table: dict = {}
-    for bidder, bundle, value in triples:
+    for rows, (bidder, bundle, value) in enumerate(triples, 1):
         bidder = canonicalize(bidder)
         bundle = canonicalize(bundle)
         value = canonicalize(value)
@@ -369,13 +362,14 @@ def make_instance(goods, bidders, triples: Iterable) -> CombinatorialInstance:
         if not value.is_num:
             raise ValidationError(f"valuation must be numeric: {value!r}")
         f = value.payload
-        if f < 0:
+        if f.numerator < 0:
             raise ValidationError(f"negative valuation {value!r}")
         if not bundle.payload and f != 0:
             raise ValidationError("the empty bundle must be worth 0")
-        if (bidder, bundle) in table:
-            raise ValidationError(f"duplicate valuation for {bidder!r}, {bundle!r}")
+        # stored first: a duplicate row leaves the table as long as before
         table[(bidder, bundle)] = f
+        if len(table) != rows:
+            raise ValidationError(f"duplicate valuation for {bidder!r}, {bundle!r}")
     return CombinatorialInstance(goods, bidders, table)
 
 
@@ -384,33 +378,6 @@ def _check_caps(goods: Value, bidders: Value):
         raise CapExceeded(f"more than {CAP_GOODS} goods")
     if len(bidders.payload) > CAP_BIDDERS:
         raise CapExceeded(f"more than {CAP_BIDDERS} bidders")
-
-
-def possible_allocations(goods: Value, bidders: Value) -> list[Value]:
-    """Every allocation: an injection from the blocks of some partition of
-    the goods into the bidders.  Deterministic order, no duplicates.
-
-    This is the paper's set-theoretic construction of the allocation
-    space.  Clearing does not walk it (`clear_vickrey` computes over the
-    same space by subset recursion); it stays as the oracle the clearing
-    is tested against."""
-    _require_set(goods, "goods")
-    _require_set(bidders, "bidders")
-    if not goods.payload:
-        raise ValueError("no goods to allocate")
-    _check_caps(goods, bidders)
-    out = []
-    for blocks in all_partitions_list(list(goods.payload)):
-        out.extend(injections_alg(blocks, bidders))
-    return out
-
-
-def won_value(inst: CombinatorialInstance, alloc: Value, bidder: Value) -> Fraction:
-    """The bidder's reported value for the bundles the allocation gives them."""
-    return sum(
-        (inst.value(bidder, p.first) for p in alloc.payload if p.second == bidder),
-        Fraction(0),
-    )
 
 
 def _common_scale(amounts: Iterable[Fraction]) -> tuple[int, Callable]:
@@ -429,7 +396,7 @@ def _common_scale(amounts: Iterable[Fraction]) -> tuple[int, Callable]:
 def clear_vickrey(inst: CombinatorialInstance) -> Outcome:
     """Welfare-maximizing allocation plus exclusion-formula payments.
 
-    The allocation space is the one `possible_allocations` lists: every
+    The allocation space is the one `paper.possible_allocations` lists: every
     good is assigned, in nonempty blocks, to distinct bidders.  The
     chosen allocation maximizes total reported value, ties broken by
     canonical order.  Bidder n pays the best total the others could reach
@@ -579,16 +546,11 @@ def instance_from_obj(obj) -> CombinatorialInstance:
     missing = {"goods", "bidders", "valuations"} - set(obj)
     if missing:
         raise ValidationError(f"instance file is missing {sorted(missing)}")
-    goods = value_from_obj(obj["goods"])
-    bidders = value_from_obj(obj["bidders"])
-    _check_caps(_input_set(goods, "goods"), _input_set(bidders, "bidders"))
-    raw = obj["valuations"]
-    if not isinstance(raw, list):
-        raise ValidationError("valuations must be an array of [bidder, bundle, value]")
     # a row element that is an atom, or an array of atoms, is read once per
     # file: each bidder and bundle repeats in many rows.  An array of atoms
-    # is built from the atoms read already, so each good of the rows is
-    # read once per file.
+    # is built from the atoms read already, and the goods and bidders are
+    # read the same way, so each good is read once per file and the goods
+    # of every bundle are the instance's goods themselves.
     # The exact type test keeps true and 1.0, which are errors, apart from 1.
     read: dict = {}
 
@@ -604,6 +566,12 @@ def instance_from_obj(obj) -> CombinatorialInstance:
             v = read[key] = _from_array(e, value_of) if type(e) is list else value_from_obj(e)
         return v
 
+    goods = value_of(obj["goods"])
+    bidders = value_of(obj["bidders"])
+    _check_caps(_input_set(goods, "goods"), _input_set(bidders, "bidders"))
+    raw = obj["valuations"]
+    if not isinstance(raw, list):
+        raise ValidationError("valuations must be an array of [bidder, bundle, value]")
     triples = []
     for row in raw:
         if not isinstance(row, list) or len(row) != 3:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from contextlib import nullcontext
 
 from . import __version__
 from .errors import CapExceeded, ParseError, ValidationError
@@ -111,18 +112,19 @@ def _cmd_run_combinatorial(args) -> int:
 
 def _cmd_check_laws(args) -> int:
     config = LawConfig(args.profile, args.seed)
-    if args.law:
-        reports = [run_law(args.law, config)]
-    else:
-        reports = run_all(config)
-    lines = [serialize_report(r) for r in reports]
-    for report, line in zip(reports, lines):
-        print(line)
-        print(f"{report.law_id}: {report.elapsed * 1000:.1f} ms", file=sys.stderr)
-        if report.error:
-            print(f"{report.law_id}: the checker raised {report.error}", file=sys.stderr)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
+    # opened before any law runs, so a path that cannot be written fails at once
+    with open(args.report, "w", encoding="utf-8") if args.report else nullcontext() as fh:
+        if args.law:
+            reports = [run_law(args.law, config)]
+        else:
+            reports = run_all(config)
+        lines = [serialize_report(r) for r in reports]
+        for report, line in zip(reports, lines):
+            print(line)
+            print(f"{report.law_id}: {report.elapsed * 1000:.1f} ms", file=sys.stderr)
+            if report.error:
+                print(f"{report.law_id}: the checker raised {report.error}", file=sys.stderr)
+        if fh is not None:
             fh.write("\n".join(lines) + "\n")
     return 0 if all(r.passed for r in reports) else 2
 

@@ -1,9 +1,11 @@
-"""Enumeration of injections and set partitions, each built two ways.
+"""Enumeration of injections and set partitions.
 
-The *_alg functions are the computable route: plain structural recursion
-producing a deterministic list.  The *_oracle functions realize the
-defining predicates directly by filtering candidate families, and exist
-to cross-check the recursions; they are exponential and capped.
+injections_alg and all_partitions_list are the computable route: plain
+structural recursion producing a deterministic list.  The oracles that
+realize the defining predicates by filtering candidate families live in
+finrel.paper, except injections_oracle: the benchmark in perfbench/
+traces it by its path in this module (its survivor ratio), so it stays
+here until that benchmark is re-keyed.  It is exponential and capped.
 
 The partition recursion works by induction on the elements: a partition
 of X + {x} is obtained from a partition P of X either by adding {x} as a
@@ -20,19 +22,15 @@ from itertools import count
 from .errors import CapExceeded
 from .values import (
     Value,
-    big_union,
     canonicalize,
     fset,
-    intersection,
     pair,
-    union,
     _require_set,
     _set_of_sorted,
     _set_plus,
 )
 from .relations import relation
 
-PARTITION_ORACLE_CAP = 6
 INJECTION_ORACLE_CAP = 16  # size of the candidate pair pool
 # `finrel enumerate` lists at most this many partitions or injections:
 # partitions of 10 elements (115,975) pass, partitions of 11 (678,570) and
@@ -145,25 +143,12 @@ def injections_oracle(X: Value, Y: Value) -> Value:
     return fset(survivors)
 
 
-def insert_into_member_list(new_el, blocks: list, target: Value) -> list:
-    """Enlarge one block: target + {new_el} prepended, first occurrence of
-    target removed from the rest.  coarser_partitions_with_list is checked
-    against this definition."""
-    new_el = canonicalize(new_el)
-    target = canonicalize(target)
-    for idx, b in enumerate(blocks):
-        if b == target:
-            enlarged = union(_require_set(target, "target block"), fset([new_el]))
-            return [enlarged] + blocks[:idx] + blocks[idx + 1 :]
-    raise ValueError(f"target block not present: {target!r}")
-
-
 def coarser_partitions_with_list(new_el, blocks: list) -> list[list]:
     """All ways to extend a partition with a fresh element: one new
     singleton block, then one insertion per existing block.
 
     Block i is enlarged by its position, which is what
-    insert_into_member_list(new_el, blocks, blocks[i]) gives for the
+    paper.insert_into_member_list(new_el, blocks, blocks[i]) gives for the
     distinct blocks of a partition without searching for the block."""
     new_el = canonicalize(new_el)
     blocks = list(blocks)
@@ -194,60 +179,3 @@ def all_partitions_list(xs: list) -> list[list]:
 def partition_as_set(blocks: list) -> Value:
     """Forget the block order: the partition as a set of blocks."""
     return fset(blocks)
-
-
-def is_partition(P: Value) -> bool:
-    """True iff the blocks pairwise satisfy: they meet exactly when equal.
-
-    An empty block fails against itself, so partitions contain no empty
-    blocks.
-    """
-    _require_set(P)
-    blocks = P.payload
-    for X in blocks:
-        for Y in blocks:
-            meets = len(intersection(X, Y).payload) > 0
-            if meets != (X == Y):
-                return False
-    return True
-
-
-def is_partition_of(P: Value, A: Value) -> bool:
-    """True iff P is a partition whose blocks union to exactly A."""
-    _require_set(A)
-    return big_union(P) == A and is_partition(P)
-
-
-def all_partitions_oracle(A: Value) -> Value:
-    """All partitions of A, by filtering families of nonempty subsets.
-
-    Mathematically this filters the powerset of the powerset of A with
-    is_partition_of.  Families containing an empty block or two
-    overlapping blocks can never pass the filter, so the enumeration
-    prunes those branches instead of materializing the double powerset;
-    each emitted family still goes through the literal predicate.
-    """
-    _require_set(A)
-    n = len(A.payload)
-    if n > PARTITION_ORACLE_CAP:
-        raise CapExceeded(f"partition oracle over {n} elements (cap {PARTITION_ORACLE_CAP})")
-    subsets = [s for s in all_subsets(A).payload if s.payload]
-    keysets = [frozenset(s.payload) for s in subsets]
-    all_keys = frozenset(A.payload)
-    found = []
-
-    def walk(i: int, used: frozenset, blocks: list):
-        if i == len(subsets):
-            if used == all_keys:
-                family = fset(blocks)
-                if is_partition_of(family, A):
-                    found.append(family)
-            return
-        walk(i + 1, used, blocks)
-        if not (keysets[i] & used):
-            blocks.append(subsets[i])
-            walk(i + 1, used | keysets[i], blocks)
-            blocks.pop()
-
-    walk(0, frozenset(), [])
-    return fset(found)

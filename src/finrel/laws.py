@@ -19,7 +19,6 @@ on the report object but excluded from its canonical serialization.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
@@ -47,7 +46,6 @@ from .values import (
     _set_of_sorted,
 )
 from .relations import (
-    RIGHT_UNIQUE_CHARACTERIZATIONS,
     arg_max_list,
     arg_max_set,
     compose,
@@ -69,7 +67,6 @@ from .quotients import (
     all_partial_equivalences,
     compatible,
     identity_on,
-    is_equivalence,
     kernel,
     projector,
     quotient,
@@ -77,11 +74,9 @@ from .quotients import (
 from .enumeration import (
     _bell,
     all_partitions_list,
-    all_partitions_oracle,
     all_subsets,
     injections_alg,
     injections_oracle,
-    is_partition_of,
     partition_as_set,
 )
 from .auctions import (
@@ -92,13 +87,20 @@ from .auctions import (
     dominant_strategy_check,
     dominant_strategy_counterexample,
     first_price_single_good,
-    functional_family,
     max_rival_bid,
     random_instance,
     reduced_bid_map,
     reduced_price_map,
     second_price_single_good,
     vickrey_payment_form_check,
+)
+from .paper import (
+    RIGHT_UNIQUE_CHARACTERIZATIONS,
+    _oracle_optima,
+    all_partitions_oracle,
+    functional_family,
+    is_equivalence,
+    is_partition_of,
     won_value,
 )
 
@@ -838,37 +840,8 @@ _register(
 )
 
 
-def _oracle_optima(inst: CombinatorialInstance, bidders=None) -> tuple[Fraction, dict]:
-    """Brute-force welfare maximum by assigning each good to a bidder, and
-    each bidder's excluded optimum: the maximum over the assignments that
-    give them nothing (0 when every assignment gives them something).
-
-    `bidders` defaults to all of the instance's.  Independent of the
-    partition/injection enumeration and of clear_vickrey: one walk over
-    the assignment functions scores their preimages, and each bundle set
-    is built once.
-    """
-    goods = inst.goods.payload
-    bidders = tuple(inst.bidders.payload if bidders is None else bidders)
-    bundle = functools.cache(fset)
-    best = Fraction(0)
-    excluded = dict.fromkeys(bidders, Fraction(0))
-    for owners in itertools.product(bidders, repeat=len(goods)):
-        holdings: dict = {}
-        for g, n in zip(goods, owners):
-            holdings.setdefault(n, []).append(g)
-        total = sum(
-            (inst.value(n, bundle(tuple(gs))) for n, gs in holdings.items()), Fraction(0)
-        )
-        best = max(best, total)
-        for n in bidders:
-            if n not in holdings and total > excluded[n]:
-                excluded[n] = total
-    return best, excluded
-
-
 def _oracle_best_value(inst: CombinatorialInstance, bidders: list[Value]) -> Fraction:
-    """Brute-force welfare maximum when only `bidders` take part."""
+    """Brute-force welfare maximum when only `bidders` take part (paper._oracle_optima)."""
     return _oracle_optima(inst, bidders)[0]
 
 

@@ -16,7 +16,6 @@ from .values import (
     fset,
     is_subset,
     pair,
-    union,
     _require_set,
     _set_of_sorted,
     _sort_key,
@@ -26,8 +25,6 @@ from .relations import (
     _views,
     compose,
     converse,
-    domain_of,
-    range_of,
     relation,
     right_unique,
 )
@@ -92,17 +89,6 @@ def kernel(f: Value) -> Value:
     if not right_unique(f):
         raise ValueError("kernel requires a right-unique relation")
     return compose(f, converse(f))
-
-
-def is_equivalence(E: Value, carrier: Value) -> bool:
-    """True iff E is contained in carrier x carrier (its field is within
-    carrier), reflexive on carrier, symmetric and transitive."""
-    return (
-        is_subset(union(domain_of(E), range_of(E)), _require_set(carrier, "carrier"))
-        and is_subset(identity_on(carrier), E)
-        and converse(E) == E
-        and is_subset(compose(E, E), E)
-    )
 
 
 def identity_on(X: Value) -> Value:

@@ -21,9 +21,7 @@ from .values import (
     as_fraction,
     canonicalize,
     fset,
-    is_subset,
     pair,
-    the_elem,
     _require_set,
     _set_of_sorted,
     _sort_key,
@@ -126,10 +124,6 @@ def range_of(R: Value) -> Value:
     return fset(p.second for p in R.payload)
 
 
-def endpoints(R: Value) -> tuple[Value, Value]:
-    return domain_of(R), range_of(R)
-
-
 def image(R: Value, X: Value) -> Value:
     """Image of the set X through R: { y | exists x in X with (x, y) in R }."""
     _require_relation(R)
@@ -219,58 +213,6 @@ def trivial(s: Value) -> bool:
 def right_unique(R: Value) -> bool:
     """True iff no domain point has two images."""
     return all(len(ys) == 1 for ys in _by_first(R).values())
-
-
-# Alternative formulations of right-uniqueness.  All are proven equivalent
-# on finite relations by the law suite.  None of them calls right_unique
-# above, which reads the by-first index, so each checks it from outside.
-
-def _ru_image_of_points_trivial(R: Value) -> bool:
-    return all(trivial(image(R, fset([x]))) for x in domain_of(R).payload)
-
-
-def _ru_pairwise(R: Value) -> bool:
-    return all(p.second == q.second for p in R.payload for q in R.payload if p.first == q.first)
-
-
-def _ru_eval_bounds(R: Value) -> bool:
-    return all(
-        is_subset(image(R, fset([x])), fset([eval_rel(R, x)]))
-        for x in domain_of(R).payload
-    )
-
-
-def _ru_eval_exact_on_domain(R: Value) -> bool:
-    return all(
-        image(R, fset([x])) == fset([eval_rel(R, x)])
-        for x in domain_of(R).payload
-    )
-
-
-def _ru_unique_witness(R: Value) -> bool:
-    counts: dict = {}
-    for p in R.payload:
-        counts[p.first] = counts.get(p.first, 0) + 1
-    return all(c == 1 for c in counts.values())
-
-
-def _ru_canonical_witness(R: Value) -> bool:
-    return all(p.second == the_elem(image(R, fset([p.first]))) for p in R.payload)
-
-
-def _ru_first_injective(R: Value) -> bool:
-    return len({p.first for p in R.payload}) == len(R.payload)
-
-
-RIGHT_UNIQUE_CHARACTERIZATIONS = {
-    "image_of_points_trivial": _ru_image_of_points_trivial,
-    "pairwise": _ru_pairwise,
-    "eval_bounds": _ru_eval_bounds,
-    "eval_exact_on_domain": _ru_eval_exact_on_domain,
-    "unique_witness": _ru_unique_witness,
-    "canonical_witness": _ru_canonical_witness,
-    "first_injective": _ru_first_injective,
-}
 
 
 def eval_rel(R: Value, x) -> Value:

@@ -263,10 +263,6 @@ EMPTY = fset()
 UNDEFINED = sym("⊥")
 
 
-def is_undefined(v: Value) -> bool:
-    return v == UNDEFINED
-
-
 def _require_set(v, what: str = "argument") -> Value:
     if not isinstance(v, Value) or v._key[0] != SET:
         raise TypeError(f"{what} must be a finite set, got {v!r}")

@@ -18,10 +18,11 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Callable, NamedTuple
 
-from finrel import auctions, encoding, enumeration, laws, quotients, relations, values
-from finrel.auctions import CombinatorialInstance, Outcome, make_instance, won_value
-from finrel.enumeration import all_partitions_list, all_subsets, is_partition_of
+from finrel import auctions, encoding, enumeration, paper, quotients, relations, values
+from finrel.auctions import CombinatorialInstance, Outcome, make_instance
+from finrel.enumeration import all_partitions_list, all_subsets
 from finrel.errors import CAP_DEPTH, CapExceeded, ParseError, ValidationError
+from finrel.paper import is_partition_of, won_value
 from finrel.quotients import all_equivalences, all_partial_equivalences
 from finrel.relations import converse, image, paste, relation, right_unique
 from finrel.values import (
@@ -313,7 +314,7 @@ def _reference_clear(inst):
     out (0 when none does)."""
     scored = [
         (sum((inst.value(p.second, p.first) for p in a.payload), Fraction(0)), a)
-        for a in auctions.possible_allocations(inst.goods, inst.bidders)
+        for a in paper.possible_allocations(inst.goods, inst.bidders)
     ]
     best = max(w for w, _ in scored)
     chosen = min(a for w, a in scored if w == best)
@@ -326,7 +327,7 @@ def _reference_clear(inst):
 
 
 def _clears_as_both(inst):
-    return _reference_clear(inst), inst, laws._oracle_optima(inst)
+    return _reference_clear(inst), inst, paper._oracle_optima(inst)
 
 
 def _same_clearing(out, want):
@@ -849,7 +850,7 @@ ROWS = (
                  all_subsets(fset(MIXED + [UNDEFINED])).payload), 512,
         lambda st: _one(_subsets(st, MIXED + [UNDEFINED]))),
     Row("right_unique", right_unique,
-        lambda R: [ru(R) for ru in relations.RIGHT_UNIQUE_CHARACTERIZATIONS.values()],
+        lambda R: [ru(R) for ru in paper.RIGHT_UNIQUE_CHARACTERIZATIONS.values()],
         _product("3x2 relations", RELATIONS_3X2), 64,
         lambda st: _one(_subsets(st, PAIRS)), lambda got, want: set(want) == {got}),
     Row("arg_max_list", relations.arg_max_list,
@@ -871,7 +872,7 @@ ROWS = (
         _product("3x2 functions, partial equivalences on source and target",
                  FUNCTIONS_3X2, all_partial_equivalences(A3), all_partial_equivalences(B2)), 2025,
         lambda st: st.tuples(_subsets(st, PAIRS), _subsets(st, PAIRS), _subsets(st, PAIRS))),
-    Row("is_equivalence", quotients.is_equivalence, lambda E, c: E in _equivalences(c),
+    Row("is_equivalence", paper.is_equivalence, lambda E, c: E in _equivalences(c),
         _product("relations on 3 points, carriers within them",
                  all_subsets(cartesian_product(A3, A3)).payload, all_subsets(A3).payload), 4096,
         lambda st: st.tuples(_subsets(st, ATOMS[:3]), st.integers(0, 9), _subsets(st, PAIRS))
@@ -890,17 +891,17 @@ ROWS = (
                              _subsets(st, MIXED[2:]))),
     Row("coarser_partitions_with_list", enumeration.coarser_partitions_with_list,
         lambda new_el, blocks: [[fset([new_el])] + blocks] + [
-            enumeration.insert_into_member_list(new_el, blocks, b) for b in blocks],
+            paper.insert_into_member_list(new_el, blocks, b) for b in blocks],
         lambda: {"partitions of up to 6 mixed values, extended by the next": [
             (MIXED[n], blocks) for n in range(7) for blocks in all_partitions_list(MIXED[:n])]},
         279, lambda st: st.tuples(st.sampled_from(MIXED), _block_lists(st, MIXED)).map(
             lambda t: (t[0], list(dict.fromkeys(fset(y for y in b if y != t[0]) for b in t[1]))))),
     Row("all_partitions_list", all_partitions_list,
-        lambda xs: enumeration.all_partitions_oracle(fset(xs)),
+        lambda xs: paper.all_partitions_oracle(fset(xs)),
         _product("up to 4 symbols", [[sym(s) for s in "abcd"[:n]] for n in range(5)]), 5,
         lambda st: _one(_arrangements(st, MIXED, 4)),
         _lists_each_partition_once),
-    Row("all_partitions_oracle", enumeration.all_partitions_oracle,
+    Row("all_partitions_oracle", paper.all_partitions_oracle,
         lambda A: fset(P for P in all_subsets(all_subsets(A)).payload if is_partition_of(P, A)),
         _product("up to 3 symbols", [fset(sym(s) for s in "abc"[:n]) for n in range(4)]), 4,
         lambda st: _one(_arrangements(st, MIXED, 2).map(fset))),

@@ -10,19 +10,15 @@ from fractions import Fraction
 
 from finrel.values import V, fset, num
 from finrel.relations import eval_rel, relation, single_paste
-from finrel.enumeration import (
-    all_partitions_oracle,
-    injections_alg,
-    injections_oracle,
-)
+from finrel.enumeration import injections_alg, injections_oracle
 from finrel.auctions import (
     clear_vickrey,
     dominant_strategy_counterexample,
     first_price_single_good,
     make_instance,
-    won_value,
 )
 from finrel.laws import LawConfig, _oracle_best_value, run_law
+from finrel.paper import all_partitions_oracle, won_value
 
 FULL = LawConfig("full", 0)
 

@@ -21,7 +21,6 @@ from finrel.auctions import (
     make_instance,
     max_rival_bid,
     parse_instance,
-    possible_allocations,
     random_instance,
     reduced_bid_map,
     reduced_fee_table,
@@ -29,8 +28,8 @@ from finrel.auctions import (
     second_price_single_good,
     serialize_outcome,
     vickrey_payment_form_check,
-    won_value,
 )
+from finrel.paper import is_partition_of, possible_allocations, won_value
 
 import oracles
 
@@ -201,7 +200,6 @@ def test_possible_allocation_counts():
 
 
 def test_possible_allocations_are_valid():
-    from finrel.enumeration import is_partition_of
     from finrel.relations import converse
 
     goods = V(["g1", "g2", "g3"])

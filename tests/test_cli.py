@@ -320,6 +320,13 @@ def test_check_laws_report_file_deterministic(tmp_path, capsys):
     assert b"witness=" in report_a.read_bytes()
 
 
+def test_check_laws_report_path_fails_before_any_law_runs(tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys, "check-laws", "--report", str(tmp_path / "missing" / "r.txt"))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("i/o error: ")
+
+
 def test_check_laws_unknown_id(capsys):
     with pytest.raises(SystemExit):
         main(["check-laws", "--law", "nonsense"])

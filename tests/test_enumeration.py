@@ -12,11 +12,13 @@ from finrel.enumeration import (
     _perm_exceeds,
     all_coarser_partitions_with_list,
     all_partitions_list,
-    all_partitions_oracle,
     all_subsets,
     coarser_partitions_with_list,
     injections_alg,
     injections_oracle,
+)
+from finrel.paper import (
+    all_partitions_oracle,
     insert_into_member_list,
     is_partition,
     is_partition_of,

@@ -1,12 +1,15 @@
 """Every fast path of the library has a row in oracles.ROWS, and every
 row's sweep agrees with the row's oracle on as many cases as it pins."""
 
+import ast
 import inspect
 import types
+from pathlib import Path
 
 import pytest
 
-from finrel import auctions, encoding, enumeration, quotients, relations, values
+import finrel
+from finrel import auctions, encoding, enumeration, paper, quotients, relations, values
 
 import oracles
 
@@ -32,9 +35,9 @@ def _shortcut_in(fn) -> bool:
     return bool(SHORTCUTS & set(_names(fn.__code__)))
 
 
-def fast_paths() -> list:
+def fast_paths(modules=(values, relations, quotients, enumeration, auctions, encoding)) -> list:
     found = []
-    for module in (values, relations, quotients, enumeration, auctions, encoding):
+    for module in modules:
         for name, fn in vars(module).items():
             if name.startswith("_") or not inspect.isfunction(fn):
                 continue
@@ -62,3 +65,26 @@ def test_every_fast_path_has_a_row_with_its_pinned_sweep():
     counts = {row.name: sum(map(len, row.sweep().values())) for row in oracles.ROWS}
     assert counts == {row.name: row.count for row in oracles.ROWS}
     assert all(counts.values())
+
+
+def test_the_paper_module_holds_no_fast_path():
+    assert fast_paths([paper]) == []
+
+
+def _imported(path: Path):
+    """The modules a source file imports, each with its names appended."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            yield base
+            yield from (f"{base}.{alias.name}".lstrip(".") for alias in node.names)
+
+
+def test_only_the_law_suite_and_the_package_import_the_paper_module():
+    importers = [
+        path.name for path in sorted(Path(finrel.__file__).parent.glob("*.py"))
+        if {"paper", "finrel.paper"} & set(_imported(path))
+    ]
+    assert importers == ["__init__.py", "laws.py"]

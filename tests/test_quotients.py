@@ -19,11 +19,12 @@ from finrel.quotients import (
     all_partial_equivalences,
     compatible,
     identity_on,
-    is_equivalence,
     kernel,
     projector,
     quotient,
 )
+
+from finrel.paper import is_equivalence, is_partition_of
 
 import oracles
 
@@ -127,7 +128,6 @@ def test_equivalence_enumeration_counts():
 
 
 def test_projector_classes_partition_carrier():
-    from finrel.enumeration import is_partition_of
 
     for E in all_equivalences(V([1, 2, 3])):
         classes = range_of(projector(E))

@@ -2,13 +2,11 @@ import pytest
 
 from finrel.values import EMPTY, UNDEFINED, V, fset, num, pair
 from finrel.relations import (
-    RIGHT_UNIQUE_CHARACTERIZATIONS,
     arg_max_list,
     arg_max_set,
     compose,
     converse,
     domain_of,
-    endpoints,
     eval_rel,
     eval_rel_union,
     graph,
@@ -23,15 +21,19 @@ from finrel.relations import (
     to_function,
     trivial,
 )
-from finrel.quotients import compatible, is_equivalence, kernel, projector, quotient
+from finrel.quotients import compatible, kernel, projector, quotient
+from finrel.paper import RIGHT_UNIQUE_CHARACTERIZATIONS, is_equivalence
 
 R_EXAMPLE = relation([(0, 10), (1, 11), (1, 12)])
 
 
-def test_endpoints():
-    assert endpoints(relation([(0, 10), (1, 11)])) == (V([0, 1]), V([10, 11]))
-    assert endpoints(relation()) == (EMPTY, EMPTY)
-    assert endpoints(relation([(1, 1), (1, 2)])) == (V([1]), V([1, 2]))
+def test_domain_and_range():
+    for R, domain, rng in [
+        (relation([(0, 10), (1, 11)]), V([0, 1]), V([10, 11])),
+        (relation(), EMPTY, EMPTY),
+        (relation([(1, 1), (1, 2)]), V([1]), V([1, 2])),
+    ]:
+        assert (domain_of(R), range_of(R)) == (domain, rng)
 
 
 def test_image():
@@ -189,7 +191,6 @@ def test_every_operator_raises_on_a_non_relation_on_every_call():
     calls = {
         "domain_of": lambda: domain_of(bad),
         "range_of": lambda: range_of(bad),
-        "endpoints": lambda: endpoints(bad),
         "image": lambda: image(bad, V([1])),
         "converse": lambda: converse(bad),
         "compose left": lambda: compose(bad, ok),

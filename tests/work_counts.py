@@ -190,10 +190,10 @@ ROWS = (
         "encoding.serialize_value": 7,
         "auctions._input_set": 2}),
     Row("run-combinatorial-6x6-dense", ("run-combinatorial", FILE), _dense_instance(), {
-        "values.fset": 65,
-        "values._set_of_sorted": 73,
+        "values.fset": 64,
+        "values._set_of_sorted": 72,
         "values.pair": 12,
-        "encoding.value_from_obj": 33,
+        "encoding.value_from_obj": 31,
         "encoding.serialize_value": 3,
         "auctions._input_set": 67}),
     Row("check-laws-quick", ("check-laws", "--profile", "quick"), None, {
