@@ -16,7 +16,7 @@ from contextlib import nullcontext
 
 from . import __version__
 from .errors import CapExceeded, ParseError, ValidationError
-from .encoding import parse_value, serialize_value
+from .encoding import parse_value, serialize_elements, serialize_value
 from .expressions import evaluate_expression
 from .enumeration import (
     CAP_ENUMERATE_LINES,
@@ -24,7 +24,6 @@ from .enumeration import (
     _perm_exceeds,
     all_partitions_list,
     injections_alg,
-    partition_as_set,
 )
 from .auctions import (
     _input_set,
@@ -67,8 +66,10 @@ def _cmd_enumerate(args) -> int:
     # or pairs, and each is written once
     table = {}
     if args.kind == "partitions":
+        # xs is in canonical order, so each block list is too: a line is
+        # the text of the partition's set of blocks, with no set built
         for blocks in all_partitions_list(xs):
-            print(serialize_value(partition_as_set(blocks), table))
+            print(serialize_elements(blocks, table))
     else:
         for rel in injections_alg(xs, Y):
             print(serialize_value(rel, table))

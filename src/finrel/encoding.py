@@ -6,10 +6,15 @@ Sets may arrive in any order; output is always canonical order, compact,
 UTF-8, newline-free.  Strings that look like numbers are rejected as
 symbols so that parsing stays unambiguous.
 
-serialize_value writes that text directly, node by node, and is the one
-writer: auctions.serialize_outcome joins its text for the outcome fields.
-value_to_obj is the same encoding as a JSON object tree; it serves only
-as the writer's oracle, through json.dumps in the tests.
+serialize_value writes that text directly, node by node;
+auctions.serialize_outcome joins its text for the outcome fields.  The
+writer's one other entry is its set branch, serialize_elements: the text
+of the set of some listed elements, with no set built, for a caller that
+guarantees them canonical Values, distinct and in canonical order.
+`finrel enumerate` writes each partition so, from the block list that
+all_partitions_list gives for elements in canonical order.  value_to_obj
+is the same encoding as a JSON object tree; it serves only as the
+writer's oracle, through json.dumps in the tests.
 
 Shared text: the writer keeps a table from each part of a value (an
 element of a set, a component of a pair, and so on down) to the text
@@ -147,6 +152,16 @@ def serialize_value(v: Value, table: dict | None = None) -> str:
     return _write(v, {} if table is None else table)
 
 
+def serialize_elements(elems, table: dict) -> str:
+    """Canonical text of the set of elems, without building the set: the
+    caller guarantees that elems are canonical Values, distinct and in
+    canonical order.  Each element's text is read from table and added
+    to it, as serialize_value does with the parts of a value."""
+    if not elems:
+        return '["set"]'
+    return '["set",' + ",".join(_texts(elems, table)) + "]"
+
+
 def _write(v: Value, table: dict) -> str:
     """Compact JSON text of value_to_obj(v), built without the object.
     Each part of v is written once per table (see the module docstring);
@@ -163,15 +178,18 @@ def _write(v: Value, table: dict) -> str:
         return f'"{n.numerator}/{n.denominator}"'
     if kind == SYM:
         return encode_basestring(key[1])
-    payload = v.payload
-    if not payload:
-        return '["set"]'
+    if kind == PAIR:
+        first, second = _texts(v.payload, table)
+        return '["pair",' + first + "," + second + "]"
+    return serialize_elements(v.payload, table)
+
+
+def _texts(parts, table: dict) -> list:
+    """The text of each part, from table or written into it."""
     texts = []
-    for part in payload:  # a pair's payload is its two components
+    for part in parts:
         text = table.get(part)
         if text is None:
             text = table[part] = _write(part, table)
         texts.append(text)
-    if kind == PAIR:
-        return '["pair",' + texts[0] + "," + texts[1] + "]"
-    return '["set",' + ",".join(texts) + "]"
+    return texts

@@ -12,7 +12,10 @@ of X + {x} is obtained from a partition P of X either by adding {x} as a
 fresh block or by inserting x into exactly one existing block of P.
 Partitions are handled as lists of blocks while being built (iteration is
 simpler over lists); converting a finished list to its set of blocks is
-the lossless direction.
+the lossless direction.  `finrel enumerate` prints that set without
+building it: for elements listed in canonical order, every block list
+comes in canonical order, so encoding.serialize_elements writes the set's
+text from the list.
 """
 
 from __future__ import annotations
@@ -169,7 +172,12 @@ def all_coarser_partitions_with_list(new_el, partitions: list[list]) -> list[lis
 
 
 def all_partitions_list(xs: list) -> list[list]:
-    """Every partition of the listed elements, once each, as block lists."""
+    """Every partition of the listed elements, once each, as block lists.
+
+    When xs is in canonical order, each list is in canonical order too,
+    the order of its set of blocks: by induction, xs[0] is less than every
+    element of the tail, so the block that holds it, put first, is less
+    than every other block.  For xs in another order this does not hold."""
     xs = _distinct(xs)
     if not xs:
         return [[]]

@@ -236,6 +236,20 @@ def _lists_each_partition_once(got: list, want):
     return len(listed) == len(want.payload) and fset(listed) == want
 
 
+def _canonical_partitions(xs: list) -> list:
+    """all_partitions_list of xs listed in canonical order, as `finrel
+    enumerate` lists the elements of its set."""
+    return all_partitions_list(list(fset(xs).payload))
+
+
+def _partition_line_sweep():
+    # one text table for the whole sweep, as the command has one for all
+    # its lines
+    table = {}
+    return {"partitions of up to 6 mixed values in canonical order": [
+        (blocks, table) for n in range(7) for blocks in _canonical_partitions(MIXED[:n])]}
+
+
 def _counted_partition_of(P, A):
     blocks = P.payload
     return (
@@ -941,6 +955,12 @@ ROWS = (
             WRITER_ATOMS + [pair(a, b) for a in WRITER_ATOMS for b in WRITER_ATOMS]
             + list(all_subsets(fset(WRITER_ATOMS)).payload))]}, 1134,
         lambda st: _one(writer_values(st) | deep_values(st))),
+    # the text of a partition's set of blocks from its block list: a block
+    # list out of canonical order gives other text than its set
+    Row("serialize_elements", encoding.serialize_elements,
+        lambda blocks, table: encoding.serialize_value(fset(blocks)), _partition_line_sweep, 279,
+        lambda st: st.tuples(_arrangements(st, MIXED, 6).map(_canonical_partitions),
+                             st.integers(0, 202)).map(lambda t: (t[0][t[1] % len(t[0])], {}))),
     Row("serialize_outcome", auctions.serialize_outcome,
         lambda out: _dumped({"allocation": encoding.value_to_obj(out.allocation),
                              "payments": encoding.value_to_obj(out.payments),

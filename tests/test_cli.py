@@ -65,6 +65,8 @@ def test_enumerate_partitions(capsys):
     assert len(lines) == 5
     assert lines[0] == '["set",["set",1],["set",2],["set",3]]'
     assert lines[-1] == '["set",["set",1,2,3]]'
+    # the empty set has one partition, with no block
+    assert run_cli(capsys, "enumerate", "partitions", '["set"]')[1] == '["set"]\n'
 
 
 def test_enumerate_injections(capsys):

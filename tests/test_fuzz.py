@@ -7,7 +7,12 @@ test extra.  The cases are drawn once from a fixed seed and their number
 is pinned.  A random draw reaches no cap, so the inputs aimed at the caps
 are written out, and each of them must exit 3.
 
-Covered so far: `run-single`, `enumerate`, `run-combinatorial` and `eval`.
+Covered: `run-single`, `enumerate`, `run-combinatorial`, `eval` and
+`check-laws`.  The `check-laws` slice has its own assertion, because that
+command fails in other ways: it reads no value and has no cap, so it never
+exits 1 or 3; its arguments are checked by argparse, whose exit 2 comes
+through `SystemExit` with its usage on stderr; and every run that checks
+a law prints that law's timing to stderr.
 """
 
 from __future__ import annotations
@@ -16,9 +21,11 @@ import io
 import random
 import traceback
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 from finrel.cli import main
 from finrel.expressions import OPERATORS
+from finrel.laws import LAWS
 from test_cli import _COMPOSED_KERNELS_60, _KERNEL_400, _QUOTIENT_400
 
 # value texts of every kind: numbers written several ways, the same number
@@ -235,12 +242,59 @@ def eval_cases(directory) -> list:
     return _file_cases(directory, "eval", texts, EVAL_CAPS)
 
 
+# the arguments of check-laws: seeds int() reads, -1 and a 23-digit one
+# among them, and texts it does not; laws and profiles that do not exist
+SEEDS = ["0", "1", "-1", "42", "12345678901234567890123", "1_000", "+7", " 5"]
+BAD_SEEDS = ["x", "1.5", "", "0x10", "1e3", _DIGITS]
+BAD_LAWS = ["no_such_law", "", "BOOLEAN_ALGEBRA", "boolean_algebra "]
+BAD_PROFILES = ["slow", "Quick", ""]
+# the two laws that take most of a full run, about 2.2 s and 0.5 s of 4 s
+# on a 2-core machine; the benchmark runs them, so the slice does not
+SLOW_IN_FULL = {"quotient_factorization", "paste_associative"}
+CHECK_LAWS_RANDOM_CASES = 60
+
+
+def check_laws_cases(directory) -> list:
+    """(argv, outcome) for every case: "ok" when every argument is valid,
+    "usage" when argparse refuses one, "io" when only the report path
+    cannot be opened.  The whole suite runs only under the quick profile,
+    and a full run never checks SLOW_IN_FULL."""
+    rng = random.Random("fuzz: check-laws")
+    cases = []
+    for k in range(CHECK_LAWS_RANDOM_CASES):
+        fields, outcome = {}, "ok"
+        profile = rng.choice(["quick", "quick", "full", None])  # None: left out
+        if profile is not None:
+            fields["profile"] = profile
+        if profile == "full" or rng.random() < 0.85:
+            fields["law"] = rng.choice(
+                sorted(set(LAWS) - SLOW_IN_FULL) if profile == "full" else sorted(LAWS))
+        if rng.random() < 0.8:
+            fields["seed"] = rng.choice(SEEDS)
+        draw = rng.random()
+        if draw < 0.3:
+            fields["report"] = str(directory / f"report-{k}")
+        elif draw < 0.45:  # a directory that is not there, or a directory
+            fields["report"] = str(rng.choice([directory / "missing" / "report", directory]))
+            outcome = "io"
+        if rng.random() < 0.25:
+            name = rng.choice(["law", "profile", "seed"])
+            fields[name] = rng.choice(
+                {"law": BAD_LAWS, "profile": BAD_PROFILES, "seed": BAD_SEEDS}[name])
+            outcome = "usage"
+        argv = ["check-laws"] + [f"--{name}={text}" for name, text in fields.items()]
+        cases.append((argv, outcome))
+    return cases
+
+
 def _run(argv: list) -> tuple:
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
             code = main(argv)
-        except (Exception, SystemExit):
+        except SystemExit as e:  # argparse's exit, the one way out of main but a return
+            code = ("SystemExit", e.code)
+        except Exception:
             code = traceback.format_exc()
     return code, out.getvalue(), err.getvalue()
 
@@ -258,6 +312,36 @@ def _assert_exit_codes(cases: list):
             bad.append((argv, "failure output", err, out))
     assert not bad, bad[:3]
     assert codes == {0, 1, 2, 3}
+
+
+def _check_laws_failure(argv: list, outcome: str, code, out: str, err: str) -> str | None:
+    """What is wrong with a check-laws run, or None."""
+    if outcome == "usage":
+        lines = err.splitlines()
+        if code != ("SystemExit", 2) or out or not (
+                lines and lines[0].startswith("usage: finrel check-laws")
+                and lines[-1].startswith("finrel check-laws: error: ")):
+            return "argparse refusal"
+        return None
+    if outcome == "io":
+        if code != 2 or out or not (err.startswith("i/o error: ") and err.count("\n") == 1):
+            return "report path refusal"
+        return None
+    fields = dict(arg[2:].split("=", 1) for arg in argv[1:])
+    laws = [fields["law"]] if "law" in fields else list(LAWS)
+    # the first five fields of a verdict line; a witness may follow
+    want = [f"profile={fields.get('profile', 'quick')}", f"seed={int(fields.get('seed', '0'))}"]
+    heads, timings = [line.split()[:5] for line in out.splitlines()], err.splitlines()
+    if code != 0 or [head[0] for head in heads] != [f"law={law}" for law in laws]:
+        return "verdict lines"
+    if any(head[1:3] != want or head[4] != "result=pass" for head in heads):
+        return "verdict"
+    if [line.split(":")[0] for line in timings] != laws or not all(
+            line.endswith(" ms") for line in timings):
+        return "timing lines"
+    if "report" in fields and Path(fields["report"]).read_text(encoding="utf-8") != out:
+        return "report file"
+    return None
 
 
 def test_run_single_inputs_end_in_an_exit_code():
@@ -282,3 +366,16 @@ def test_eval_inputs_end_in_an_exit_code(tmp_path):
     cases = eval_cases(tmp_path)
     assert len(cases) == 204
     _assert_exit_codes(cases)
+
+
+def test_check_laws_inputs_end_in_their_outcome(tmp_path):
+    cases = check_laws_cases(tmp_path)
+    assert len(cases) == 60
+    bad, outcomes = [], set()
+    for argv, outcome in cases:
+        outcomes.add(outcome)
+        failure = _check_laws_failure(argv, outcome, *_run(argv))
+        if failure:
+            bad.append((argv, failure))
+    assert not bad, bad[:3]
+    assert outcomes == {"ok", "usage", "io"}

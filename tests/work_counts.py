@@ -158,10 +158,9 @@ ROWS = (
         "relations.compose": 5,
         "encoding.serialize_value": 1}),
     Row("enumerate-partitions", ("enumerate", "partitions", '["set",1,2,3,4,5]'), None, {
-        "values.fset": 53,
-        "values._set_of_sorted": 128,
+        "values.fset": 1,
+        "values._set_of_sorted": 76,
         "encoding.value_from_obj": 1,
-        "encoding.serialize_value": 52,
         "auctions._input_set": 1}),
     Row("enumerate-injections",
         ("enumerate", "injections", '["set",1,2,3]', '["set","a","b","c","d"]'), None, {
