@@ -292,7 +292,7 @@ def _run(argv: list) -> tuple:
     with redirect_stdout(out), redirect_stderr(err):
         try:
             code = main(argv)
-        except SystemExit as e:  # argparse's exit, the one way out of main but a return
+        except SystemExit as e:  # argparse exits on a bad argument; only check-laws expects it
             code = ("SystemExit", e.code)
         except Exception:
             code = traceback.format_exc()
