@@ -231,6 +231,17 @@ def _paste_injections(xs: list, Y) -> list:
     return out
 
 
+def _coarser_by_insertion(new_el, blocks: list) -> list:
+    """{new_el} as a fresh block, then new_el inserted into each block."""
+    return [[fset([new_el])] + blocks] + [
+        paper.insert_into_member_list(new_el, blocks, b) for b in blocks]
+
+
+def _blocks_without(x, blocks: list) -> list:
+    """The distinct blocks left when x is taken out of each."""
+    return list(dict.fromkeys(fset(y for y in b if y != x) for b in blocks))
+
+
 def _lists_each_partition_once(got: list, want):
     listed = [fset(blocks) for blocks in got]
     return len(listed) == len(want.payload) and fset(listed) == want
@@ -904,12 +915,19 @@ ROWS = (
         lambda st: st.tuples(_arrangements(st, MIXED, 3),
                              _subsets(st, MIXED[2:]))),
     Row("coarser_partitions_with_list", enumeration.coarser_partitions_with_list,
-        lambda new_el, blocks: [[fset([new_el])] + blocks] + [
-            paper.insert_into_member_list(new_el, blocks, b) for b in blocks],
+        _coarser_by_insertion,
         lambda: {"partitions of up to 6 mixed values, extended by the next": [
             (MIXED[n], blocks) for n in range(7) for blocks in all_partitions_list(MIXED[:n])]},
         279, lambda st: st.tuples(st.sampled_from(MIXED), _block_lists(st, MIXED)).map(
-            lambda t: (t[0], list(dict.fromkeys(fset(y for y in b if y != t[0]) for b in t[1]))))),
+            lambda t: (t[0], _blocks_without(t[0], t[1])))),
+    # one table of enlarged blocks for all the partitions of a family
+    Row("all_coarser_partitions_with_list", enumeration.all_coarser_partitions_with_list,
+        lambda new_el, partitions: [
+            q for blocks in partitions for q in _coarser_by_insertion(new_el, blocks)],
+        lambda: {"partition families of up to 5 mixed values, extended by the next": [
+            (MIXED[n], all_partitions_list(MIXED[:n])) for n in range(6)]}, 6,
+        lambda st: st.tuples(st.sampled_from(MIXED), st.lists(_block_lists(st, MIXED), max_size=4))
+        .map(lambda t: (t[0], [_blocks_without(t[0], blocks) for blocks in t[1]]))),
     Row("all_partitions_list", all_partitions_list,
         lambda xs: paper.all_partitions_oracle(fset(xs)),
         _product("up to 4 symbols", [[sym(s) for s in "abcd"[:n]] for n in range(5)]), 5,

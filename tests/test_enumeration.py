@@ -114,6 +114,38 @@ def test_all_coarser_partitions_concats():
     assert out == coarser_partitions_with_list(V(3), ps[0]) + coarser_partitions_with_list(
         V(3), ps[1]
     )
+    assert all_coarser_partitions_with_list("not read", []) == []
+
+
+# each bad block comes after a valid block that is already in the table of
+# enlarged blocks: the partition before it, or the same partition, has it
+@pytest.mark.parametrize(
+    "bad", [[1, 3], 3, (1, 3), pair(1, 3)], ids=["list", "int", "tuple", "pair"]
+)
+def test_a_block_that_is_not_a_set_is_refused_as_before(bad):
+    message = f"block must be a finite set, got {bad!r}"
+    with pytest.raises(TypeError) as raised:
+        coarser_partitions_with_list(V(2), [V([1]), bad])
+    assert str(raised.value) == message
+    with pytest.raises(TypeError) as raised:
+        all_coarser_partitions_with_list(V(2), [[V([1])], [V([1]), bad]])
+    assert str(raised.value) == message
+
+
+def test_a_block_that_holds_the_new_element_is_refused_as_before():
+    message = "element already present: 2"
+    for blocks in ([V([1]), V([2, 3])], [EMPTY, V([1]), V([2])]):
+        with pytest.raises(ValueError, match=message):
+            coarser_partitions_with_list(V(2), blocks)
+        with pytest.raises(ValueError, match=message):
+            all_coarser_partitions_with_list(V(2), [[V([1])], blocks])
+
+
+@pytest.mark.parametrize("n, distinct", [(6, 63), (9, 511)])
+def test_each_distinct_block_is_built_once(n, distinct):
+    # equal blocks are one object, however the hash seed orders the table
+    blocks = [b for p in all_partitions_list(list(range(n))) for b in p]
+    assert len(set(blocks)) == len({id(b) for b in blocks}) == distinct
 
 
 def test_all_partitions_list_examples():

@@ -159,7 +159,7 @@ ROWS = (
         "encoding.serialize_value": 1}),
     Row("enumerate-partitions", ("enumerate", "partitions", '["set",1,2,3,4,5]'), None, {
         "values.fset": 1,
-        "values._set_of_sorted": 76,
+        "values._set_of_sorted": 32,
         "encoding.value_from_obj": 1,
         "auctions._input_set": 1}),
     Row("enumerate-injections",
@@ -197,7 +197,7 @@ ROWS = (
         "auctions._input_set": 67}),
     Row("check-laws-quick", ("check-laws", "--profile", "quick"), None, {
         "values.fset": 16_505,
-        "values._set_of_sorted": 62_720,
+        "values._set_of_sorted": 62_708,
         "values.pair": 20_320,
         "relations.eval_rel": 2_767,
         "relations.compose": 5_849,
