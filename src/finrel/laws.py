@@ -12,7 +12,11 @@ establishes).
 A case is a plain tuple of Values and the checker takes them as its
 arguments, so a reported counterexample replays as
 ``LAWS[law_id].check(*report.counterexample)``.  Only the report packs a
-case into one Value (right-nested pairs) to print it.  Reports are
+case into one Value (right-nested pairs) to print it.  A law may also
+name a factory that makes a checker for one run, so that the run reuses
+work shared by consecutive cases; the checker lives only as long as its
+run, gives every case the verdict ``check`` gives it, and a counterexample
+still replays through the stateless ``check``.  Reports are
 byte-deterministic for a fixed (law, profile, seed); elapsed time is kept
 on the report object but excluded from its canonical serialization.
 """
@@ -131,6 +135,9 @@ class Law:
     kind: str  # "forall" or "exists"
     cases: Callable[[LawConfig], Iterable[tuple[Value, ...]]]
     check: Callable[..., bool]  # takes the Values of one case
+    # makes the checker for one run, which agrees with check on every case
+    # and may reuse work between the run's cases; None: the run uses check
+    checker: Callable[[], Callable[..., bool]] | None = None
 
 
 @dataclass
@@ -148,8 +155,8 @@ class LawReport:
 LAWS: dict[str, Law] = {}
 
 
-def _register(law_id, statement, cases, check, kind="forall"):
-    LAWS[law_id] = Law(law_id, statement, kind, cases, check)
+def _register(law_id, statement, cases, check, kind="forall", checker=None):
+    LAWS[law_id] = Law(law_id, statement, kind, cases, check, checker)
 
 
 def run_law(law_id: str, config: LawConfig = LawConfig()) -> LawReport:
@@ -157,13 +164,14 @@ def run_law(law_id: str, config: LawConfig = LawConfig()) -> LawReport:
         raise ValidationError(f"unknown law {law_id!r}")
     law = LAWS[law_id]
     start = time.perf_counter()
+    check = law.check if law.checker is None else law.checker()
     count = 0
     found: tuple[Value, ...] | None = None
     error = None
     for case in law.cases(config):
         count += 1
         try:
-            ok = law.check(*case)
+            ok = check(*case)
         except Exception as exc:  # a checker that raises fails its law on that case
             found, error = case, f"{type(exc).__name__}: {exc}"
             break
@@ -588,9 +596,27 @@ def _factorization_cases(config):
                 yield (r, p, q)
 
 
+def _factorization_checker():
+    """A checker for one run: it keeps the last lifted relation
+    compose(converse(projector(p)), r), matched by the identity of r and
+    p, which it holds so that neither id can be reused while the entry
+    lives.  The cases come r-outer, then p, then q, so the lift is built
+    once per (r, p) and not once per q."""
+    last = (None, None, None)  # r, p, their lift
+
+    def check(r, p, q):
+        nonlocal last
+        last_r, last_p, lifted = last
+        if r is not last_r or p is not last_p:
+            lifted = compose(converse(projector(p)), r)
+            last = (r, p, lifted)
+        return quotient(r, p, q) == compose(lifted, projector(q))
+
+    return check
+
+
 def _factorization_check(r, p, q):
-    composed = compose(compose(converse(projector(p)), r), projector(q))
-    return quotient(r, p, q) == composed
+    return _factorization_checker()(r, p, q)
 
 
 _register(
@@ -599,6 +625,7 @@ _register(
     "projector composed, for relations over a square universe",
     _factorization_cases,
     _factorization_check,
+    checker=_factorization_checker,
 )
 
 

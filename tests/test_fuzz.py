@@ -248,7 +248,7 @@ SEEDS = ["0", "1", "-1", "42", "12345678901234567890123", "1_000", "+7", " 5"]
 BAD_SEEDS = ["x", "1.5", "", "0x10", "1e3", _DIGITS]
 BAD_LAWS = ["no_such_law", "", "BOOLEAN_ALGEBRA", "boolean_algebra "]
 BAD_PROFILES = ["slow", "Quick", ""]
-# the two laws that take most of a full run, about 2.2 s and 0.5 s of 4 s
+# the two laws that take most of a full run, about 1.8 s and 0.55 s of 3.3 s
 # on a 2-core machine; the benchmark runs them, so the slice does not
 SLOW_IN_FULL = {"quotient_factorization", "paste_associative"}
 CHECK_LAWS_RANDOM_CASES = 60

@@ -1,7 +1,11 @@
 import itertools
+import sys
+import threading
 
 import pytest
 
+import work_counts
+from finrel.encoding import parse_value, serialize_value
 from finrel.errors import ValidationError
 from finrel.values import V, Value, fset
 from finrel.laws import (
@@ -169,3 +173,104 @@ def test_random_law_cases_are_the_sets_fset_builds(law_id):
     for case in itertools.islice(cases(full), exhaustive, exhaustive + 500):
         for R in case:
             _assert_canonical(R)
+
+
+def _reparsed(v):
+    """A Value equal to v that is a distinct object."""
+    copy = parse_value(serialize_value(v))
+    assert copy == v and copy is not v
+    return copy
+
+
+def test_factorization_checker_agrees_with_check_in_generator_order():
+    law = LAWS["quotient_factorization"]
+    check = law.checker()
+    cases = list(law.cases(QUICK))
+    assert [check(*case) for case in cases] == [law.check(*case) for case in cases]
+
+
+def test_factorization_checker_never_reuses_a_stale_lift():
+    law = LAWS["quotient_factorization"]
+    cases = list(law.cases(QUICK))
+    position = {q: k for k, q in enumerate(dict.fromkeys(q for _, _, q in cases))}
+    # q outer: (r, p) changes on every case
+    reordered = sorted(cases, key=lambda case: position[case[2]])
+
+    def interleaved():
+        for r, p, q in reordered:
+            yield r, p, q
+            # an equal r that is a distinct object, between two cases of
+            # the same p; each copy is freed after its case, so a later
+            # copy of another relation may get its id
+            yield _reparsed(r), p, q
+
+    check = law.checker()
+    with work_counts.counting() as counts:
+        verdicts = [(check(*case), law.check(*case)) for case in interleaved()]
+    assert len(verdicts) == 2 * len(cases)
+    assert all(mine == stateless for mine, stateless in verdicts)
+    # (r, p) is new by identity on every case, so each case lifts again:
+    # two composes for the checker and two for the stateless check
+    assert counts["relations.compose"] == 4 * len(verdicts)
+
+
+def test_factorization_checker_holds_its_entry_until_the_next_lift():
+    # the entry keeps r alive, so no later relation can take its id while
+    # the lift is kept; the next lift lets it go
+    cases = list(LAWS["quotient_factorization"].cases(QUICK))
+    (r, p, q), other = cases[100], cases[200][0]
+    assert r != other
+    r = _reparsed(r)
+    check = LAWS["quotient_factorization"].checker()
+    before = sys.getrefcount(r)
+    assert check(r, p, q)
+    assert sys.getrefcount(r) == before + 1
+    assert check(other, p, q)
+    assert sys.getrefcount(r) == before
+
+
+def test_factorization_lifts_each_relation_and_p_once_per_run():
+    with work_counts.counting() as counts:
+        report = run_law("quotient_factorization", QUICK)
+    assert report.passed and report.cases == 400
+    # 80 lifts, one per (r, p), and one compose per case; two per case
+    # without the reuse would be 800
+    assert counts["relations.compose"] == 80 + 400
+
+
+def test_factorization_runs_in_two_threads_at_once():
+    barrier = threading.Barrier(2, timeout=10)
+    reports = [None, None]
+
+    def run(k):
+        barrier.wait()
+        reports[k] = run_law("quotient_factorization", QUICK)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often enough to interleave the runs
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert [(r.passed, r.cases) for r in reports] == [(True, 400), (True, 400)]
+
+
+def test_factorization_reuse_still_catches_a_wrong_quotient(monkeypatch):
+    import finrel.laws as laws_mod
+    from finrel.quotients import quotient
+
+    def dropping_last(r, p, q):
+        out = quotient(r, p, q)
+        return fset(out.payload[:-1]) if out.payload else out
+
+    monkeypatch.setattr(laws_mod, "quotient", dropping_last)
+    law = LAWS["quotient_factorization"]
+    first_failing = next(case for case in law.cases(QUICK) if not law.check(*case))
+    report = run_law("quotient_factorization", QUICK)
+    assert not report.passed and report.error is None
+    assert report.counterexample == first_failing
+    assert law.check(*report.counterexample) is False

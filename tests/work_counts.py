@@ -11,6 +11,11 @@ by how much.  A change that does more work fails `tests/test_work_counts.py`
 until it raises the pin, and its CHANGES.md line says why.
 
 `measure` needs no pytest, so a script can run a row under any Python.
+Run as a script, this module measures the named rows, or every row, and
+prints each counted function's calls next to its pin, marking the ones
+that differ, so a change that moves the work reads its new pins off it:
+
+    PYTHONPATH=src python3 tests/work_counts.py [ROW ...]
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import itertools
 import json
 import random
 import sys
+import tempfile
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 from typing import NamedTuple
@@ -197,11 +203,38 @@ ROWS = (
         "auctions._input_set": 67}),
     Row("check-laws-quick", ("check-laws", "--profile", "quick"), None, {
         "values.fset": 16_505,
-        "values._set_of_sorted": 62_708,
-        "values.pair": 20_320,
+        "values._set_of_sorted": 62_388,
+        "values.pair": 19_968,
         "relations.eval_rel": 2_767,
-        "relations.compose": 5_849,
+        "relations.compose": 5_529,
         "relations.domain_of": 6_081,
         "relations.single_paste": 13,
         "auctions._input_set": 658}),
 )
+
+
+def main(names) -> int:
+    """Print measured calls against pins for the named rows (all when
+    none are named); exit 1 when any differs, 2 on an unknown row."""
+    by_name = {row.name: row for row in ROWS}
+    unknown = [name for name in names if name not in by_name]
+    if unknown:
+        print(f"unknown row: {', '.join(unknown)}; rows: {', '.join(by_name)}", file=sys.stderr)
+        return 2
+    differs = False
+    for name in names or by_name:
+        row = by_name[name]
+        with tempfile.TemporaryDirectory() as directory:
+            measured = measure(row, directory)
+        print(row.name)
+        for fn in COUNTED:
+            calls, pin = measured.get(fn, 0), row.pins.get(fn, 0)
+            if calls or pin:
+                mark = "" if calls == pin else f"  differs by {calls - pin:+,}"
+                differs = differs or bool(mark)
+                print(f"  {fn:28} {calls:>10,} pin {pin:>10,}{mark}")
+    return 1 if differs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
