@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .encoding import _from_array, _load_json, serialize_value, value_from_obj
-from .errors import CapExceeded, ValidationError
+from .encoding import _load_json, _read, serialize_value
+from .errors import CAP_DEPTH, CapExceeded, ValidationError
 from .values import (
     NUM,
     Value,
@@ -546,37 +546,26 @@ def instance_from_obj(obj) -> CombinatorialInstance:
     missing = {"goods", "bidders", "valuations"} - set(obj)
     if missing:
         raise ValidationError(f"instance file is missing {sorted(missing)}")
-    # a row element that is an atom, or an array of atoms, is read once per
-    # file: each bidder and bundle repeats in many rows.  An array of atoms
-    # is built from the atoms read already, and the goods and bidders are
-    # read the same way, so each good is read once per file and the goods
-    # of every bundle are the instance's goods themselves.
-    # The exact type test keeps true and 1.0, which are errors, apart from 1.
-    read: dict = {}
-
-    def value_of(e) -> Value:
-        if type(e) is str or type(e) is int:
-            key = e
-        elif type(e) is list and all(type(x) is str or type(x) is int for x in e):
-            key = tuple(e)
-        else:
-            return value_from_obj(e)
-        v = read.get(key)
-        if v is None:
-            v = read[key] = _from_array(e, value_of) if type(e) is list else value_from_obj(e)
-        return v
-
-    goods = value_of(obj["goods"])
-    bidders = value_of(obj["bidders"])
+    # one memo for the file: a row element that is an atom, or an array of
+    # atoms, is read once per file, since each bidder and bundle repeats in
+    # many rows, and the goods of every bundle are the instance's goods
+    # themselves.  The object is one level, so the goods and bidders have
+    # one level less room, and a row element three.
+    what, memo = "instance file", {}
+    goods = _read(obj["goods"], CAP_DEPTH - 1, what, memo)
+    bidders = _read(obj["bidders"], CAP_DEPTH - 1, what, memo)
     _check_caps(_input_set(goods, "goods"), _input_set(bidders, "bidders"))
     raw = obj["valuations"]
     if not isinstance(raw, list):
         raise ValidationError("valuations must be an array of [bidder, bundle, value]")
+    room = CAP_DEPTH - 3
     triples = []
     for row in raw:
         if not isinstance(row, list) or len(row) != 3:
             raise ValidationError(f"bad valuation row: {row!r}")
-        triples.append((value_of(row[0]), value_of(row[1]), value_of(row[2])))
+        bidder, bundle, value = row
+        triples.append((_read(bidder, room, what, memo), _read(bundle, room, what, memo),
+                        _read(value, room, what, memo)))
     return make_instance(goods, bidders, triples)
 
 

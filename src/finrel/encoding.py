@@ -6,6 +6,10 @@ Sets may arrive in any order; output is always canonical order, compact,
 UTF-8, newline-free.  Strings that look like numbers are rejected as
 symbols so that parsing stays unambiguous.
 
+_read is the one reader from decoded JSON to Values.  Its depth cap
+applies to every value read, counted from the document root by the room
+each caller gives; what is never read is bounded by the JSON decoder.
+
 serialize_value writes that text directly, node by node;
 auctions.serialize_outcome joins its text for the outcome fields.  The
 writer's one other entry is its set branch, serialize_elements: the text
@@ -56,10 +60,35 @@ def _read_int(digits: str) -> int:
 def value_from_obj(obj) -> Value:
     """Canonical Value from a decoded JSON object, at most CAP_DEPTH
     arrays deep."""
-    return _from_obj(obj, CAP_DEPTH)
+    return _read(obj, CAP_DEPTH, "value")
 
 
-def _from_obj(obj, room: int) -> Value:
+def _read(obj, room: int, what: str, memo: dict | None = None) -> Value:
+    """obj read with room array levels left; an array with none left
+    refuses the input, named what, as nested too deep.  With a memo, one
+    per document, each str or int atom and each array of such atoms is
+    built once; the exact type test keeps true and 1.0 apart from 1.  The
+    room is checked first, so a memoized array is refused where it is
+    too deep."""
+    kind = type(obj)
+    if kind is list and room == 0:
+        raise CapExceeded(f"{what} nested deeper than {CAP_DEPTH} levels")
+    if memo is None:
+        return _build(obj, room, what, None)
+    if kind is str or kind is int:
+        key = obj
+    elif kind is list and all(type(x) is str or type(x) is int for x in obj):
+        key = tuple(obj)
+    else:
+        return _build(obj, room, what, memo)
+    v = memo.get(key)
+    if v is None:
+        v = memo[key] = _build(obj, room, what, memo)
+    return v
+
+
+def _build(obj, room: int, what: str, memo: dict | None) -> Value:
+    """The Value obj stands for, its components read one level down."""
     if isinstance(obj, bool):
         raise ValidationError("booleans are not values")
     if isinstance(obj, int):
@@ -78,26 +107,18 @@ def _from_obj(obj, room: int) -> Value:
             return sym(obj)
         except (TypeError, ValueError) as e:
             raise ValidationError(str(e)) from None
-    if isinstance(obj, list):
-        if room == 0:
-            raise CapExceeded(f"value nested deeper than {CAP_DEPTH} levels")
-        return _from_array(obj, lambda e: _from_obj(e, room - 1))
-    raise ValidationError(f"cannot read {obj!r} as a value")
-
-
-def _from_array(obj: list, read) -> Value:
-    """The set or pair a tagged array stands for, each component read by
-    read: the one rule for arrays, also for readers that share the values
-    of components met before (auctions.instance_from_obj)."""
+    if not isinstance(obj, list):
+        raise ValidationError(f"cannot read {obj!r} as a value")
     if not obj:
         raise ValidationError('untagged array; expected ["set", ...] or ["pair", a, b]')
     tag, rest = obj[0], obj[1:]
+    room -= 1
     if tag == "pair":
         if len(rest) != 2:
             raise ValidationError(f"pair needs exactly 2 components, got {len(rest)}")
-        return pair(read(rest[0]), read(rest[1]))
+        return pair(_read(rest[0], room, what, memo), _read(rest[1], room, what, memo))
     if tag == "set":
-        return fset(read(e) for e in rest)
+        return fset(_read(e, room, what, memo) for e in rest)
     raise ValidationError(f"unknown tag {tag!r}; expected \"set\" or \"pair\"")
 
 
@@ -116,9 +137,10 @@ def value_to_obj(v: Value):
 
 def _load_json(text: str, what: str):
     """Decoded JSON text.  Bad syntax is a ParseError; nesting deeper than
-    CAP_DEPTH and integers past Python's digit limit are CapExceeded."""
+    the decoder can recurse and integers past Python's digit limit are
+    CapExceeded.  _read caps the depth of what it reads."""
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"bad {what} at position {e.pos}: {e.msg}") from None
     except RecursionError:
@@ -127,21 +149,10 @@ def _load_json(text: str, what: str):
         raise CapExceeded(
             f"{what} has a number longer than {sys.get_int_max_str_digits()} digits"
         ) from None
-    if isinstance(obj, (list, dict)):
-        _check_depth(obj, CAP_DEPTH - 1, what)
-    return obj
-
-
-def _check_depth(node, room: int, what: str) -> None:
-    for child in node.values() if isinstance(node, dict) else node:
-        if isinstance(child, (list, dict)):
-            if room == 0:
-                raise CapExceeded(f"{what} nested deeper than {CAP_DEPTH} levels")
-            _check_depth(child, room - 1, what)
 
 
 def parse_value(text: str) -> Value:
-    return value_from_obj(_load_json(text, "value text"))
+    return _read(_load_json(text, "value text"), CAP_DEPTH, "value text")
 
 
 def serialize_value(v: Value, table: dict | None = None) -> str:

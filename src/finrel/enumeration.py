@@ -151,31 +151,6 @@ def injections_oracle(X: Value, Y: Value) -> Value:
     return fset(survivors)
 
 
-def _plus_table(new_el: Value) -> dict:
-    """The table one call builds its blocks from: each block met in the
-    call maps to that block + {new_el}.  It starts with the empty set,
-    whose entry is the fresh singleton {new_el}."""
-    return {EMPTY: _set_of_sorted((new_el,))}
-
-
-def _extend_coarser(out: list, new_el: Value, blocks, plus: dict) -> None:
-    """Append to out the partitions coarser_partitions_with_list gives,
-    each enlarged block taken from plus, or built and checked once when
-    the block is met for the first time."""
-    blocks = list(blocks)
-    out.append([plus[EMPTY]] + blocks)
-    for i, b in enumerate(blocks):
-        # a raw block may be unhashable, and only sets are keys: a block
-        # that is not a set misses and is refused below
-        enlarged = plus.get(b) if type(b) is Value else None
-        if enlarged is None:
-            enlarged = _set_plus(_require_set(b, "block"), new_el)
-            if enlarged is b:  # _set_plus returns b itself when new_el is in it
-                raise ValueError(f"element already present: {new_el!r}")
-            plus[b] = enlarged
-        out.append([enlarged] + blocks[:i] + blocks[i + 1 :])
-
-
 def coarser_partitions_with_list(new_el, blocks: list) -> list[list]:
     """All ways to extend a partition with a fresh element: one new
     singleton block, then one insertion per existing block.
@@ -183,25 +158,35 @@ def coarser_partitions_with_list(new_el, blocks: list) -> list[list]:
     Block i is enlarged by its position, which is what
     paper.insert_into_member_list(new_el, blocks, blocks[i]) gives for the
     distinct blocks of a partition without searching for the block."""
-    new_el = canonicalize(new_el)
-    out = []
-    _extend_coarser(out, new_el, blocks, _plus_table(new_el))
-    return out
+    return all_coarser_partitions_with_list(new_el, [blocks])
 
 
 def all_coarser_partitions_with_list(new_el, partitions: list[list]) -> list[list]:
     """coarser_partitions_with_list of each partition in turn, concatenated.
 
     Equal blocks of the input give one enlarged block, built once, and
-    every output partition shares the one singleton {new_el}.  new_el is
-    read at the first partition, so no partitions give [] whatever it is."""
+    every output partition shares the one singleton {new_el}: the table
+    plus maps each block met to that block + {new_el}, starting with the
+    empty set, whose entry is the singleton.  new_el is read at the first
+    partition, so no partitions give [] whatever it is."""
     out = []
     plus = None
-    for p in partitions:
+    for blocks in partitions:
         if plus is None:
             new_el = canonicalize(new_el)
-            plus = _plus_table(new_el)
-        _extend_coarser(out, new_el, p, plus)
+            plus = {EMPTY: _set_of_sorted((new_el,))}
+        blocks = list(blocks)
+        out.append([plus[EMPTY]] + blocks)
+        for i, b in enumerate(blocks):
+            # a raw block may be unhashable, and only sets are keys: a block
+            # that is not a set misses and is refused below
+            enlarged = plus.get(b) if type(b) is Value else None
+            if enlarged is None:
+                enlarged = _set_plus(_require_set(b, "block"), new_el)
+                if enlarged is b:  # _set_plus returns b itself when new_el is in it
+                    raise ValueError(f"element already present: {new_el!r}")
+                plus[b] = enlarged
+            out.append([enlarged] + blocks[:i] + blocks[i + 1 :])
     return out
 
 

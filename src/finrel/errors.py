@@ -10,8 +10,9 @@ sees is a bug and surfaces as one.
 """
 
 # Levels of nesting (JSON arrays and objects, expression brackets and
-# calls) that any input may have; deeper input raises CapExceeded before
-# it can exhaust the interpreter's recursion limit.
+# calls) that any value read from input may have, counted from the top of
+# its document; a deeper one raises CapExceeded before it can exhaust the
+# interpreter's recursion limit.
 CAP_DEPTH = 100
 
 

@@ -145,6 +145,14 @@ def _instance_text(rows, goods=("g1", "g2"), bidders=(1, 2)) -> str:
     )
 
 
+def _nested(depth: int):
+    """The set of the set ... of "g1", depth arrays deep."""
+    node = "g1"
+    for _ in range(depth):
+        node = ["set", node]
+    return node
+
+
 def _product(name: str, *axes) -> Callable[[], dict]:
     return lambda: {name: list(product(*axes))}
 
@@ -365,18 +373,33 @@ def _same_clearing(out, want):
     }
 
 
+def _depth(node) -> int:
+    """Levels of arrays in a decoded JSON node."""
+    return 1 + max(map(_depth, node), default=0) if isinstance(node, list) else 0
+
+
+def _read_part(node, above: int):
+    """value_from_obj of a part that is `above` levels below the document
+    root, refused first when that puts an array past CAP_DEPTH levels."""
+    if above + _depth(node) > CAP_DEPTH:
+        raise CapExceeded(f"instance file nested deeper than {CAP_DEPTH} levels")
+    return encoding.value_from_obj(node)
+
+
 def _read_row_by_row(text):
-    """parse_instance with no memo: value_from_obj on every element of
-    every row, then each row checked as make_instance reads, with member."""
+    """parse_instance with no memo: value_from_obj on the goods, the
+    bidders and every element of every row, each with its depth counted
+    from the document root, then each row checked as make_instance reads,
+    with member."""
     obj = encoding._load_json(text, "instance file")
-    goods = encoding.value_from_obj(obj["goods"])
-    bidders = encoding.value_from_obj(obj["bidders"])
+    goods = _read_part(obj["goods"], 1)
+    bidders = _read_part(obj["bidders"], 1)
     auctions._check_caps(auctions._input_set(goods, "goods"), auctions._input_set(bidders, "bidders"))
     rows = []
     for row in obj["valuations"]:
         if not isinstance(row, list) or len(row) != 3:
             raise ValidationError(f"bad valuation row: {row!r}")
-        rows.append([encoding.value_from_obj(e) for e in row])
+        rows.append([_read_part(e, 3) for e in row])
     if not goods.payload:
         raise ValidationError("no goods")
     if not bidders.payload:
@@ -546,6 +569,16 @@ def _instance_file_sweep():
         # written again, or written another way, meets the first one's check
         "rows that share a bundle or an amount": [
             (_instance_text(rows),) for rows in SHARED_PART_ROWS],
+        # the object is one level, the goods or bidders set a second and a
+        # row element's array the fourth: each read part at the depth cap
+        # (refused as no atom or not within the goods) and one past it, and
+        # a row element whose innermost array an earlier row names
+        "read parts at and past the depth cap": [
+            (text,) for depth in (CAP_DEPTH, CAP_DEPTH + 1) for text in (
+                _instance_text([], (_nested(depth - 2),)),
+                _instance_text([], ("g1",), (_nested(depth - 2),)),
+                _instance_text([[1, _nested(depth - 3), 1]]),
+                _instance_text([[1, _nested(1), 1], [2, _nested(depth - 3), 1]]))],
     }
 
 
@@ -959,7 +992,7 @@ ROWS = (
         errors=(ValueError,)),
     Row("clear_vickrey", auctions.clear_vickrey, _clears_as_both, _clearing_sweep, 76,
         lambda st: _one(small_instances(st)), _same_clearing),
-    Row("parse_instance", auctions.parse_instance, _read_row_by_row, _instance_file_sweep, 624,
+    Row("parse_instance", auctions.parse_instance, _read_row_by_row, _instance_file_sweep, 632,
         lambda st: st.lists(st.sampled_from(INSTANCE_ROWS), max_size=4).map(
             lambda rows: (_instance_text(rows),)),
         errors=(ParseError, ValidationError, CapExceeded)),

@@ -12,6 +12,7 @@ import pytest
 import finrel
 from finrel.cli import main
 from finrel.enumeration import CAP_ENUMERATE_LINES, _bell
+from finrel.errors import CAP_DEPTH
 from finrel.laws import LAWS
 
 WORKED_INSTANCE = {
@@ -185,8 +186,26 @@ def _nested_set(depth: int, inner: str = "1") -> str:
     return '["set",' * depth + inner + "]" * depth
 
 
+def _nested(depth: int):
+    return json.loads(_nested_set(depth, '"g1"'))
+
+
 # the object around the goods is one level, so the document is 101 deep
-_DEEP_DOC = dict(WORKED_INSTANCE, goods=json.loads(_nested_set(100, '"g1"')))
+_DEEP_DOC = dict(WORKED_INSTANCE, goods=_nested(100))
+# a document as deep as the cap, and one level deeper, through each read
+# part: the goods or bidders set is the second level, below the object,
+# and a row element the fourth, below the valuations and the row.  At the
+# cap the part is only no atom, or a bundle not within the goods.
+_DEEP_PARTS = {
+    f"{part}-{where}-cap": (dict(WORKED_INSTANCE, **{field: make(depth)}), code)
+    for where, depth, code in (("at", CAP_DEPTH, 2), ("past", CAP_DEPTH + 1, 3))
+    for part, field, make in (
+        ("goods", "goods", lambda depth: _nested(depth - 1)),
+        ("bidders", "bidders", lambda depth: _nested(depth - 1)),
+        ("row-element", "valuations", lambda depth: [[1, _nested(depth - 3), 1]]),
+    )
+    if (part, where) != ("goods", "past")  # instance-past-cap
+}
 _NUMBER_GOODS = json.dumps({**WORKED_INSTANCE, "goods": -1})
 _SEVEN_BIDDERS = json.dumps({**WORKED_INSTANCE, "bidders": ["set", *range(1, 8)]})
 # the malformed second row is never read: the goods cap is checked first
@@ -251,6 +270,19 @@ EXIT_CASES = [
     ("json-argument-at-cap", ["enumerate", "partitions", _nested_set(100)], None, 0),
     ("deep-instance-file", ["run-combinatorial", FILE], '{"goods":' + _nested_set(3000) + "}", 3),
     ("instance-past-cap", ["run-combinatorial", FILE], json.dumps(_DEEP_DOC), 3),
+    *(
+        (case, ["run-combinatorial", FILE], json.dumps(doc), code)
+        for case, (doc, code) in _DEEP_PARTS.items()
+    ),
+    # the cap is counted on what is read, in the order it is read: a part
+    # that is never read is bounded only by the JSON decoder
+    ("bad-row-before-a-deep-element", ["run-combinatorial", FILE],
+     _rows(["bad"], [1, _nested(120), 1]), 2),
+    ("unread-key-120-deep", ["run-combinatorial", FILE],
+     json.dumps(dict(WORKED_INSTANCE, note=_nested(120))), 0),
+    ("instance-file-an-array-120-deep", ["run-combinatorial", FILE], _nested_set(120), 2),
+    ("object-120-deep-in-a-set-argument",
+     ["enumerate", "partitions", '["set",' + '{"a":' * 120 + "1" + "}" * 120 + "]"], None, 2),
     ("deep-expression", ["eval", FILE], "{" * 3000, 3),
     ("expression-past-cap", ["eval", FILE], "{" * 101 + "1" + "}" * 101, 3),
     ("expression-at-cap", ["eval", FILE], "{" * 100 + "1" + "}" * 100, 0),

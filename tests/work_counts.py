@@ -42,7 +42,7 @@ COUNTED = (
     "relations.compose",
     "relations.domain_of",
     "relations.single_paste",
-    "encoding.value_from_obj",
+    "encoding._build",  # the reader's builds: with a memo, its misses
     "encoding.serialize_value",
     "auctions._input_set",
 )
@@ -166,14 +166,14 @@ ROWS = (
     Row("enumerate-partitions", ("enumerate", "partitions", '["set",1,2,3,4,5]'), None, {
         "values.fset": 1,
         "values._set_of_sorted": 32,
-        "encoding.value_from_obj": 1,
+        "encoding._build": 6,
         "auctions._input_set": 1}),
     Row("enumerate-injections",
         ("enumerate", "injections", '["set",1,2,3]', '["set","a","b","c","d"]'), None, {
         "values.fset": 3,
         "values._set_of_sorted": 43,
         "values.pair": 12,
-        "encoding.value_from_obj": 2,
+        "encoding._build": 9,
         "encoding.serialize_value": 24,
         "auctions._input_set": 2}),
     Row("run-single-second-price", _single("second-price"), None, {
@@ -182,7 +182,7 @@ ROWS = (
         "values.pair": 625,
         "relations.eval_rel": 250,
         "relations.domain_of": 2,
-        "encoding.value_from_obj": 3,
+        "encoding._build": 11,
         "encoding.serialize_value": 5,
         "auctions._input_set": 2}),
     Row("run-single-first-price", _single("first-price"), None, {
@@ -191,14 +191,14 @@ ROWS = (
         "values.pair": 625,
         "relations.eval_rel": 250,
         "relations.domain_of": 2,
-        "encoding.value_from_obj": 3,
+        "encoding._build": 11,
         "encoding.serialize_value": 7,
         "auctions._input_set": 2}),
     Row("run-combinatorial-6x6-dense", ("run-combinatorial", FILE), _dense_instance(), {
         "values.fset": 64,
         "values._set_of_sorted": 72,
         "values.pair": 12,
-        "encoding.value_from_obj": 31,
+        "encoding._build": 95,
         "encoding.serialize_value": 3,
         "auctions._input_set": 67}),
     Row("check-laws-quick", ("check-laws", "--profile", "quick"), None, {
