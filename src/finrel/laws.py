@@ -74,6 +74,8 @@ from .quotients import (
     kernel,
     projector,
     quotient,
+    _quotient_of,
+    _touching,
 )
 from .enumeration import (
     _bell,
@@ -597,20 +599,34 @@ def _factorization_cases(config):
 
 
 def _factorization_checker():
-    """A checker for one run: it keeps the last lifted relation
-    compose(converse(projector(p)), r), matched by the identity of r and
-    p, which it holds so that neither id can be reused while the entry
-    lives.  The cases come r-outer, then p, then q, so the lift is built
-    once per (r, p) and not once per q."""
-    last = (None, None, None)  # r, p, their lift
+    """A checker for one run.  The cases come r-outer, then p, then q.
+
+    For the last (r, p), matched by identity, it keeps the (r, p) half of
+    the quotient, _touching(r, p), and holds r so that its id cannot be
+    reused while the entry lives.  For each p it keeps the last lift
+    compose(converse(projector(p)), r) and the right sides
+    compose(lift, projector(q)) computed from it; a new lift equal to the
+    kept one keeps them, another replaces them.  So each case computes
+    only the q half of the quotient, and the state is at most one lift
+    per p and one right side per (p, q)."""
+    last = (None, None, None, None)  # r, p, _touching(r, p), sides[p]
+    sides = {}  # p -> (its last lift, q -> compose(lift, projector(q)))
 
     def check(r, p, q):
         nonlocal last
-        last_r, last_p, lifted = last
+        last_r, last_p, touching, kept = last
         if r is not last_r or p is not last_p:
             lifted = compose(converse(projector(p)), r)
-            last = (r, p, lifted)
-        return quotient(r, p, q) == compose(lifted, projector(q))
+            kept = sides.get(p)
+            if kept is None or kept[0] != lifted:
+                kept = sides[p] = (lifted, {})
+            touching = _touching(r, p)
+            last = (r, p, touching, kept)
+        lifted, right = kept
+        side = right.get(q)
+        if side is None:
+            side = right[q] = compose(lifted, projector(q))
+        return _quotient_of(touching, q) == side
 
     return check
 

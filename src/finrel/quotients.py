@@ -57,23 +57,35 @@ def _classes(E: Value) -> tuple:
     return classes
 
 
-def quotient(R: Value, P: Value, Q: Value) -> Value:
-    """Relation between P-classes and Q-classes whose product meets R.
+def _touching(R: Value, P: Value) -> tuple:
+    """The half of quotient that depends on R and P only: each P-class
+    whose points R relates to something, in canonical order, with the
+    frozenset of their R-images."""
+    r_images = _by_first(R)
+    out = []
+    for pc in _classes(P):
+        touching = frozenset([y for x in pc.payload for y in r_images.get(x, ())])
+        if touching:
+            out.append((pc, touching))
+    return tuple(out)
+
+
+def _quotient_of(touching: tuple, Q: Value) -> Value:
+    """The quotient from _touching(R, P): each of those P-classes related
+    to each Q-class its images meet.
 
     Both class tuples are sorted, so the pairs come out in canonical order.
     """
-    r_images = _by_first(R)
-    pclasses = _classes(P)
     qclasses = _classes(Q)
-    out = []
-    for pc in pclasses:
-        touching = frozenset([y for x in pc.payload for y in r_images.get(x, ())])
-        if not touching:
-            continue
-        for qc in qclasses:
-            if not touching.isdisjoint(qc.payload):
-                out.append(pair(pc, qc))
-    return _set_of_sorted(tuple(out))
+    return _set_of_sorted(tuple([
+        pair(pc, qc) for pc, images in touching for qc in qclasses
+        if not images.isdisjoint(qc.payload)
+    ]))
+
+
+def quotient(R: Value, P: Value, Q: Value) -> Value:
+    """Relation between P-classes and Q-classes whose product meets R."""
+    return _quotient_of(_touching(R, P), Q)
 
 
 def compatible(R: Value, P: Value, Q: Value) -> bool:

@@ -186,13 +186,19 @@ def single_outside(R: Value, x) -> Value:
 def paste(P: Value, Q: Value) -> Value:
     """Overriding union: Q's values win on Q's domain, P elsewhere.
 
-    The pairs of P kept and the pairs of Q are two sorted runs with no
-    pair in common, so one sort merges them.
+    May return one of its operands: P itself when Q is empty, Q itself
+    when Q's domain covers all of P's.  Otherwise the pairs of P kept and
+    the pairs of Q are two sorted runs with no pair in common, so one
+    sort merges them.
     """
     _require_relation(Q)
     _require_relation(P)
+    if not Q.payload:
+        return P
     q_domain = frozenset([p.payload[0] for p in Q.payload])
     kept = [p for p in P.payload if p.payload[0] not in q_domain]
+    if not kept:
+        return Q
     return _set_of_sorted(tuple(sorted(kept + list(Q.payload), key=_sort_key)))
 
 

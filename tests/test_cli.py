@@ -435,6 +435,31 @@ def test_stdout_is_utf8_whatever_the_locale():
     assert b"Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["enumerate", "partitions", '["set",1,2]'], 0),
+     (["enumerate", "partitions", '["pair",1,2]'], 2)],
+    ids=["valid", "not a set"],
+)
+def test_python_m_finrel_runs_as_python_m_finrel_cli(argv, code):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(finrel.__file__).parent.parent), env.get("PYTHONPATH", "")]
+    )
+
+    def run(module):
+        return subprocess.run(
+            [sys.executable, "-m", module, *argv],
+            env=env,
+            capture_output=True,
+            timeout=60,
+        )
+
+    package, cli = run("finrel"), run("finrel.cli")
+    assert (package.returncode, package.stdout) == (cli.returncode, cli.stdout)
+    assert package.returncode == code, package.stderr
+
+
 def test_enumerate_injections_into_a_smaller_target_print_nothing(capsys):
     for n in (3, 900, 1100):
         code, out, err = run_cli(

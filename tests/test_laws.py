@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import sys
 import threading
@@ -209,9 +210,14 @@ def test_factorization_checker_never_reuses_a_stale_lift():
         verdicts = [(check(*case), law.check(*case)) for case in interleaved()]
     assert len(verdicts) == 2 * len(cases)
     assert all(mine == stateless for mine, stateless in verdicts)
-    # (r, p) is new by identity on every case, so each case lifts again:
-    # two composes for the checker and two for the stateless check
-    assert counts["relations.compose"] == 4 * len(verdicts)
+    # the stateless check makes a fresh checker, a lift and a right side,
+    # on each of the 800 cases: 1,600.  (r, p) is new by identity on every
+    # case, so the checker lifts again on each: 800.  Its right sides: each
+    # q's block holds the 80 (r, p) in r-outer order, so it meets the 47
+    # runs of equal lifts of a whole run (see below) and computes one right
+    # side per run, 5 * 47 = 235; a copy lifts equal to its original and
+    # reuses its right side
+    assert counts["relations.compose"] == 2 * len(verdicts) + len(verdicts) + 235 == 2_635
 
 
 def test_factorization_checker_holds_its_entry_until_the_next_lift():
@@ -233,9 +239,36 @@ def test_factorization_lifts_each_relation_and_p_once_per_run():
     with work_counts.counting() as counts:
         report = run_law("quotient_factorization", QUICK)
     assert report.passed and report.cases == 400
-    # 80 lifts, one per (r, p), and one compose per case; two per case
-    # without the reuse would be 800
-    assert counts["relations.compose"] == 80 + 400
+    # 80 lifts, one per (r, p) of 16 relations and 5 partial equivalences,
+    # and one right side per (p, q) for each run of equal lifts of p.  The
+    # relations come in mask order over (0,0), (0,1), (1,0), (1,1), lowest
+    # bit first, so the lift of p changes with the images of its classes:
+    # never for the empty p (1 run), on every relation for {(0,0)} and for
+    # the identity (16 runs each), on every fourth for {(1,1)} (4 runs), and
+    # with the union of both rows for the full square (10 runs).  That is
+    # 47 runs of 5 q's: 235 right sides.  One compose per case would be
+    # 400, and two per case without any reuse 800
+    assert counts["relations.compose"] == 80 + 235
+
+
+def test_factorization_checker_holds_one_lift_per_p_and_one_right_side_per_p_and_q():
+    # a memo keyed by lift over the whole run would grow with the relations
+    law = LAWS["quotient_factorization"]
+    cases = list(law.cases(QUICK))
+    check = law.checker()
+    assert all(check(*case) for case in cases)
+    state = inspect.getclosurevars(check).nonlocals
+    assert set(state) == {"last", "sides"}
+    ps = {p for _, p, _ in cases}
+    qs = {q for _, _, q in cases}
+    sides = state["sides"]
+    assert set(sides) <= ps
+    for lifted, right in sides.values():
+        assert isinstance(lifted, Value)
+        assert set(right) <= qs
+    # the last (r, p) holds its own r, its touching sets and p's entry
+    r, p, _, kept = state["last"]
+    assert (r, p) == cases[-1][:2] and kept is sides[p]
 
 
 def test_factorization_runs_in_two_threads_at_once():
@@ -259,18 +292,41 @@ def test_factorization_runs_in_two_threads_at_once():
     assert [(r.passed, r.cases) for r in reports] == [(True, 400), (True, 400)]
 
 
-def test_factorization_reuse_still_catches_a_wrong_quotient(monkeypatch):
-    import finrel.laws as laws_mod
-    from finrel.quotients import quotient
-
-    def dropping_last(r, p, q):
-        out = quotient(r, p, q)
-        return fset(out.payload[:-1]) if out.payload else out
-
-    monkeypatch.setattr(laws_mod, "quotient", dropping_last)
+def _assert_the_run_fails_where_the_stateless_check_first_does():
     law = LAWS["quotient_factorization"]
     first_failing = next(case for case in law.cases(QUICK) if not law.check(*case))
     report = run_law("quotient_factorization", QUICK)
     assert not report.passed and report.error is None
     assert report.counterexample == first_failing
     assert law.check(*report.counterexample) is False
+    return first_failing
+
+
+def test_factorization_reuse_still_catches_a_wrong_quotient(monkeypatch):
+    import finrel.laws as laws_mod
+    import finrel.quotients as quotients_mod
+    from finrel.quotients import _quotient_of, _touching
+
+    def dropping_last(touching, q):
+        out = _quotient_of(touching, q)
+        return fset(out.payload[:-1]) if out.payload else out
+
+    # quotient and the checker both take their q half from _quotient_of
+    for module in (quotients_mod, laws_mod):
+        monkeypatch.setattr(module, "_quotient_of", dropping_last)
+    r, p, q = _assert_the_run_fails_where_the_stateless_check_first_does()
+    assert quotients_mod.quotient(r, p, q) != _quotient_of(_touching(r, p), q)
+
+
+def test_factorization_reuse_still_catches_a_wrong_compose(monkeypatch):
+    import finrel.laws as laws_mod
+    from finrel.relations import compose
+
+    def dropping_last(r, s):
+        # a function of the values of r and s only, so that right sides
+        # kept for an equal lift stay right for it
+        out = compose(r, s)
+        return fset(out.payload[:-1]) if out.payload else out
+
+    monkeypatch.setattr(laws_mod, "compose", dropping_last)
+    _assert_the_run_fails_where_the_stateless_check_first_does()

@@ -88,3 +88,19 @@ def test_only_the_law_suite_and_the_package_import_the_paper_module():
         if {"paper", "finrel.paper"} & set(_imported(path))
     ]
     assert importers == ["__init__.py", "laws.py"]
+
+
+def test_the_paste_sweep_reaches_each_operand_that_paste_returns():
+    row = oracles.ROW["paste"]
+    returned = {"P, Q empty": 0, "Q, every pair of P overridden": 0}
+    for P, Q in (case for cases in row.sweep().values() for case in cases):
+        if not (relations.is_relation(P) and relations.is_relation(Q)):
+            continue
+        got = relations.paste(P, Q)
+        if not Q.payload:
+            assert got is P and got == oracles._literal_paste(P, Q)
+            returned["P, Q empty"] += 1
+        elif P.payload and {p.first for p in P.payload} <= {q.first for q in Q.payload}:
+            assert got is Q and got == oracles._literal_paste(P, Q)
+            returned["Q, every pair of P overridden"] += 1
+    assert all(returned.values()), returned
