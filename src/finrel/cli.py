@@ -82,19 +82,22 @@ def _cmd_run_single(args) -> int:
     i = parse_value(args.bidder)
     build = second_price_single_good if args.rule == "second-price" else first_price_single_good
     m = build(bidders, grid, i)
+    # one text table for the whole command: alloc and price share their
+    # bid vectors, and each is written once
+    table = {}
     print(f"rule {args.rule}")
-    print(f"bidders {serialize_value(m.bidders)}")
-    print(f"grid {serialize_value(m.grid)}")
-    print(f"bidder {serialize_value(m.bidder)}")
-    print(f"alloc {serialize_value(m.alloc)}")
-    print(f"price {serialize_value(m.price)}")
+    print(f"bidders {serialize_value(m.bidders, table)}")
+    print(f"grid {serialize_value(m.grid, table)}")
+    print(f"bidder {serialize_value(m.bidder, table)}")
+    print(f"alloc {serialize_value(m.alloc, table)}")
+    print(f"price {serialize_value(m.price, table)}")
     cx = dominant_strategy_counterexample(m.bidder, m.alloc, m.price)
     if cx is None:
         print("dominant true")
     else:
         b, v = cx
         print("dominant false")
-        print(f"counterexample bid={serialize_value(b)} valuation={serialize_value(v)}")
+        print(f"counterexample bid={serialize_value(b, table)} valuation={serialize_value(v, table)}")
     return 0
 
 

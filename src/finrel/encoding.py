@@ -26,8 +26,9 @@ already written for it.  Equal values have equal canonical text, so a
 part met again is joined in from the table instead of written again.
 serialize_value(v) starts a fresh table; a caller that prints many values
 built from common parts, as `finrel enumerate` prints partitions sharing
-their blocks and injections sharing their pairs, passes one table to
-every call.  The table never holds a printed value itself, only its
+their blocks and injections sharing their pairs and `finrel run-single`
+its alloc and price sharing their bid vectors, passes one table to every
+call.  The table never holds a printed value itself, only its
 parts, so it grows with the distinct parts, not with the values printed.
 """
 

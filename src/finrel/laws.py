@@ -14,7 +14,7 @@ arguments, so a reported counterexample replays as
 ``LAWS[law_id].check(*report.counterexample)``.  Only the report packs a
 case into one Value (right-nested pairs) to print it.  A law may also
 name a factory that makes a checker for one run, so that the run reuses
-work shared by consecutive cases; the checker lives only as long as its
+work shared by its cases; the checker lives only as long as its
 run, gives every case the verdict ``check`` gives it, and a counterexample
 still replays through the stateless ``check``.  Reports are
 byte-deterministic for a fixed (law, profile, seed); elapsed time is kept
@@ -601,32 +601,35 @@ def _factorization_cases(config):
 def _factorization_checker():
     """A checker for one run.  The cases come r-outer, then p, then q.
 
-    For the last (r, p), matched by identity, it keeps the (r, p) half of
-    the quotient, _touching(r, p), and holds r so that its id cannot be
-    reused while the entry lives.  For each p it keeps the last lift
-    compose(converse(projector(p)), r) and the right sides
-    compose(lift, projector(q)) computed from it; a new lift equal to the
-    kept one keeps them, another replaces them.  So each case computes
-    only the q half of the quotient, and the state is at most one lift
-    per p and one right side per (p, q)."""
-    last = (None, None, None, None)  # r, p, _touching(r, p), sides[p]
-    sides = {}  # p -> (its last lift, q -> compose(lift, projector(q)))
+    A case's verdict depends on two values only: the (r, p) half of the
+    quotient, _touching(r, p), and the lift compose(converse(projector(p)),
+    r), the one input of the right side.  So for each new (r, p), matched
+    by identity, it computes both once and looks up the verdicts kept for
+    that (touching, lift), compared by value; only a q not yet checked for
+    it computes _quotient_of(touching, q) == compose(lift, projector(q)).
+    The memo keeps booleans, no quotient and no right side, one entry per
+    distinct (touching, lift) of the run.  A computation that raises
+    stores nothing, so every case gets the verdict, or the exception, that
+    check gives it.  The last (r, p) holds r so that its id cannot be
+    reused while the entry lives."""
+    last = (None, None, None, None)  # r, p, (touching, lift), memo[(touching, lift)]
+    memo = {}  # (touching, lift) -> {q: verdict}
 
     def check(r, p, q):
         nonlocal last
-        last_r, last_p, touching, kept = last
+        last_r, last_p, key, verdicts = last
         if r is not last_r or p is not last_p:
             lifted = compose(converse(projector(p)), r)
-            kept = sides.get(p)
-            if kept is None or kept[0] != lifted:
-                kept = sides[p] = (lifted, {})
-            touching = _touching(r, p)
-            last = (r, p, touching, kept)
-        lifted, right = kept
-        side = right.get(q)
-        if side is None:
-            side = right[q] = compose(lifted, projector(q))
-        return _quotient_of(touching, q) == side
+            key = (_touching(r, p), lifted)
+            verdicts = memo.get(key)
+            if verdicts is None:
+                verdicts = memo[key] = {}
+            last = (r, p, key, verdicts)
+        verdict = verdicts.get(q)
+        if verdict is None:
+            touching, lifted = key
+            verdict = verdicts[q] = _quotient_of(touching, q) == compose(lifted, projector(q))
+        return verdict
 
     return check
 

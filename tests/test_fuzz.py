@@ -248,8 +248,8 @@ SEEDS = ["0", "1", "-1", "42", "12345678901234567890123", "1_000", "+7", " 5"]
 BAD_SEEDS = ["x", "1.5", "", "0x10", "1e3", _DIGITS]
 BAD_LAWS = ["no_such_law", "", "BOOLEAN_ALGEBRA", "boolean_algebra "]
 BAD_PROFILES = ["slow", "Quick", ""]
-# the two laws that take most of a full run, about 1.8 s and 0.55 s of 3.3 s
-# on a 2-core machine; the benchmark runs them, so the slice does not
+# the two laws that take most of a full run, about 0.3 s each of 1.4 s on
+# a 2-core machine; the benchmark runs them, so the slice does not
 SLOW_IN_FULL = {"quotient_factorization", "paste_associative"}
 CHECK_LAWS_RANDOM_CASES = 60
 

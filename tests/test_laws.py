@@ -8,6 +8,8 @@ import pytest
 import work_counts
 from finrel.encoding import parse_value, serialize_value
 from finrel.errors import ValidationError
+from finrel.quotients import _touching, projector
+from finrel.relations import compose, converse
 from finrel.values import V, Value, fset
 from finrel.laws import (
     LAWS,
@@ -212,12 +214,11 @@ def test_factorization_checker_never_reuses_a_stale_lift():
     assert all(mine == stateless for mine, stateless in verdicts)
     # the stateless check makes a fresh checker, a lift and a right side,
     # on each of the 800 cases: 1,600.  (r, p) is new by identity on every
-    # case, so the checker lifts again on each: 800.  Its right sides: each
-    # q's block holds the 80 (r, p) in r-outer order, so it meets the 47
-    # runs of equal lifts of a whole run (see below) and computes one right
-    # side per run, 5 * 47 = 235; a copy lifts equal to its original and
-    # reuses its right side
-    assert counts["relations.compose"] == 2 * len(verdicts) + len(verdicts) + 235 == 2_635
+    # case, so the checker lifts again on each: 800.  Its right sides: one
+    # per q for each of the 19 distinct (touching, lift) of a whole run
+    # (see below), 19 * 5 = 95, whatever the order; a copy has the same
+    # (touching, lift) as its original and reuses its verdict
+    assert counts["relations.compose"] == 2 * len(verdicts) + len(verdicts) + 95 == 2_495
 
 
 def test_factorization_checker_holds_its_entry_until_the_next_lift():
@@ -240,35 +241,38 @@ def test_factorization_lifts_each_relation_and_p_once_per_run():
         report = run_law("quotient_factorization", QUICK)
     assert report.passed and report.cases == 400
     # 80 lifts, one per (r, p) of 16 relations and 5 partial equivalences,
-    # and one right side per (p, q) for each run of equal lifts of p.  The
-    # relations come in mask order over (0,0), (0,1), (1,0), (1,1), lowest
-    # bit first, so the lift of p changes with the images of its classes:
-    # never for the empty p (1 run), on every relation for {(0,0)} and for
-    # the identity (16 runs each), on every fourth for {(1,1)} (4 runs), and
-    # with the union of both rows for the full square (10 runs).  That is
-    # 47 runs of 5 q's: 235 right sides.  One compose per case would be
-    # 400, and two per case without any reuse 800
-    assert counts["relations.compose"] == 80 + 235
+    # and one right side per q for each distinct (touching, lift).  Both
+    # are the classes of p that r relates to something, each with its
+    # r-images, and a class is the same set whichever p holds it.  So the
+    # distinct keys are: the empty one, for the empty p and for each r
+    # that relates no point of p (1); 3 for {(0,0)}, one per nonempty
+    # image of 0, and 3 for {(1,1)}; 9 more for the identity, whose images
+    # of 0 and 1 are both nonempty; 3 for the full square, one per
+    # nonempty image of {0, 1}.  That is 19 keys of 5 q's: 95 right sides.
+    # One compose per case would be 400, and two per case without any
+    # reuse 800
+    assert counts["relations.compose"] == 80 + 95
 
 
-def test_factorization_checker_holds_one_lift_per_p_and_one_right_side_per_p_and_q():
-    # a memo keyed by lift over the whole run would grow with the relations
+def test_factorization_checker_keeps_one_bool_per_distinct_touching_lift_and_q():
+    # the memo keeps verdicts only: a memo of right sides over the whole
+    # run would hold one relation per key and q
     law = LAWS["quotient_factorization"]
     cases = list(law.cases(QUICK))
     check = law.checker()
     assert all(check(*case) for case in cases)
     state = inspect.getclosurevars(check).nonlocals
-    assert set(state) == {"last", "sides"}
-    ps = {p for _, p, _ in cases}
+    assert set(state) == {"last", "memo"}
+    keys = {(_touching(r, p), compose(converse(projector(p)), r)) for r, p, _ in cases}
+    memo = state["memo"]
+    assert len(keys) == 19 and set(memo) == keys
     qs = {q for _, _, q in cases}
-    sides = state["sides"]
-    assert set(sides) <= ps
-    for lifted, right in sides.values():
-        assert isinstance(lifted, Value)
-        assert set(right) <= qs
-    # the last (r, p) holds its own r, its touching sets and p's entry
-    r, p, _, kept = state["last"]
-    assert (r, p) == cases[-1][:2] and kept is sides[p]
+    for verdicts in memo.values():
+        assert set(verdicts) == qs
+        assert all(type(v) is bool for v in verdicts.values())
+    # the last (r, p) holds its own r, its key and that key's verdicts
+    r, p, key, verdicts = state["last"]
+    assert (r, p) == cases[-1][:2] and verdicts is memo[key]
 
 
 def test_factorization_runs_in_two_threads_at_once():
@@ -316,6 +320,47 @@ def test_factorization_reuse_still_catches_a_wrong_quotient(monkeypatch):
         monkeypatch.setattr(module, "_quotient_of", dropping_last)
     r, p, q = _assert_the_run_fails_where_the_stateless_check_first_does()
     assert quotients_mod.quotient(r, p, q) != _quotient_of(_touching(r, p), q)
+
+
+def test_factorization_checker_keeps_no_verdict_for_a_case_that_raises(monkeypatch):
+    import finrel.laws as laws_mod
+
+    law = LAWS["quotient_factorization"]
+    r, p, q = next(iter(law.cases(QUICK)))
+    check = law.checker()
+
+    def raising(touching, q):
+        raise RuntimeError("q half failed")
+
+    monkeypatch.setattr(laws_mod, "_quotient_of", raising)
+    with pytest.raises(RuntimeError):
+        check(r, p, q)
+    monkeypatch.undo()
+    *_, verdicts = inspect.getclosurevars(check).nonlocals["last"]
+    assert verdicts == {}
+    with work_counts.counting() as counts:
+        assert check(r, p, q) is True
+    # the same (r, p): no lift again, only the right side
+    assert counts["relations.compose"] == 1 and verdicts == {q: True}
+
+
+def test_factorization_memo_still_catches_a_wrong_touching(monkeypatch):
+    import finrel.laws as laws_mod
+
+    def dropping_last(r, p):
+        # a function of the values of r and p only, wrong only where r has
+        # three pairs or more: the first such relation lifts, for the first
+        # p it gets wrong, as an earlier relation did, so a memo keyed by
+        # the lift alone would keep that relation's verdicts
+        out = _touching(r, p)
+        return out[:-1] if len(r.payload) >= 3 else out
+
+    monkeypatch.setattr(laws_mod, "_touching", dropping_last)
+    r, p, _ = _assert_the_run_fails_where_the_stateless_check_first_does()
+    cases = LAWS["quotient_factorization"].cases(QUICK)
+    earlier = itertools.takewhile(lambda case: case[0] != r, cases)
+    lifts = {compose(converse(projector(p)), r0) for r0, p0, _ in earlier if p0 == p}
+    assert compose(converse(projector(p)), r) in lifts
 
 
 def test_factorization_reuse_still_catches_a_wrong_compose(monkeypatch):

@@ -203,10 +203,10 @@ ROWS = (
         "auctions._input_set": 67}),
     Row("check-laws-quick", ("check-laws", "--profile", "quick"), None, {
         "values.fset": 16_505,
-        "values._set_of_sorted": 48_183,
-        "values.pair": 19_907,
+        "values._set_of_sorted": 47_738,
+        "values.pair": 19_688,
         "relations.eval_rel": 2_767,
-        "relations.compose": 5_364,
+        "relations.compose": 5_224,
         "relations.domain_of": 6_081,
         "relations.single_paste": 13,
         "auctions._input_set": 658}),
