@@ -78,14 +78,12 @@ from .enumeration import (
     all_subsets,
     injections_alg,
     injections_oracle,
-    partition_as_set,
 )
 from .auctions import (
     CombinatorialInstance,
     Outcome,
     SingleGoodMechanism,
     clear_vickrey,
-    dominant_strategy_check,
     dominant_strategy_counterexample,
     first_price_single_good,
     make_instance,

@@ -203,11 +203,6 @@ def dominant_strategy_counterexample(
     return None
 
 
-def dominant_strategy_check(i: Value, alloc: Value, price: Value) -> bool:
-    """True iff bidding one's true valuation is weakly dominant for i."""
-    return dominant_strategy_counterexample(i, alloc, price) is None
-
-
 def _table_lookup(table: Callable[[Value], Value], x: Value) -> Fraction:
     y = canonicalize(table(x))
     if not y.is_num:
@@ -540,7 +535,12 @@ def random_instance(rng) -> CombinatorialInstance:
 # ---------------------------------------------------------------------------
 # instance and outcome files
 
-def instance_from_obj(obj) -> CombinatorialInstance:
+def parse_instance(text: str) -> CombinatorialInstance:
+    """The instance in an instance file: a JSON object of goods, bidders
+    and [bidder, bundle, value] valuation rows, checked as make_instance
+    checks them.  Bad JSON is a ParseError, a bad shape or value a
+    ValidationError, and input past a cap CapExceeded."""
+    obj = _load_json(text, "instance file")
     if not isinstance(obj, dict):
         raise ValidationError("instance file must be a JSON object")
     missing = {"goods", "bidders", "valuations"} - set(obj)
@@ -567,10 +567,6 @@ def instance_from_obj(obj) -> CombinatorialInstance:
         triples.append((_read(bidder, room, what, memo), _read(bundle, room, what, memo),
                         _read(value, room, what, memo)))
     return make_instance(goods, bidders, triples)
-
-
-def parse_instance(text: str) -> CombinatorialInstance:
-    return instance_from_obj(_load_json(text, "instance file"))
 
 
 def serialize_outcome(outcome: Outcome) -> str:

@@ -58,12 +58,6 @@ def _read_int(digits: str) -> int:
         ) from None
 
 
-def value_from_obj(obj) -> Value:
-    """Canonical Value from a decoded JSON object, at most CAP_DEPTH
-    arrays deep."""
-    return _read(obj, CAP_DEPTH, "value")
-
-
 def _read(obj, room: int, what: str, memo: dict | None = None) -> Value:
     """obj read with room array levels left; an array with none left
     refuses the input, named what, as nested too deep.  With a memo, one

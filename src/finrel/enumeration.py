@@ -13,9 +13,9 @@ fresh block or by inserting x into exactly one existing block of P.
 Each level builds each distinct block once: one table per call maps a
 block to that block + {x}, so equal blocks in the output are one object
 and the next level finds them by identity.  The table is local to the
-call, so concurrent calls share nothing.
+call, so concurrent calls share nothing; one partition goes in as [blocks].
 Partitions are handled as lists of blocks while being built (iteration is
-simpler over lists); converting a finished list to its set of blocks is
+simpler over lists); fset(blocks), a finished list's set of blocks, is
 the lossless direction.  `finrel enumerate` prints that set without
 building it: for elements listed in canonical order, every block list
 comes in canonical order, so encoding.serialize_elements writes the set's
@@ -151,18 +151,10 @@ def injections_oracle(X: Value, Y: Value) -> Value:
     return fset(survivors)
 
 
-def coarser_partitions_with_list(new_el, blocks: list) -> list[list]:
-    """All ways to extend a partition with a fresh element: one new
-    singleton block, then one insertion per existing block.
-
-    Block i is enlarged by its position, which is what
-    paper.insert_into_member_list(new_el, blocks, blocks[i]) gives for the
-    distinct blocks of a partition without searching for the block."""
-    return all_coarser_partitions_with_list(new_el, [blocks])
-
-
 def all_coarser_partitions_with_list(new_el, partitions: list[list]) -> list[list]:
-    """coarser_partitions_with_list of each partition in turn, concatenated.
+    """Each partition extended with a fresh element, concatenated: one new
+    singleton block, then block i enlarged, by position, for each i.  One
+    partition goes in as [blocks]; fset gives each result's set of blocks.
 
     Equal blocks of the input give one enlarged block, built once, and
     every output partition shares the one singleton {new_el}: the table
@@ -201,8 +193,3 @@ def all_partitions_list(xs: list) -> list[list]:
     if not xs:
         return [[]]
     return all_coarser_partitions_with_list(xs[0], all_partitions_list(xs[1:]))
-
-
-def partition_as_set(blocks: list) -> Value:
-    """Forget the block order: the partition as a set of blocks."""
-    return fset(blocks)

@@ -83,14 +83,12 @@ from .enumeration import (
     all_subsets,
     injections_alg,
     injections_oracle,
-    partition_as_set,
 )
 from .auctions import (
     CombinatorialInstance,
     _fee_table,
     _utility,
     clear_vickrey,
-    dominant_strategy_check,
     dominant_strategy_counterexample,
     first_price_single_good,
     max_rival_bid,
@@ -707,7 +705,7 @@ def _partition_cases(config):
 def _partition_check(listing):
     xs = [p.second for p in listing.payload]  # indexed pairs keep the order
     constructed = all_partitions_list(xs)
-    as_sets = [partition_as_set(p) for p in constructed]
+    as_sets = [fset(p) for p in constructed]
     oracle = all_partitions_oracle(fset(xs))
     return (
         fset(as_sets) == oracle
@@ -746,7 +744,7 @@ def _mechanism_cases(config):
 
 def _second_price_dominant_check(grid, bidders, i):
     m = second_price_single_good(bidders, grid, i)
-    return dominant_strategy_check(m.bidder, m.alloc, m.price)
+    return dominant_strategy_counterexample(m.bidder, m.alloc, m.price) is None
 
 
 _register(

@@ -104,7 +104,8 @@ PARTITION_ORACLE_CAP = 6
 
 def insert_into_member_list(new_el, blocks: list, target: Value) -> list:
     """Enlarge one block: target + {new_el} prepended, first occurrence of
-    target removed from the rest.  Fast path: enumeration.coarser_partitions_with_list."""
+    target removed from the rest.  Fast path:
+    enumeration.all_coarser_partitions_with_list(new_el, [blocks])."""
     new_el = canonicalize(new_el)
     target = canonicalize(target)
     for idx, b in enumerate(blocks):

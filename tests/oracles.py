@@ -379,18 +379,19 @@ def _depth(node) -> int:
 
 
 def _read_part(node, above: int):
-    """value_from_obj of a part that is `above` levels below the document
-    root, refused first when that puts an array past CAP_DEPTH levels."""
+    """The reader's value of a part that is `above` levels below the
+    document root, refused first when that puts an array past CAP_DEPTH
+    levels, then read with the whole CAP_DEPTH of room and no memo."""
     if above + _depth(node) > CAP_DEPTH:
         raise CapExceeded(f"instance file nested deeper than {CAP_DEPTH} levels")
-    return encoding.value_from_obj(node)
+    return encoding._read(node, CAP_DEPTH, "value")
 
 
 def _read_row_by_row(text):
-    """parse_instance with no memo: value_from_obj on the goods, the
-    bidders and every element of every row, each with its depth counted
-    from the document root, then each row checked as make_instance reads,
-    with member."""
+    """parse_instance with no memo: _read on the goods, the bidders and
+    every element of every row, each with its depth counted from the
+    document root, then each row checked as make_instance reads, with
+    member."""
     obj = encoding._load_json(text, "instance file")
     goods = _read_part(obj["goods"], 1)
     bidders = _read_part(obj["bidders"], 1)
@@ -947,18 +948,18 @@ ROWS = (
             (MIXED[:n], fset(MIXED[3 : 3 + m])) for n in range(4) for m in range(5)]}, 20,
         lambda st: st.tuples(_arrangements(st, MIXED, 3),
                              _subsets(st, MIXED[2:]))),
-    Row("coarser_partitions_with_list", enumeration.coarser_partitions_with_list,
-        _coarser_by_insertion,
-        lambda: {"partitions of up to 6 mixed values, extended by the next": [
-            (MIXED[n], blocks) for n in range(7) for blocks in all_partitions_list(MIXED[:n])]},
-        279, lambda st: st.tuples(st.sampled_from(MIXED), _block_lists(st, MIXED)).map(
-            lambda t: (t[0], _blocks_without(t[0], t[1])))),
-    # one table of enlarged blocks for all the partitions of a family
+    # one table of enlarged blocks for all the partitions of a family; one
+    # partition goes in as the family [blocks]
     Row("all_coarser_partitions_with_list", enumeration.all_coarser_partitions_with_list,
         lambda new_el, partitions: [
             q for blocks in partitions for q in _coarser_by_insertion(new_el, blocks)],
-        lambda: {"partition families of up to 5 mixed values, extended by the next": [
-            (MIXED[n], all_partitions_list(MIXED[:n])) for n in range(6)]}, 6,
+        lambda: {
+            "partition families of up to 5 mixed values, extended by the next": [
+                (MIXED[n], all_partitions_list(MIXED[:n])) for n in range(6)],
+            "partitions of up to 6 mixed values, each its own family, extended by the next": [
+                (MIXED[n], [blocks])
+                for n in range(7) for blocks in all_partitions_list(MIXED[:n])],
+        }, 285,
         lambda st: st.tuples(st.sampled_from(MIXED), st.lists(_block_lists(st, MIXED), max_size=4))
         .map(lambda t: (t[0], [_blocks_without(t[0], blocks) for blocks in t[1]]))),
     Row("all_partitions_list", all_partitions_list,

@@ -15,7 +15,6 @@ from finrel.auctions import (
     CombinatorialInstance,
     _common_scale,
     clear_vickrey,
-    dominant_strategy_check,
     dominant_strategy_counterexample,
     first_price_single_good,
     make_instance,
@@ -124,7 +123,7 @@ def test_dominance_vacuous_on_single_point_domain():
     b = relation([(1, 1), (2, 1)])
     alloc = relation([(b, 1)])
     price = relation([(b, 1)])
-    assert dominant_strategy_check(V(1), alloc, price)
+    assert dominant_strategy_counterexample(V(1), alloc, price) is None
 
 
 def test_payment_form_with_constant_fee():

@@ -2,7 +2,7 @@ import pytest
 
 from finrel.errors import CAP_DEPTH, CapExceeded, ParseError, ValidationError
 from finrel.values import EMPTY, UNDEFINED, V, fset, num, pair, rat, sym
-from finrel.encoding import parse_value, serialize_value, value_from_obj
+from finrel.encoding import _read, parse_value, serialize_value
 
 
 def test_parse_canonicalizes_sets():
@@ -67,14 +67,14 @@ def test_validation_errors():
         parse_value("null")
 
 
-def test_value_from_obj_caps_its_own_depth():
+def test_read_caps_its_own_depth():
     # a decoded tree that never went through the JSON text reader
     obj, want = ["set"], EMPTY
     for _ in range(CAP_DEPTH - 1):
         obj, want = ["set", obj], fset([want])
-    assert value_from_obj(obj) == want
+    assert _read(obj, CAP_DEPTH, "value") == want
     with pytest.raises(CapExceeded, match=f"deeper than {CAP_DEPTH} levels"):
-        value_from_obj(["set", obj])
+        _read(["set", obj], CAP_DEPTH, "value")
 
 
 def test_serialization_is_compact_and_ordered():

@@ -13,7 +13,6 @@ from finrel.enumeration import (
     all_coarser_partitions_with_list,
     all_partitions_list,
     all_subsets,
-    coarser_partitions_with_list,
     injections_alg,
     injections_oracle,
 )
@@ -95,25 +94,26 @@ def test_insert_into_member_list():
 
 
 def test_coarser_partitions():
-    assert coarser_partitions_with_list(V(3), [V([1]), V([2])]) == [
+    # one partition goes in as the family [blocks]
+    assert all_coarser_partitions_with_list(V(3), [[V([1]), V([2])]]) == [
         [V([3]), V([1]), V([2])],
         [V([1, 3]), V([2])],
         [V([2, 3]), V([1])],
     ]
-    assert coarser_partitions_with_list(V(1), []) == [[V([1])]]
-    assert coarser_partitions_with_list(V(2), [V([1])]) == [[V([2]), V([1])], [V([1, 2])]]
+    assert all_coarser_partitions_with_list(V(1), [[]]) == [[V([1])]]
+    assert all_coarser_partitions_with_list(V(2), [[V([1])]]) == [
+        [V([2]), V([1])], [V([1, 2])]
+    ]
     with pytest.raises(ValueError):
-        coarser_partitions_with_list(V(1), [V([1])])
+        all_coarser_partitions_with_list(V(1), [[V([1])]])
     with pytest.raises(TypeError):
-        coarser_partitions_with_list(V(2), [V([1]), pair(1, 3)])
+        all_coarser_partitions_with_list(V(2), [[V([1]), pair(1, 3)]])
 
 
 def test_all_coarser_partitions_concats():
     ps = [[V([1])], [V([2])]]
     out = all_coarser_partitions_with_list(V(3), ps)
-    assert out == coarser_partitions_with_list(V(3), ps[0]) + coarser_partitions_with_list(
-        V(3), ps[1]
-    )
+    assert out == [q for blocks in ps for q in all_coarser_partitions_with_list(V(3), [blocks])]
     assert all_coarser_partitions_with_list("not read", []) == []
 
 
@@ -125,7 +125,7 @@ def test_all_coarser_partitions_concats():
 def test_a_block_that_is_not_a_set_is_refused_as_before(bad):
     message = f"block must be a finite set, got {bad!r}"
     with pytest.raises(TypeError) as raised:
-        coarser_partitions_with_list(V(2), [V([1]), bad])
+        all_coarser_partitions_with_list(V(2), [[V([1]), bad]])
     assert str(raised.value) == message
     with pytest.raises(TypeError) as raised:
         all_coarser_partitions_with_list(V(2), [[V([1])], [V([1]), bad]])
@@ -136,7 +136,7 @@ def test_a_block_that_holds_the_new_element_is_refused_as_before():
     message = "element already present: 2"
     for blocks in ([V([1]), V([2, 3])], [EMPTY, V([1]), V([2])]):
         with pytest.raises(ValueError, match=message):
-            coarser_partitions_with_list(V(2), blocks)
+            all_coarser_partitions_with_list(V(2), [blocks])
         with pytest.raises(ValueError, match=message):
             all_coarser_partitions_with_list(V(2), [[V([1])], blocks])
 

@@ -104,7 +104,7 @@ def test_counterexamples_replay_as_failures():
     # checker rejects
     from finrel.laws import Law
     from finrel.auctions import (
-        dominant_strategy_check,
+        dominant_strategy_counterexample,
         first_price_single_good,
     )
     import finrel.laws as laws_mod
@@ -114,7 +114,7 @@ def test_counterexamples_replay_as_failures():
 
     def check(grid, bidders, i):
         m = first_price_single_good(bidders, grid, i)
-        return dominant_strategy_check(m.bidder, m.alloc, m.price)
+        return dominant_strategy_counterexample(m.bidder, m.alloc, m.price) is None
 
     laws_mod.LAWS["_mutant_probe"] = Law("_mutant_probe", "probe", "forall", cases, check)
     try:
