@@ -57,7 +57,7 @@ CAP_GOODS = 6
 CAP_BIDDERS = 6
 CAP_GRID = 5
 CAP_SINGLE_BIDDERS = 3
-# _common_scale, which clear_vickrey and dominant_strategy_counterexample
+# _common_scale, which clearing (_solve) and dominant_strategy_counterexample
 # share, scales amounts to integers over their common denominator up to
 # this many bits (about the 4,300-digit integer limit) and leaves them
 # rationals beyond; the bound limits the integers' size, and past it either
@@ -388,17 +388,24 @@ def _common_scale(amounts: Iterable[Fraction]) -> tuple[int, Callable]:
     return scale, lambda f: f.numerator * (scale // f.denominator)
 
 
-def clear_vickrey(inst: CombinatorialInstance) -> Outcome:
-    """Welfare-maximizing allocation plus exclusion-formula payments.
+@dataclass(frozen=True)
+class _Solution:
+    """Clearing's numbers, each a valuation sum times `scale` (the rationals
+    themselves when scale is 1): the optimum, the chosen (bundle mask,
+    bidder index) blocks in canonical order, bit g of a mask standing for
+    goods[g], and for each bidder k own[k], its value for its block (0
+    without one), and excluded[k], the best welfare without k (0 when k is
+    the only bidder)."""
 
-    The allocation space is the one `paper.possible_allocations` lists: every
-    good is assigned, in nonempty blocks, to distinct bidders.  The
-    chosen allocation maximizes total reported value, ties broken by
-    canonical order.  Bidder n pays the best total the others could reach
-    without n, minus what the others actually get under the chosen
-    allocation; bidders assigned nothing pay by the same formula (which
-    works out to zero).  "Without n" is the best welfare over the
-    allocations into the other bidders, or 0 when there are none.
+    scale: int
+    optimum: int | Fraction
+    blocks: tuple
+    own: tuple
+    excluded: tuple
+
+
+def _solve(inst: CombinatorialInstance) -> _Solution:
+    """The solve step of clear_vickrey: its numbers, with no Value built.
 
     Nothing is enumerated: goods and bidders are bit positions in
     canonical order, and `best(S, avail)` is the best welfare that gives
@@ -406,18 +413,10 @@ def clear_vickrey(inst: CombinatorialInstance) -> Outcome:
     can).  The first bidder in avail takes some nonempty T within S or
     nothing, and the rest recurses (the winner-determination recurrence
     of Rothkopf, Pekec and Harstad, 1998).  One memo serves the optimum
-    and every excluded optimum.
-
-    The recurrence runs on integers: every valuation times their common
-    denominator `scale` (`_common_scale`), which keeps sums, comparisons
-    and ties exact.  Bidder k's payment is read off the memo as
-    excluded - (optimum - own[k]), with own[k] k's value for the block it
-    is given, and only the welfare and the payments go back to rationals.
-    When the common denominator passes MAX_SCALE_BITS, the same code runs
-    on the rationals themselves (scale 1).  The bound limits the
-    size of the integers, not the time: past it the integers are slower
-    when many denominators are distinct, and faster when a few huge ones
-    are shared.
+    and every excluded optimum.  An allocation's pairs sort by their
+    lowest goods, so the canonically least optimal one is rebuilt pair by
+    pair: the least (bundle, bidder) that holds the lowest good left and
+    whose remainder still reaches the optimum.
     """
     _check_caps(inst.goods, inst.bidders)
     goods, bidders = inst.goods.payload, inst.bidders.payload
@@ -465,41 +464,58 @@ def clear_vickrey(inst: CombinatorialInstance) -> Outcome:
         memo[S * width + avail] = top
         return top
 
-    # bit k of a mask is goods[k], and the goods are in canonical order, so
-    # masks sort as their bundles by the positions of their goods
-    positions = [[k for k in range(len(goods)) if mask >> k & 1] for mask in range(all_goods + 1)]
-    by_key = sorted(range(1, all_goods + 1), key=positions.__getitem__)
-
-    def first_optimal_block(left: int, free: int, target):
-        # the blocks of an allocation sort by their lowest good, and a pair
-        # by its bundle before its bidder, so the canonically least optimal
-        # allocation starts with the least (block, bidder) that still
-        # reaches the optimum
-        lowest = left & -left
-        for T in by_key:
-            if T & lowest and not T & ~left:
-                for k in range(len(bidders)):
-                    if free >> k & 1:
-                        after = best(left ^ T, free ^ (1 << k))
-                        if after is not None and val[k][T] + after == target:
-                            return T, k, after
-        raise AssertionError("no block reaches the optimum")
-
     optimum = best(all_goods, everyone)
-    chosen = []
-    own = [0] * len(bidders)  # each bidder's scaled value for its block
+    # the bundle masks in canonical order, filed under their lowest good;
+    # bit g is goods[g], so masks sort by the positions of their bits
+    by_lowest = {1 << g: [] for g in range(len(goods))}
+    for T in sorted(range(1, all_goods + 1),
+                    key=lambda T: [g for g in range(len(goods)) if T >> g & 1]):
+        by_lowest[T & -T].append(T)
+    blocks = []
+    own = [0] * len(bidders)
     left, free, target = all_goods, everyone, optimum
     while left:
-        T, k, target = first_optimal_block(left, free, target)
-        chosen.append(pair(_set_of_sorted(tuple([goods[g] for g in positions[T]])), bidders[k]))
+        for T, k in itertools.product(by_lowest[left & -left], range(len(bidders))):
+            if not T & ~left and free >> k & 1:
+                after = best(left ^ T, free ^ (1 << k))
+                if after is not None and val[k][T] + after == target:
+                    break
+        else:
+            raise AssertionError("no block reaches the optimum")
+        blocks.append((T, k))
         own[k] = val[k][T]
-        left, free = left ^ T, free ^ (1 << k)
-    payments = []
-    for k, n in enumerate(bidders):
-        excluded = best(all_goods, everyone ^ (1 << k))
-        if excluded is None:  # n is the only bidder
-            excluded = 0
-        payments.append(pair(n, num(Fraction(excluded - (optimum - own[k]), scale))))
+        left, free, target = left ^ T, free ^ (1 << k), after
+    excluded = [best(all_goods, everyone ^ (1 << k)) for k in range(len(bidders))]
+    return _Solution(scale, optimum, tuple(blocks), tuple(own),
+                     tuple(0 if x is None else x for x in excluded))
+
+
+def clear_vickrey(inst: CombinatorialInstance) -> Outcome:
+    """Welfare-maximizing allocation plus exclusion-formula payments.
+
+    The allocation space is the one `paper.possible_allocations` lists: every
+    good is assigned, in nonempty blocks, to distinct bidders.  The
+    chosen allocation maximizes total reported value, ties broken by
+    canonical order.  Bidder n pays the best total the others could reach
+    without n, minus what the others actually get under the chosen
+    allocation; bidders assigned nothing pay by the same formula (which
+    works out to zero).  "Without n" is the best welfare over the
+    allocations into the other bidders, or 0 when there are none.
+
+    Clearing runs in two steps.  The solve step, `_solve`, builds no
+    Value: it computes on every valuation times their common denominator
+    (`_common_scale`), which keeps sums, comparisons and ties exact, or
+    past MAX_SCALE_BITS on the rationals themselves (scale 1).  This
+    outcome step turns each chosen bundle mask into its set of goods and
+    gives bidder k the payment excluded[k] - (optimum - own[k]) over that
+    scale; it does no other arithmetic.
+    """
+    solved, goods, bidders = _solve(inst), inst.goods.payload, inst.bidders.payload
+    optimum, scale = solved.optimum, solved.scale
+    chosen = [pair(_set_of_sorted(tuple([x for g, x in enumerate(goods) if T >> g & 1])),
+                   bidders[k]) for T, k in solved.blocks]
+    payments = [pair(n, num(Fraction(excluded - (optimum - own), scale)))
+                for n, excluded, own in zip(bidders, solved.excluded, solved.own)]
     return Outcome(
         _set_of_sorted(tuple(chosen)), _set_of_sorted(tuple(payments)), Fraction(optimum, scale)
     )

@@ -16,9 +16,7 @@ writer's one other entry is its set branch, serialize_elements: the text
 of the set of some listed elements, with no set built, for a caller that
 guarantees them canonical Values, distinct and in canonical order.
 `finrel enumerate` writes each partition so, from the block list that
-all_partitions_list gives for elements in canonical order.  value_to_obj
-is the same encoding as a JSON object tree; it serves only as the
-writer's oracle, through json.dumps in the tests.
+all_partitions_list gives for elements in canonical order.
 
 Shared text: the writer keeps a table from each part of a value (an
 element of a set, a component of a pair, and so on down) to the text
@@ -117,19 +115,6 @@ def _build(obj, room: int, what: str, memo: dict | None) -> Value:
     raise ValidationError(f"unknown tag {tag!r}; expected \"set\" or \"pair\"")
 
 
-def value_to_obj(v: Value):
-    if not isinstance(v, Value):
-        raise TypeError(f"not a value: {v!r}")
-    if v.is_num:
-        f = v.payload
-        return f.numerator if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-    if v.is_sym:
-        return v.payload
-    if v.is_pair:
-        return ["pair", value_to_obj(v.first), value_to_obj(v.second)]
-    return ["set"] + [value_to_obj(e) for e in v.payload]
-
-
 def _load_json(text: str, what: str):
     """Decoded JSON text.  Bad syntax is a ParseError; nesting deeper than
     the decoder can recurse and integers past Python's digit limit are
@@ -169,7 +154,7 @@ def serialize_elements(elems, table: dict) -> str:
 
 
 def _write(v: Value, table: dict) -> str:
-    """Compact JSON text of value_to_obj(v), built without the object.
+    """Compact JSON text of paper.value_to_obj(v), built without the object.
     Each part of v is written once per table (see the module docstring);
     v itself is not stored.  Strings go through the json module's own
     encoder, as json.dumps with ensure_ascii=False escapes them; an

@@ -3,11 +3,12 @@
 Each function states a concept as the paper defines it, by a predicate
 over sets or by walking the whole candidate space, and names the fast
 path the law suite and the tests check against it.  The command line runs
-none of it, and no production module imports this one.  Three oracles stay
-in their modules because perfbench/ reads them by that path:
-enumeration.injections_oracle, auctions.vickrey_payment_form_check (with
-_table_lookup and max_rival_bid) and laws._oracle_best_value, a wrapper
-over _oracle_optima below.
+none of it, and no production module imports this one.  value_to_obj,
+the text encoding as a JSON object tree, is the writer's oracle.  Three
+oracles stay in their modules because perfbench/ reads them by that
+path: enumeration.injections_oracle, auctions.vickrey_payment_form_check
+(with _table_lookup and max_rival_bid) and laws._oracle_best_value, a
+wrapper over _oracle_optima below.
 """
 
 from __future__ import annotations
@@ -198,9 +199,26 @@ def possible_allocations(goods: Value, bidders: Value) -> list[Value]:
     return out
 
 
+def value_to_obj(v: Value):
+    """The text encoding of v as a JSON object tree: integers as numbers,
+    rationals as "n/d" strings, symbols as strings, pairs as ["pair", a,
+    b] and sets as ["set", ...].  Fast path: encoding.serialize_value, the
+    text json.dumps gives of this tree."""
+    if not isinstance(v, Value):
+        raise TypeError(f"not a value: {v!r}")
+    if v.is_num:
+        f = v.payload
+        return f.numerator if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    if v.is_sym:
+        return v.payload
+    if v.is_pair:
+        return ["pair", value_to_obj(v.first), value_to_obj(v.second)]
+    return ["set"] + [value_to_obj(e) for e in v.payload]
+
+
 def won_value(inst: CombinatorialInstance, alloc: Value, bidder: Value) -> Fraction:
     """The bidder's reported value for the bundles the allocation gives
-    them.  Fast path: the own[k] of auctions.clear_vickrey."""
+    them.  Fast path: own[k] of the record auctions._solve returns."""
     return sum(
         (inst.value(bidder, p.first) for p in alloc.payload if p.second == bidder),
         Fraction(0),

@@ -59,6 +59,7 @@ class Value:
             and self._key == other._key
         )
 
+    # a > b and a >= b are b < a and b <= a: Python reflects them here
     def __lt__(self, other):
         if not isinstance(other, Value):
             return NotImplemented
@@ -68,16 +69,6 @@ class Value:
         if not isinstance(other, Value):
             return NotImplemented
         return self._key <= other._key
-
-    def __gt__(self, other):
-        if not isinstance(other, Value):
-            return NotImplemented
-        return self._key > other._key
-
-    def __ge__(self, other):
-        if not isinstance(other, Value):
-            return NotImplemented
-        return self._key >= other._key
 
     def __hash__(self):
         return self._hash

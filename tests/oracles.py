@@ -29,6 +29,8 @@ from finrel.values import (
     EMPTY, UNDEFINED, V, canonicalize, cartesian_product, fset, member, num, pair, rat, sym, union,
 )
 
+import work_counts
+
 
 class Row(NamedTuple):
     name: str
@@ -371,6 +373,33 @@ def _same_clearing(out, want):
     return out == reference and out.welfare == welfare and paid == {
         n: x - (welfare - won_value(inst, out.allocation, n)) for n, x in excluded.items()
     }
+
+
+def _solved(inst):
+    """auctions._solve's record, and the calls it made to each function
+    that work_counts counts."""
+    with work_counts.counting() as counts:
+        solved = auctions._solve(inst)
+    return solved, counts
+
+
+def _same_record(got, want):
+    """The record's optimum and exclusions over its scale are the oracle's,
+    its own[k] is what bidder k wins under the outcome's allocation, and
+    it was computed with no Value built."""
+    (solved, counts), (inst, (welfare, excluded)) = got, want
+    allocation = auctions.clear_vickrey(inst).allocation
+    bidders = inst.bidders.payload
+
+    def unscaled(amounts):
+        return [Fraction(x, solved.scale) for x in amounts]
+
+    return (
+        not any(counts.values())
+        and Fraction(solved.optimum, solved.scale) == welfare
+        and unscaled(solved.excluded) == [excluded[n] for n in bidders]
+        and unscaled(solved.own) == [won_value(inst, allocation, n) for n in bidders]
+    )
 
 
 def _depth(node) -> int:
@@ -993,6 +1022,10 @@ ROWS = (
         errors=(ValueError,)),
     Row("clear_vickrey", auctions.clear_vickrey, _clears_as_both, _clearing_sweep, 76,
         lambda st: _one(small_instances(st)), _same_clearing),
+    # clearing's solve step builds no Value, and its integers over one
+    # scale are the oracle's optima and the outcome's own values
+    Row("_solve", _solved, lambda inst: (inst, paper._oracle_optima(inst)), _clearing_sweep, 76,
+        lambda st: _one(small_instances(st)), _same_record),
     Row("parse_instance", auctions.parse_instance, _read_row_by_row, _instance_file_sweep, 632,
         lambda st: st.lists(st.sampled_from(INSTANCE_ROWS), max_size=4).map(
             lambda rows: (_instance_text(rows),)),
@@ -1002,7 +1035,7 @@ ROWS = (
         .map(lambda t: _price_arguments(*t[0])[t[1]])),
     Row("reduced_fee_table", _fee_closure_verdict, _fee_definition_verdict, _mechanism_sweep, 14,
         _mechanism_cases),
-    Row("serialize_value", encoding.serialize_value, lambda v: _dumped(encoding.value_to_obj(v)),
+    Row("serialize_value", encoding.serialize_value, lambda v: _dumped(paper.value_to_obj(v)),
         lambda: {"writer atoms, their pairs and their sets": [(v,) for v in (
             WRITER_ATOMS + [pair(a, b) for a in WRITER_ATOMS for b in WRITER_ATOMS]
             + list(all_subsets(fset(WRITER_ATOMS)).payload))]}, 1134,
@@ -1014,9 +1047,9 @@ ROWS = (
         lambda st: st.tuples(_arrangements(st, MIXED, 6).map(_canonical_partitions),
                              st.integers(0, 202)).map(lambda t: (t[0][t[1] % len(t[0])], {}))),
     Row("serialize_outcome", auctions.serialize_outcome,
-        lambda out: _dumped({"allocation": encoding.value_to_obj(out.allocation),
-                             "payments": encoding.value_to_obj(out.payments),
-                             "welfare": encoding.value_to_obj(num(out.welfare))}),
+        lambda out: _dumped({"allocation": paper.value_to_obj(out.allocation),
+                             "payments": paper.value_to_obj(out.payments),
+                             "welfare": paper.value_to_obj(num(out.welfare))}),
         _outcome_sweep, 13, lambda st: _one(small_instances(st).map(auctions.clear_vickrey))),
 )
 ROW = {row.name: row for row in ROWS}

@@ -117,14 +117,22 @@ GUARDED = ("values", "relations", "quotients", "enumeration", "auctions", "encod
 UNUSED_BY_DESIGN = {"auctions.reduced_fee_table"}
 
 
-def _uses(tree: ast.Module) -> set:
-    """Names a module loads or reads as attributes.  A recursive call
-    counts, so encoding.value_to_obj, the writer's oracle, is used."""
+def _loads(node: ast.AST) -> set:
+    """Names node loads or reads as attributes."""
     return {
-        node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-        or isinstance(node, ast.Attribute)
+        sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        or isinstance(sub, ast.Attribute)
     }
+
+
+def _uses(tree: ast.Module) -> set:
+    """Names a module loads or reads as attributes, each top-level function
+    apart from its own name: a function that only calls itself is unused."""
+    return set().union(*(
+        _loads(node) - {node.name} if isinstance(node, ast.FunctionDef) else _loads(node)
+        for node in tree.body
+    ))
 
 
 def test_every_public_function_is_used_or_exported():

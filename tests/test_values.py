@@ -95,6 +95,13 @@ def test_order_kinds_and_nesting():
     assert pair(1, 1) < pair(1, 2) < pair(2, 0)
 
 
+def test_greater_than_reflects_onto_less_than():
+    assert V([2]) > V([1, 2]) > V([1]) > pair(9, 9) > sym("a") > num(1) > rat(1, 2)
+    assert V([1]) >= V([1]) >= num(7) and num(1) >= rat(2, 2)
+    assert not num(1) > num(1) and not num(1) >= num(2)
+    assert max([pair(1, 2), V([]), num(3)]) == V([])
+
+
 def test_values_do_not_order_against_other_objects():
     for compare in (lambda: V(1) < 2, lambda: V(1) <= 2, lambda: 2 > V(1), lambda: V(1) >= 2):
         with pytest.raises(TypeError, match="not supported between instances"):
