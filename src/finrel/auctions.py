@@ -108,6 +108,9 @@ def _check_single_good_args(bidders: Value, grid: Value, i: Value):
 
 
 def _single_good(bidders, grid, i, price_rule) -> SingleGoodMechanism:
+    """The grid mechanism whose winner pays the grid value at position
+    price_rule(ps, k), for ps the bid tuple's grid positions and k the
+    winner's index among the bidders."""
     bidders = canonicalize(bidders)
     grid = canonicalize(grid)
     i = canonicalize(i)
@@ -117,25 +120,29 @@ def _single_good(bidders, grid, i, price_rule) -> SingleGoodMechanism:
     zero, one = num(0), num(1)
     alloc_pairs = []
     price_pairs = []
-    # the bid tuples, and so their vectors, come in canonical order; max keeps
-    # the first highest bid, the least bidder's: the canonical tie-break
-    for gs in itertools.product(grid.payload, repeat=len(bs)):
+    # the bid tuples, and so their vectors, come in canonical order.  Each
+    # tuple goes with its tuple of grid positions; the grid's numbers are
+    # in numeric order, so bids compare as their positions, ints, and no
+    # Value is compared.  max keeps the first highest bid, the least
+    # bidder's: the canonical tie-break
+    positions = itertools.product(range(len(grid.payload)), repeat=len(bs))
+    for gs, ps in zip(itertools.product(grid.payload, repeat=len(bs)), positions):
         b = _set_of_sorted(tuple(map(pair, bs, gs)))
-        wins = gs.index(max(gs)) == k
+        wins = ps.index(max(ps)) == k
         alloc_pairs.append(pair(b, one if wins else zero))
-        price_pairs.append(pair(b, price_rule(gs, k) if wins else zero))
-    alloc, price = (_set_of_sorted(tuple(ps)) for ps in (alloc_pairs, price_pairs))
+        price_pairs.append(pair(b, grid.payload[price_rule(ps, k)] if wins else zero))
+    alloc, price = (_set_of_sorted(tuple(pairs)) for pairs in (alloc_pairs, price_pairs))
     return SingleGoodMechanism(bidders, grid, i, alloc, price)
 
 
 def second_price_single_good(bidders, grid, i) -> SingleGoodMechanism:
     """Winner pays the highest rival bid."""
-    return _single_good(bidders, grid, i, lambda gs, k: max(gs[:k] + gs[k + 1:]))
+    return _single_good(bidders, grid, i, lambda ps, k: max(ps[:k] + ps[k + 1:]))
 
 
 def first_price_single_good(bidders, grid, i) -> SingleGoodMechanism:
     """Winner pays their own bid; the classic non-truthful mutant."""
-    return _single_good(bidders, grid, i, lambda gs, k: gs[k])
+    return _single_good(bidders, grid, i, lambda ps, k: ps[k])
 
 
 def _utility(valuation: Value, won: Value, paid: Value) -> Fraction:

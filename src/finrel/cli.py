@@ -65,14 +65,15 @@ def _cmd_enumerate(args) -> int:
     # one text table for the whole command: the lines share their blocks
     # or pairs, and each is written once
     table = {}
+    # xs is in canonical order, so each block or pair list is too: a line
+    # is the text of the partition's set of blocks or of the injection's
+    # set of pairs, with no set built
     if args.kind == "partitions":
-        # xs is in canonical order, so each block list is too: a line is
-        # the text of the partition's set of blocks, with no set built
         for blocks in all_partitions_list(xs):
             print(serialize_elements(blocks, table))
     else:
-        for rel in injections_alg(xs, Y):
-            print(serialize_value(rel, table))
+        for pairs in injections_alg(xs, Y):
+            print(serialize_elements(pairs, table))
     return 0
 
 

@@ -15,8 +15,9 @@ auctions.serialize_outcome joins its text for the outcome fields.  The
 writer's one other entry is its set branch, serialize_elements: the text
 of the set of some listed elements, with no set built, for a caller that
 guarantees them canonical Values, distinct and in canonical order.
-`finrel enumerate` writes each partition so, from the block list that
-all_partitions_list gives for elements in canonical order.
+`finrel enumerate` writes each partition and each injection so, from the
+block list that all_partitions_list or the pair list that injections_alg
+gives for elements in canonical order.
 
 Shared text: the writer keeps a table from each part of a value (an
 element of a set, a component of a pair, and so on down) to the text

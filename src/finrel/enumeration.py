@@ -1,7 +1,8 @@
 """Enumeration of injections and set partitions.
 
 injections_alg and all_partitions_list are the computable route: plain
-structural recursion producing a deterministic list.  The oracles that
+structural recursion producing a deterministic list, of pair lists for
+injections and of block lists for partitions.  The oracles that
 realize the defining predicates by filtering candidate families live in
 finrel.paper, except injections_oracle: the benchmark in perfbench/
 traces it by its path in this module (its survivor ratio), so it stays
@@ -15,11 +16,12 @@ block to that block + {x}, so equal blocks in the output are one object
 and the next level finds them by identity.  The table is local to the
 call, so concurrent calls share nothing; one partition goes in as [blocks].
 Partitions are handled as lists of blocks while being built (iteration is
-simpler over lists); fset(blocks), a finished list's set of blocks, is
-the lossless direction.  `finrel enumerate` prints that set without
-building it: for elements listed in canonical order, every block list
-comes in canonical order, so encoding.serialize_elements writes the set's
-text from the list.
+simpler over lists), and injections as lists of pairs; fset(blocks) or
+fset(pairs), a finished list's set, is the lossless direction.  `finrel
+enumerate` prints that set without building it: for elements listed in
+canonical order, every block list and every pair list comes in canonical
+order, so encoding.serialize_elements writes the set's text from the
+list.
 """
 
 from __future__ import annotations
@@ -94,29 +96,36 @@ def _distinct(xs: list) -> list:
     return vs
 
 
-def injections_alg(xs: list, Y: Value) -> list[Value]:
-    """All injections from the listed elements into Y, constructively.
+def injections_alg(xs: list, Y: Value) -> list[list]:
+    """All injections from the listed elements into Y, constructively, each
+    as its list of pairs; fset(pairs) is the injection as a set.
 
     Recursion on the list: every partial injection of the tail is
     extended with each still-unused element of Y, taken in canonical
     order.  The output order is deterministic and duplicate-free.
-    """
+
+    When xs is in canonical order, each list is in canonical order too,
+    the order of its set of pairs: xs[0] is less than every element of
+    the tail, and pairs with distinct first components compare by those,
+    so the pair of xs[0], put first, is less than every other pair.  For
+    xs in another order this does not hold."""
     xs = _distinct(xs)
     _require_set(Y)
     if len(xs) > len(Y.payload):  # no injection exists; do not recurse
         return []
     if not xs:
-        return [fset()]
+        return [[]]
     head, rest = xs[0], xs[1:]
     # payload is already the sorted element list; head is in no tail
-    # injection's domain, so adding (head, y) never overrides a pair
+    # injection's domain, so [step, *R] is again an injection, and each
+    # pair of head is built once and shared by every list that holds it
     steps = [(y, pair(head, y)) for y in Y.payload]
     out = []
     for R in injections_alg(rest, Y):
-        used = {p.payload[1] for p in R.payload}
+        used = {p.payload[1] for p in R}
         for y, step in steps:
             if y not in used:
-                out.append(_set_plus(R, step))
+                out.append([step, *R])
     return out
 
 

@@ -673,7 +673,7 @@ def _injection_cases(config):
 
 def _injection_check(listing, Y):
     xs = [p.second for p in listing.payload]  # indexed pairs keep the order
-    constructed = injections_alg(xs, Y)
+    constructed = [fset(pairs) for pairs in injections_alg(xs, Y)]
     oracle = injections_oracle(fset(xs), Y)
     if fset(constructed) != oracle:
         return False

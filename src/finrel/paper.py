@@ -195,7 +195,7 @@ def possible_allocations(goods: Value, bidders: Value) -> list[Value]:
     _check_caps(goods, bidders)
     out = []
     for blocks in all_partitions_list(list(goods.payload)):
-        out.extend(injections_alg(blocks, bidders))
+        out.extend(fset(pairs) for pairs in injections_alg(blocks, bidders))
     return out
 
 

@@ -241,6 +241,23 @@ def _paste_injections(xs: list, Y) -> list:
     return out
 
 
+def _pasted_in_order(xs: list, Y) -> tuple:
+    """The injections by pasting, and whether xs is listed in canonical
+    order, as `finrel enumerate` lists the elements of its source."""
+    return _paste_injections(xs, Y), list(map(canonicalize, xs)) == list(fset(xs).payload)
+
+
+def _same_injections(got: list, want) -> bool:
+    """The pair lists' sets are the pasted injections, in their order; for
+    a source in canonical order, each list is strictly increasing and its
+    text is its set's."""
+    pasted, in_order = want
+    return [fset(pairs) for pairs in got] == pasted and (not in_order or all(
+        all(p < q for p, q in zip(pairs, pairs[1:]))
+        and encoding.serialize_elements(pairs, {}) == encoding.serialize_value(fset(pairs))
+        for pairs in got))
+
+
 def _coarser_by_insertion(new_el, blocks: list) -> list:
     """{new_el} as a fresh block, then new_el inserted into each block."""
     return [[fset([new_el])] + blocks] + [
@@ -972,11 +989,19 @@ ROWS = (
         _product("3x2 functions", FUNCTIONS_3X2), 27,
         lambda st: _one(_digits(st, len(ATOMS) + 1).map(lambda ys: relation(
             (x, ATOMS[y - 1]) for x, y in zip(ATOMS, ys) if y)))),
-    Row("injections_alg", enumeration.injections_alg, _paste_injections,
-        lambda: {"0-3 mixed sources into 0-4 mixed targets": [
-            (MIXED[:n], fset(MIXED[3 : 3 + m])) for n in range(4) for m in range(5)]}, 20,
+    # each injection as its pair list: listed from a source in canonical
+    # order, the list is in its set's order and writes as its set
+    Row("injections_alg", enumeration.injections_alg, _pasted_in_order,
+        lambda: {
+            "0-3 mixed sources into 0-4 mixed targets": [
+                (MIXED[:n], fset(MIXED[3 : 3 + m])) for n in range(4) for m in range(5)],
+            "0-4 mixed sources in canonical order into 0-5 mixed targets": [
+                (list(fset(MIXED[:n]).payload), fset(MIXED[3 : 3 + m]))
+                for n in range(5) for m in range(6)],
+        }, 50,
         lambda st: st.tuples(_arrangements(st, MIXED, 3),
-                             _subsets(st, MIXED[2:]))),
+                             _subsets(st, MIXED[2:])),
+        _same_injections),
     # one table of enlarged blocks for all the partitions of a family; one
     # partition goes in as the family [blocks]
     Row("all_coarser_partitions_with_list", enumeration.all_coarser_partitions_with_list,

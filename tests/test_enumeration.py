@@ -64,9 +64,9 @@ def test_injections_oracle_is_its_literal_filter():
 
 
 def test_injections_alg_examples():
-    assert injections_alg([], V([1, 2])) == [relation()]
-    assert injections_alg([A], V([1])) == [relation([(A, 1)])]
-    got = injections_alg([A, B], V([1, 2, 3]))
+    assert injections_alg([], V([1, 2])) == [[]]
+    assert injections_alg([A], V([1])) == [[pair(A, 1)]]
+    got = [fset(pairs) for pairs in injections_alg([A, B], V([1, 2, 3]))]
     assert fset(got) == injections_oracle(fset([A, B]), V([1, 2, 3]))
     assert len(got) == len(set(got))
 
@@ -81,7 +81,7 @@ def test_injections_empty_target():
     # agree at the empty target in this implementation
     assert injections_alg([A], EMPTY) == []
     assert injections_oracle(fset([A]), EMPTY) == EMPTY
-    assert injections_alg([], EMPTY) == [relation()]
+    assert injections_alg([], EMPTY) == [[]]
     assert injections_oracle(EMPTY, EMPTY) == fset([relation()])
 
 

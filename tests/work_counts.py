@@ -170,11 +170,10 @@ ROWS = (
         "auctions._input_set": 1}),
     Row("enumerate-injections",
         ("enumerate", "injections", '["set",1,2,3]', '["set","a","b","c","d"]'), None, {
-        "values.fset": 3,
-        "values._set_of_sorted": 43,
+        "values.fset": 2,
+        "values._set_of_sorted": 2,
         "values.pair": 12,
         "encoding._build": 9,
-        "encoding.serialize_value": 24,
         "auctions._input_set": 2}),
     Row("run-single-second-price", _single("second-price"), None, {
         "values.fset": 2,
@@ -202,8 +201,8 @@ ROWS = (
         "encoding.serialize_value": 3,
         "auctions._input_set": 67}),
     Row("check-laws-quick", ("check-laws", "--profile", "quick"), None, {
-        "values.fset": 16_505,
-        "values._set_of_sorted": 47_738,
+        "values.fset": 16_531,
+        "values._set_of_sorted": 47_698,
         "values.pair": 19_688,
         "relations.eval_rel": 2_767,
         "relations.compose": 5_224,
