@@ -35,7 +35,6 @@ from .values import (
     max_of,
     num,
     pair,
-    sym,
     union,
     _set_of_sorted,
 )
@@ -51,7 +50,6 @@ from .relations import (
     _require_relation,
     _run_of,
 )
-from .enumeration import all_subsets
 
 CAP_GOODS = 6
 CAP_BIDDERS = 6
@@ -526,33 +524,6 @@ def clear_vickrey(inst: CombinatorialInstance) -> Outcome:
     return Outcome(
         _set_of_sorted(tuple(chosen)), _set_of_sorted(tuple(payments)), Fraction(optimum, scale)
     )
-
-
-def random_instance(rng) -> CombinatorialInstance:
-    """Seeded random instance of 1-4 goods and 1-3 bidders with
-    free-disposal valuations.
-
-    Raw bundle values are drawn independently, then closed upward so a
-    larger bundle is never worth less; that monotonicity is what makes
-    exclusion payments provably non-negative under this allocation space.
-    """
-    n_goods = rng.randint(1, 4)
-    n_bidders = rng.randint(1, 3)
-    goods = fset(sym(f"g{k}") for k in range(1, n_goods + 1))
-    bidders = fset(num(k) for k in range(1, n_bidders + 1))
-    bundles = [s for s in all_subsets(goods).payload if s.payload]
-    triples = []
-    for bidder in bidders.payload:
-        raw = {}
-        for bundle in bundles:
-            raw[bundle] = Fraction(rng.randint(0, 24), rng.choice((1, 1, 2, 4)))
-        for bundle in bundles:
-            keys = frozenset(bundle.payload)
-            closed = max(
-                raw[b] for b in bundles if frozenset(b.payload) <= keys
-            )
-            triples.append((bidder, bundle, num(closed)))
-    return make_instance(goods, bidders, triples)
 
 
 # ---------------------------------------------------------------------------

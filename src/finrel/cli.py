@@ -4,13 +4,16 @@ Exit codes: 0 ok, 1 parse error, 2 validation error (including a failing
 law) or i/o error, 3 cap exceeded; main catches nothing else, so any other
 exception is a bug and shows as one.  Standard output is UTF-8 whatever the
 locale, canonical, and byte-deterministic for identical invocations;
-check-laws prints per-law timings to standard error.
+check-laws prints per-law timings to standard error.  Every command writes
+its standard output through one writer, in blocks of WRITE_BLOCK_LINES
+lines after a first line written at once.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 from contextlib import nullcontext
 
@@ -36,6 +39,24 @@ from .auctions import (
 )
 from .laws import LAWS, PROFILES, LawConfig, run_all, run_law, serialize_report
 
+# lines per write after the first: one write per line is a Python-level
+# call on the stream each, which costs more than building the line
+WRITE_BLOCK_LINES = 1024
+
+
+def _write_lines(lines) -> None:
+    """Write each of lines, and a newline after it, to standard output:
+    the first line in a write of its own, before any later line is read,
+    and the rest joined in blocks of WRITE_BLOCK_LINES lines, one write
+    each.  lines may be any iterable; it is read as the blocks are written."""
+    write, rest = sys.stdout.write, iter(lines)
+    for first in rest:
+        write(first + "\n")
+        break
+    while block := list(itertools.islice(rest, WRITE_BLOCK_LINES)):
+        block.append("")
+        write("\n".join(block))
+
 
 def _read_text(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
@@ -46,7 +67,7 @@ def _read_text(path: str) -> str:
 
 
 def _cmd_eval(args) -> int:
-    print(serialize_value(evaluate_expression(_read_text(args.path))))
+    _write_lines([serialize_value(evaluate_expression(_read_text(args.path)))])
     return 0
 
 
@@ -68,12 +89,8 @@ def _cmd_enumerate(args) -> int:
     # xs is in canonical order, so each block or pair list is too: a line
     # is the text of the partition's set of blocks or of the injection's
     # set of pairs, with no set built
-    if args.kind == "partitions":
-        for blocks in all_partitions_list(xs):
-            print(serialize_elements(blocks, table))
-    else:
-        for pairs in injections_alg(xs, Y):
-            print(serialize_elements(pairs, table))
+    listed = all_partitions_list(xs) if args.kind == "partitions" else injections_alg(xs, Y)
+    _write_lines(serialize_elements(e, table) for e in listed)
     return 0
 
 
@@ -82,24 +99,29 @@ def _cmd_run_single(args) -> int:
     grid = parse_value(args.grid)
     i = parse_value(args.bidder)
     build = second_price_single_good if args.rule == "second-price" else first_price_single_good
-    m = build(bidders, grid, i)
+    _write_lines(_mechanism_lines(args.rule, build(bidders, grid, i)))
+    return 0
+
+
+def _mechanism_lines(rule: str, m):
+    """The lines run-single writes for mechanism m, made as they are read,
+    so that the first is written before the dominance check runs."""
     # one text table for the whole command: alloc and price share their
     # bid vectors, and each is written once
     table = {}
-    print(f"rule {args.rule}")
-    print(f"bidders {serialize_value(m.bidders, table)}")
-    print(f"grid {serialize_value(m.grid, table)}")
-    print(f"bidder {serialize_value(m.bidder, table)}")
-    print(f"alloc {serialize_value(m.alloc, table)}")
-    print(f"price {serialize_value(m.price, table)}")
+    yield f"rule {rule}"
+    yield f"bidders {serialize_value(m.bidders, table)}"
+    yield f"grid {serialize_value(m.grid, table)}"
+    yield f"bidder {serialize_value(m.bidder, table)}"
+    yield f"alloc {serialize_value(m.alloc, table)}"
+    yield f"price {serialize_value(m.price, table)}"
     cx = dominant_strategy_counterexample(m.bidder, m.alloc, m.price)
     if cx is None:
-        print("dominant true")
+        yield "dominant true"
     else:
         b, v = cx
-        print("dominant false")
-        print(f"counterexample bid={serialize_value(b, table)} valuation={serialize_value(v, table)}")
-    return 0
+        yield "dominant false"
+        yield f"counterexample bid={serialize_value(b, table)} valuation={serialize_value(v, table)}"
 
 
 def _cmd_run_combinatorial(args) -> int:
@@ -111,7 +133,7 @@ def _cmd_run_combinatorial(args) -> int:
             fh.write(text + "\n")
         print(f"wrote {args.output}", file=sys.stderr)
     else:
-        print(text)
+        _write_lines([text])
     return 0
 
 
@@ -125,7 +147,7 @@ def _cmd_check_laws(args) -> int:
             reports = run_all(config)
         lines = [serialize_report(r) for r in reports]
         for report, line in zip(reports, lines):
-            print(line)
+            _write_lines([line])
             print(f"{report.law_id}: {report.elapsed * 1000:.1f} ms", file=sys.stderr)
             if report.error:
                 print(f"{report.law_id}: the checker raised {report.error}", file=sys.stderr)

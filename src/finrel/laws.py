@@ -91,8 +91,8 @@ from .auctions import (
     clear_vickrey,
     dominant_strategy_counterexample,
     first_price_single_good,
+    make_instance,
     max_rival_bid,
-    random_instance,
     reduced_bid_map,
     reduced_price_map,
     second_price_single_good,
@@ -837,6 +837,34 @@ _register(
     _vickrey_form_cases,
     _vickrey_form_check,
 )
+
+
+def random_instance(rng) -> CombinatorialInstance:
+    """Seeded random instance of 1-4 goods and 1-3 bidders with
+    free-disposal valuations.
+
+    Raw bundle values are drawn independently, then closed upward so a
+    larger bundle is never worth less; that monotonicity is what makes
+    exclusion payments provably non-negative under clear_vickrey's
+    allocation space.
+    """
+    n_goods = rng.randint(1, 4)
+    n_bidders = rng.randint(1, 3)
+    goods = fset(sym(f"g{k}") for k in range(1, n_goods + 1))
+    bidders = fset(num(k) for k in range(1, n_bidders + 1))
+    bundles = [s for s in all_subsets(goods).payload if s.payload]
+    triples = []
+    for bidder in bidders.payload:
+        raw = {}
+        for bundle in bundles:
+            raw[bundle] = Fraction(rng.randint(0, 24), rng.choice((1, 1, 2, 4)))
+        for bundle in bundles:
+            keys = frozenset(bundle.payload)
+            closed = max(
+                raw[b] for b in bundles if frozenset(b.payload) <= keys
+            )
+            triples.append((bidder, bundle, num(closed)))
+    return make_instance(goods, bidders, triples)
 
 
 def _instance(goods: Value, bidders: Value, table: Value) -> CombinatorialInstance:

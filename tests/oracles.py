@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Callable, NamedTuple
 
-from finrel import auctions, encoding, enumeration, paper, quotients, relations, values
+from finrel import auctions, encoding, enumeration, laws, paper, quotients, relations, values
 from finrel.auctions import CombinatorialInstance, Outcome, make_instance
 from finrel.enumeration import all_partitions_list, all_subsets
 from finrel.errors import CAP_DEPTH, CapExceeded, ParseError, ValidationError
@@ -633,7 +633,7 @@ def _outcome_sweep():
     non_ascii = make_instance(
         V(["gü", "g1"]), V([1, 2]), [(1, V(["gü"]), rat(7, 2)), (2, V(["gü", "g1"]), 5)]
     )
-    seeded = [auctions.random_instance(random.Random(f"outcome:{seed}")) for seed in range(12)]
+    seeded = [laws.random_instance(random.Random(f"outcome:{seed}")) for seed in range(12)]
     return {
         "random instances": [(auctions.clear_vickrey(inst),) for inst in seeded],
         "non-ASCII good": [(auctions.clear_vickrey(non_ascii),)],

@@ -20,7 +20,6 @@ from finrel.auctions import (
     make_instance,
     max_rival_bid,
     parse_instance,
-    random_instance,
     reduced_bid_map,
     reduced_fee_table,
     reduced_price_map,
@@ -28,6 +27,7 @@ from finrel.auctions import (
     serialize_outcome,
     vickrey_payment_form_check,
 )
+from finrel.laws import random_instance
 from finrel.paper import is_partition_of, possible_allocations, won_value
 
 import oracles

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -89,6 +91,92 @@ def test_enumerate_injections_prints_what_the_cli_name_returns(capsys, monkeypat
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out.splitlines() == whole.splitlines()[:-1]
+
+
+def test_enumerate_partitions_prints_what_the_cli_name_returns(capsys, monkeypatch):
+    # the twin of the injections guard: the benchmark's wrong-output check
+    # patches this name as well
+    argv = ("enumerate", "partitions", '["set",1,2,3]')
+    _, whole, _ = run_cli(capsys, *argv)
+    enumerate_all = finrel.cli.all_partitions_list
+    monkeypatch.setattr(finrel.cli, "all_partitions_list", lambda *args: enumerate_all(*args)[:-1])
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == whole.splitlines()[:-1]
+
+
+class Recording(io.TextIOBase):
+    """A text stream that keeps each write apart, and raises
+    BrokenPipeError on the write numbered broken_at (from 0), if any."""
+
+    def __init__(self, broken_at=None):
+        self.writes = []
+        self.broken_at = broken_at
+
+    def writable(self):
+        return True
+
+    def write(self, s):
+        if len(self.writes) == self.broken_at:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.writes.append(s)
+        return len(s)
+
+
+SEVEN = ("enumerate", "partitions", '["set",3,-1,"7/2",10,42,0,99]')
+
+
+def test_stdout_is_written_in_blocks_after_a_first_line_alone(capsys):
+    _, whole, _ = run_cli(capsys, *SEVEN)
+    lines = whole.splitlines()
+    assert len(lines) == _bell(7) == 877
+    stream = Recording()
+    with contextlib.redirect_stdout(stream):
+        assert main(list(SEVEN)) == 0
+    writes = stream.writes
+    assert writes[0] == lines[0] + "\n"
+    assert all(w.endswith("\n") for w in writes)
+    assert len(writes) <= 2 + math.ceil(877 / finrel.cli.WRITE_BLOCK_LINES)
+    assert "".join(writes) == whole
+
+
+def test_a_broken_pipe_after_the_first_line_exits_2_without_a_traceback(capsys):
+    stream = Recording(broken_at=1)
+    with contextlib.redirect_stdout(stream):
+        code = main(list(SEVEN))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(stream.writes) == 1
+    assert err.count("\n") == 1 and err.startswith("i/o error: ")
+    assert "Traceback" not in err
+
+
+def test_run_single_writes_its_first_line_before_the_dominance_check(monkeypatch):
+    stream = Recording()
+    check = finrel.cli.dominant_strategy_counterexample
+    written_before = []
+
+    def recorded(*args):
+        written_before.append(list(stream.writes))
+        return check(*args)
+
+    monkeypatch.setattr(finrel.cli, "dominant_strategy_counterexample", recorded)
+    argv = ["run-single", "--bidders", '["set",1,2]', "--grid", '["set",0,1]', "--bidder", "1"]
+    with contextlib.redirect_stdout(stream):
+        assert main(argv) == 0
+    assert written_before == [["rule second-price\n"]]
+    assert len(stream.writes) == 2 and "".join(stream.writes).count("\n") == 7
+
+
+def test_check_laws_writes_each_verdict_before_its_timing():
+    # one stream for both: each law's stdout line comes before its stderr
+    # timing line and after the previous law's
+    stream = Recording()
+    with contextlib.redirect_stdout(stream), contextlib.redirect_stderr(stream):
+        assert main(["check-laws"]) == 0
+    lines = "".join(stream.writes).splitlines()
+    assert [line.split()[0] for line in lines[::2]] == [f"law={law}" for law in LAWS]
+    assert [line.split(":")[0] for line in lines[1::2]] == list(LAWS)
 
 
 def test_enumerate_deterministic(capsys):

@@ -133,6 +133,12 @@ COMMANDS = [
             '["set","a1","b2","c3","d4","e5","f6","é7"]',
         ],
     ),
+    # outputs of many stdout blocks
+    ("enumerate partitions numbers 8", ["enumerate", "partitions", '["set",3,-1,"7/2",10,42,0,99,-8]']),
+    (
+        "enumerate injections symbols 5 into 7",
+        ["enumerate", "injections", '["set","a","b","c","d","e"]', '["set","p","q","r","s","t","u","v"]'],
+    ),
 ]
 
 # recorded before the bid-vector, table and partition-cover rewrites
@@ -166,6 +172,9 @@ GOLDEN = {
     'run-combinatorial 3x3 shared 1,000-digit': ('929dd0f7d5398ccf3b5c5eff7f67c3aa3dd2c64619f4088f6de7a2dc77b3a49e', 1),
     'run-combinatorial 3x3 distinct 500-digit': ('6b012c1c66a00a45aa46038411d7ca587f9a9175c3871a1eb42fdd1206785c8f', 1),
     'check-laws full 0': ('9a87faa9ab161b9705b4dcb06385e8499a4bcfd07bfa8301a7c258e6e29f6f5f', 21),
+    # recorded before stdout was written in blocks of lines
+    'enumerate partitions numbers 8': ('5e128116aba4bc6db500977ff8e325082c556f06f598374c7f4e2c14b04a95d6', 4140),
+    'enumerate injections symbols 5 into 7': ('39ded191a828c814513832b4d5eaca0dc3e45d1ae720e779f3bc6e925db6fd65', 2520),
 }
 
 
