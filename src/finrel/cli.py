@@ -83,14 +83,11 @@ def _cmd_enumerate(args) -> int:
         over = _perm_exceeds(len(Y.elements), len(xs), CAP_ENUMERATE_LINES)
     if over:
         raise CapExceeded(f"more than {CAP_ENUMERATE_LINES} {args.kind} to list")
-    # one text table for the whole command: the lines share their blocks
-    # or pairs, and each is written once
-    table = {}
     # xs is in canonical order, so each block or pair list is too: a line
     # is the text of the partition's set of blocks or of the injection's
     # set of pairs, with no set built
     listed = all_partitions_list(xs) if args.kind == "partitions" else injections_alg(xs, Y)
-    _write_lines(serialize_elements(e, table) for e in listed)
+    _write_lines(serialize_elements(e) for e in listed)
     return 0
 
 
@@ -106,22 +103,19 @@ def _cmd_run_single(args) -> int:
 def _mechanism_lines(rule: str, m):
     """The lines run-single writes for mechanism m, made as they are read,
     so that the first is written before the dominance check runs."""
-    # one text table for the whole command: alloc and price share their
-    # bid vectors, and each is written once
-    table = {}
     yield f"rule {rule}"
-    yield f"bidders {serialize_value(m.bidders, table)}"
-    yield f"grid {serialize_value(m.grid, table)}"
-    yield f"bidder {serialize_value(m.bidder, table)}"
-    yield f"alloc {serialize_value(m.alloc, table)}"
-    yield f"price {serialize_value(m.price, table)}"
+    yield f"bidders {serialize_value(m.bidders)}"
+    yield f"grid {serialize_value(m.grid)}"
+    yield f"bidder {serialize_value(m.bidder)}"
+    yield f"alloc {serialize_value(m.alloc)}"
+    yield f"price {serialize_value(m.price)}"
     cx = dominant_strategy_counterexample(m.bidder, m.alloc, m.price)
     if cx is None:
         yield "dominant true"
     else:
         b, v = cx
         yield "dominant false"
-        yield f"counterexample bid={serialize_value(b, table)} valuation={serialize_value(v, table)}"
+        yield f"counterexample bid={serialize_value(b)} valuation={serialize_value(v)}"
 
 
 def _cmd_run_combinatorial(args) -> int:

@@ -19,16 +19,15 @@ guarantees them canonical Values, distinct and in canonical order.
 block list that all_partitions_list or the pair list that injections_alg
 gives for elements in canonical order.
 
-Shared text: the writer keeps a table from each part of a value (an
-element of a set, a component of a pair, and so on down) to the text
-already written for it.  Equal values have equal canonical text, so a
-part met again is joined in from the table instead of written again.
-serialize_value(v) starts a fresh table; a caller that prints many values
-built from common parts, as `finrel enumerate` prints partitions sharing
-their blocks and injections sharing their pairs and `finrel run-single`
-its alloc and price sharing their bid vectors, passes one table to every
-call.  The table never holds a printed value itself, only its
-parts, so it grows with the distinct parts, not with the values printed.
+Kept text: each part of a value (an element of a set, a component of a
+pair, and so on down) keeps its canonical text in its _text slot once it
+has been written, and the same part met again is joined in from there
+instead of written again; an equal part built apart is written once
+itself, to equal text.  So the lines of `finrel enumerate`, which share
+their blocks or pairs, write each block or pair once, and `finrel
+run-single` writes the bid vectors its alloc and price share once.  A printed value
+keeps no text itself, only its parts do; a write that raises at the
+digit limit keeps none for the failing part or any part holding it.
 """
 
 from __future__ import annotations
@@ -136,31 +135,30 @@ def parse_value(text: str) -> Value:
     return _read(_load_json(text, "value text"), CAP_DEPTH, "value text")
 
 
-def serialize_value(v: Value, table: dict | None = None) -> str:
-    """Canonical text of v.  The text of v's parts is read from table and
-    added to it; without a table, a fresh one serves this call alone."""
+def serialize_value(v: Value) -> str:
+    """Canonical text of v, its parts' texts read from or kept on them."""
     if not isinstance(v, Value):
         raise TypeError(f"not a value: {v!r}")
-    return _write(v, {} if table is None else table)
+    return _write(v)
 
 
-def serialize_elements(elems, table: dict) -> str:
+def serialize_elements(elems) -> str:
     """Canonical text of the set of elems, without building the set: the
     caller guarantees that elems are canonical Values, distinct and in
-    canonical order.  Each element's text is read from table and added
-    to it, as serialize_value does with the parts of a value."""
+    canonical order.  Each element's text is read from or kept on it, as
+    serialize_value does with the parts of a value."""
     if not elems:
         return '["set"]'
-    return '["set",' + ",".join(_texts(elems, table)) + "]"
+    return '["set",' + ",".join(_texts(elems)) + "]"
 
 
-def _write(v: Value, table: dict) -> str:
+def _write(v: Value) -> str:
     """Compact JSON text of paper.value_to_obj(v), built without the object.
-    Each part of v is written once per table (see the module docstring);
-    v itself is not stored.  Strings go through the json module's own
-    encoder, as json.dumps with ensure_ascii=False escapes them; an
-    integer past the digit limit raises the same ValueError as there,
-    and leaves in the table only the parts written in full."""
+    Each part of v is written once (see the module docstring); v itself
+    keeps no text.  Strings go through the json module's own encoder, as
+    json.dumps with ensure_ascii=False escapes them; an integer past the
+    digit limit raises the same ValueError as there, and only the parts
+    written in full keep their text."""
     key = v._key
     kind = key[0]
     if kind == NUM:
@@ -171,17 +169,17 @@ def _write(v: Value, table: dict) -> str:
     if kind == SYM:
         return encode_basestring(key[1])
     if kind == PAIR:
-        first, second = _texts(v.payload, table)
+        first, second = _texts(v.payload)
         return '["pair",' + first + "," + second + "]"
-    return serialize_elements(v.payload, table)
+    return serialize_elements(v.payload)
 
 
-def _texts(parts, table: dict) -> list:
-    """The text of each part, from table or written into it."""
+def _texts(parts) -> list:
+    """The text of each part, kept on it or written and kept."""
     texts = []
     for part in parts:
-        text = table.get(part)
+        text = part._text
         if text is None:
-            text = table[part] = _write(part, table)
+            text = part._text = _write(part)
         texts.append(text)
     return texts

@@ -41,8 +41,10 @@ class Value:
     # its by-first index, projector, class tuple and converse), made once
     # the set has passed the relation check.  Each view is built on first
     # use from the immutable payload and never changed, so sharing a Value
-    # between threads stays safe.
-    __slots__ = ("payload", "_key", "_hash", "_index")
+    # between threads stays safe.  _text holds the canonical text
+    # (encoding's wire format) once the Value has been written as a part
+    # of another; a thread racing to write it stores an equal string.
+    __slots__ = ("payload", "_key", "_hash", "_index", "_text")
 
     def __init__(self, payload, key, h: int):
         self.payload = payload
@@ -51,6 +53,9 @@ class Value:
         # deep values never re-hash their numeric leaves
         self._hash = h
         self._index = None
+        # set here rather than left unset: catching AttributeError on a
+        # first read made writing mostly fresh values slower
+        self._text = None
 
     def __eq__(self, other):
         return self is other or (
@@ -117,10 +122,10 @@ class Value:
         return len(self.payload)
 
     def __repr__(self):
-        return _text(self)
+        return _shown(self)
 
 
-def _text(v: Value) -> str:
+def _shown(v: Value) -> str:
     kind = v._key[0]
     if kind == NUM:
         f = v.payload
@@ -128,8 +133,8 @@ def _text(v: Value) -> str:
     if kind == SYM:
         return f'"{v.payload}"'
     if kind == PAIR:
-        return f"({_text(v.payload[0])}, {_text(v.payload[1])})"
-    return "{" + ", ".join(_text(e) for e in v.payload) + "}"
+        return f"({_shown(v.payload[0])}, {_shown(v.payload[1])})"
+    return "{" + ", ".join(_shown(e) for e in v.payload) + "}"
 
 
 _INT_CACHE: dict = {}

@@ -254,7 +254,7 @@ def _same_injections(got: list, want) -> bool:
     pasted, in_order = want
     return [fset(pairs) for pairs in got] == pasted and (not in_order or all(
         all(p < q for p, q in zip(pairs, pairs[1:]))
-        and encoding.serialize_elements(pairs, {}) == encoding.serialize_value(fset(pairs))
+        and encoding.serialize_elements(pairs) == _dumped(paper.value_to_obj(fset(pairs)))
         for pairs in got))
 
 
@@ -281,11 +281,11 @@ def _canonical_partitions(xs: list) -> list:
 
 
 def _partition_line_sweep():
-    # one text table for the whole sweep, as the command has one for all
-    # its lines
-    table = {}
+    # the partitions share their blocks and every case shares MIXED, so
+    # most parts are joined in from the texts they kept when an earlier
+    # case wrote them, as the command's later lines are
     return {"partitions of up to 6 mixed values in canonical order": [
-        (blocks, table) for n in range(7) for blocks in _canonical_partitions(MIXED[:n])]}
+        (blocks,) for n in range(7) for blocks in _canonical_partitions(MIXED[:n])]}
 
 
 def _counted_partition_of(P, A):
@@ -1068,9 +1068,9 @@ ROWS = (
     # the text of a partition's set of blocks from its block list: a block
     # list out of canonical order gives other text than its set
     Row("serialize_elements", encoding.serialize_elements,
-        lambda blocks, table: encoding.serialize_value(fset(blocks)), _partition_line_sweep, 279,
+        lambda blocks: _dumped(paper.value_to_obj(fset(blocks))), _partition_line_sweep, 279,
         lambda st: st.tuples(_arrangements(st, MIXED, 6).map(_canonical_partitions),
-                             st.integers(0, 202)).map(lambda t: (t[0][t[1] % len(t[0])], {}))),
+                             st.integers(0, 202)).map(lambda t: (t[0][t[1] % len(t[0])],))),
     Row("serialize_outcome", auctions.serialize_outcome,
         lambda out: _dumped({"allocation": paper.value_to_obj(out.allocation),
                              "payments": paper.value_to_obj(out.payments),

@@ -1,8 +1,12 @@
+import sys
+import threading
+
 import pytest
 
+from finrel.enumeration import all_partitions_list
 from finrel.errors import CAP_DEPTH, CapExceeded, ParseError, ValidationError
 from finrel.values import EMPTY, UNDEFINED, V, fset, num, pair, rat, sym
-from finrel.encoding import _read, parse_value, serialize_value
+from finrel.encoding import _read, parse_value, serialize_elements, serialize_value
 
 
 def test_parse_canonicalizes_sets():
@@ -82,20 +86,88 @@ def test_serialization_is_compact_and_ordered():
     assert serialize_value(v) == '["set",1,2,3]'
 
 
+def _parts(v):
+    """Every part of v (an element of a set, a component of a pair, and so
+    on down), v itself left out."""
+    for part in v.payload if v.is_pair or v.is_set else ():
+        yield part
+        yield from _parts(part)
+
+
+def _holds(v, x) -> bool:
+    return v == x or any(part == x for part in _parts(v))
+
+
 def test_serializing_a_number_past_the_digit_limit_raises_value_error():
-    too_long = 10**4300  # 4,301 digits, one past Python's default limit
-    for v in (num(too_long), rat(-too_long, 3), fset([pair("a", num(too_long))])):
-        with pytest.raises(ValueError, match="integer string conversion"):
-            serialize_value(v)
+    too_long = num(10**4300)  # 4,301 digits, one past Python's default limit
+    for v in (too_long, rat(-(10**4300), 3), fset([pair("a", too_long)])):
+        for _ in range(2):  # nothing kept by the first raise makes a second pass
+            with pytest.raises(ValueError, match="integer string conversion"):
+                serialize_value(v)
+        # neither the failing part nor any part holding it keeps a text;
+        # a part written in full before the raise keeps its own
+        for part in _parts(v):
+            if _holds(part, too_long):
+                assert part._text is None
+            else:
+                assert part._text == serialize_value(part)
 
 
-def test_a_shared_table_holds_the_parts_of_what_was_written_only():
-    table = {}
-    first = fset([pair("a", 1), fset([2])])
-    assert serialize_value(first, table) == '["set",["pair","a",1],["set",2]]'
-    assert set(table) == {pair("a", 1), sym("a"), num(1), fset([2]), num(2)}
-    # an equal part built afresh is joined in from the table
-    table[pair("a", 1)] = "PAIR"
-    assert serialize_value(fset([pair("a", 1)]), table) == '["set",PAIR]'
-    assert serialize_value(fset([pair("a", 1)])) == '["set",["pair","a",1]]'
-    assert first not in table
+def test_each_part_keeps_its_text_and_the_written_value_keeps_none():
+    # rationals and symbols are built afresh, so no other test has
+    # written them
+    v = fset([pair("a", rat(1, 3)), fset([rat(2, 3)]), pair(pair("b", rat(1, 3)), "c")])
+    assert v._text is None and all(part._text is None for part in _parts(v))
+    text = serialize_value(v)
+    assert text == ('["set",["pair","a","1/3"],["pair",["pair","b","1/3"],"c"],'
+                    '["set","2/3"]]')
+    assert v._text is None
+    for part in _parts(v):
+        assert part._text == serialize_value(part)
+    # the written value is a part of the next one, so it keeps its text there
+    assert serialize_value(pair(v, 0)) == '["pair",' + text + ",0]"
+    assert v._text == text
+
+
+def test_an_equal_part_built_afresh_is_written_to_equal_text():
+    kept = pair("a", fset([rat(1, 3)]))
+    assert serialize_value(fset([kept])) == '["set",["pair","a",["set","1/3"]]]'
+    fresh = pair("a", fset([rat(1, 3)]))
+    assert fresh == kept and fresh is not kept and fresh._text is None
+    assert serialize_value(fset([fresh, "b"])) == '["set","b",["pair","a",["set","1/3"]]]'
+    assert fresh._text == kept._text == '["pair","a",["set","1/3"]]'
+
+
+def _fresh_partition_lines():
+    """The block lists of the partitions of six values, every value and
+    block built afresh; the lists share their blocks, as the lines of
+    `finrel enumerate` do."""
+    elements = [sym("é"), num(10**6), pair("a", rat(1, 2)), fset([rat(7, 3)]), sym("a"),
+                rat(-1, 2)]
+    return all_partitions_list(list(fset(elements).payload))
+
+
+def test_threads_racing_to_write_shared_parts_get_the_single_threaded_bytes():
+    want = "\n".join(map(serialize_elements, _fresh_partition_lines())).encode()
+    # eight passes over fresh parts, so that both threads write most parts
+    # at the same time in nearly every run
+    passes = [_fresh_partition_lines() for _ in range(8)]
+    barrier = threading.Barrier(2, timeout=10)
+    written = ([], [])
+
+    def write(mine):
+        for lines in passes:
+            barrier.wait()  # both threads start on the same fresh parts
+            mine.append("\n".join(map(serialize_elements, lines)).encode())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often enough to interleave the writes
+    try:
+        threads = [threading.Thread(target=write, args=(mine,)) for mine in written]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert written == ([want] * len(passes), [want] * len(passes))
