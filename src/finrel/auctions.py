@@ -46,7 +46,6 @@ from .relations import (
     is_relation,
     range_of,
     right_unique,
-    single_outside,
     _require_relation,
     _run_of,
 )
@@ -118,17 +117,23 @@ def _single_good(bidders, grid, i, price_rule) -> SingleGoodMechanism:
     zero, one = num(0), num(1)
     alloc_pairs = []
     price_pairs = []
-    # the bid tuples, and so their vectors, come in canonical order.  Each
-    # tuple goes with its tuple of grid positions; the grid's numbers are
-    # in numeric order, so bids compare as their positions, ints, and no
-    # Value is compared.  max keeps the first highest bid, the least
-    # bidder's: the canonical tie-break
+    # each (bidder, bid) pair is built once, and every vector is put
+    # together from them; the bid tuples, and so their vectors, come in
+    # canonical order.  Each tuple goes with its tuple of grid positions;
+    # the grid's numbers are in numeric order, so bids compare as their
+    # positions, ints, and no Value is compared.  max keeps the first
+    # highest bid, the least bidder's: the canonical tie-break
+    rows = [[pair(n, g) for g in grid.payload] for n in bs]
     positions = itertools.product(range(len(grid.payload)), repeat=len(bs))
-    for gs, ps in zip(itertools.product(grid.payload, repeat=len(bs)), positions):
-        b = _set_of_sorted(tuple(map(pair, bs, gs)))
+    for bid_pairs, ps in zip(itertools.product(*rows), positions):
+        b = _set_of_sorted(bid_pairs)
         wins = ps.index(max(ps)) == k
-        alloc_pairs.append(pair(b, one if wins else zero))
-        price_pairs.append(pair(b, grid.payload[price_rule(ps, k)] if wins else zero))
+        won = one if wins else zero
+        paid = grid.payload[price_rule(ps, k)] if wins else zero
+        # a loser's (b, 0) is one pair of both tables
+        at_won = pair(b, won)
+        alloc_pairs.append(at_won)
+        price_pairs.append(at_won if paid is won else pair(b, paid))
     alloc, price = (_set_of_sorted(tuple(pairs)) for pairs in (alloc_pairs, price_pairs))
     return SingleGoodMechanism(bidders, grid, i, alloc, price)
 
@@ -145,6 +150,15 @@ def first_price_single_good(bidders, grid, i) -> SingleGoodMechanism:
 
 def _utility(valuation: Value, won: Value, paid: Value) -> Fraction:
     return as_fraction(valuation) * as_fraction(won) - as_fraction(paid)
+
+
+def _rival_pairs(b: Value, i: Value) -> tuple[tuple, tuple]:
+    """(b's pairs outside i's run, i's run): b without i, and i's bids in
+    b, each a slice of b's sorted payload.  The slices hold b's own pair
+    objects, so the rival pairs of vectors built from shared pairs are
+    equal tuples of the same objects, cheap to hash and compare."""
+    lo, hi = _run_of(b, i)
+    return b.payload[:lo] + b.payload[hi:], b.payload[lo:hi]
 
 
 def dominant_strategy_counterexample(
@@ -164,41 +178,42 @@ def dominant_strategy_counterexample(
 
     Nothing is pasted.  The pasted vector is b's rival pairs plus the one
     pair (i, v), so each vector with exactly one bid for i is filed under
-    the keys of its rival pairs and that bid, and a pasted vector is a
-    dict lookup; alloc and price are read once per vector.  Utilities are
-    compared as integers: every number times the common denominator
-    `scale` of the bids, wins and payments, so v * won - paid compares as
-    V * W - P * scale.  When that denominator passes MAX_SCALE_BITS the
-    same comparison runs on the rationals (scale 1).  A comparison that
-    meets a non-number goes through `_utility`, which raises the first
-    TypeError in the paper's order: v, won and paid at b, then at the
-    pasted vector.
+    its rival pairs themselves (a tuple of Values, whose hashes are kept)
+    and that bid, and a pasted vector is a dict lookup; alloc and price
+    are read once per vector.  Utilities are compared as integers: every
+    number times the common denominator `scale` of the bids, wins and
+    payments, so v * won - paid compares as V * W - P * scale.  When that
+    denominator passes MAX_SCALE_BITS the same comparison runs on the
+    rationals (scale 1).  A comparison that meets a non-number goes
+    through `_utility`, which raises the first TypeError in the paper's
+    order: v, won and paid at b, then at the pasted vector.
     """
     common = intersection(domain_of(alloc), domain_of(price))
-    read = []  # (b, its rival keys, i's one bid or None, won, paid)
+    read = []  # (b, its rival pairs, i's one bid or None, won, paid)
     for b in common.payload:
         # b is checked before i is read, so each input error is the one
         # the membership test i in domain(b) raises
         _require_relation(b)
-        lo, hi = _run_of(b, canonicalize(i))
-        if lo < hi:
-            keys = b._key[1]
-            bid = b.payload[lo].payload[1] if hi - lo == 1 else None
-            read.append((b, keys[:lo] + keys[hi:], bid, eval_rel(alloc, b), eval_rel(price, b)))
+        rivals, own = _rival_pairs(b, canonicalize(i))
+        if own:
+            bid = own[0].payload[1] if len(own) == 1 else None
+            read.append((b, rivals, bid, eval_rel(alloc, b), eval_rel(price, b)))
     numbers = {x for entry in read for x in entry[2:] if x is not None and x._key[0] == NUM}
     scale, up = _common_scale(x.payload for x in numbers)
     scaled = {x: up(x.payload) for x in numbers}  # a non-number gets None
     vectors = []
-    by_rivals: dict = {}  # rival keys -> {one bid v for i: (V, outcome there)}
+    by_rivals: dict = {}  # rival pairs -> {one bid v for i: (V, outcome there)}
     for b, rivals, bid, won, paid in read:
         outcome = (won, paid, scaled.get(won), scaled.get(paid))
-        vectors.append((b, rivals, outcome))
+        # each vector keeps its rivals' dict, so it is looked up once
+        deviations = by_rivals.setdefault(rivals, {})
+        vectors.append((b, deviations, outcome))
         if bid is not None:
-            by_rivals.setdefault(rivals, {})[bid] = (scaled.get(bid), outcome)
+            deviations[bid] = (scaled.get(bid), outcome)
     # vectors that differ only in i's bid sort by that bid, so each dict
     # of by_rivals holds its bids in canonical order
-    for b, rivals, (won, paid, W, P) in vectors:
-        for v, (V, (t_won, t_paid, TW, TP)) in by_rivals.get(rivals, {}).items():
+    for b, deviations, (won, paid, W, P) in vectors:
+        for v, (V, (t_won, t_paid, TW, TP)) in deviations.items():
             if V is None or W is None or P is None or TW is None or TP is None:
                 hurts = _utility(v, won, paid) > _utility(v, t_won, t_paid)
             else:
@@ -223,13 +238,24 @@ def vickrey_payment_form_check(i, alloc, price, weight, fee, base_alloc) -> bool
     number; a table held as a relation goes in through to_function.  Both
     must give a number on every reduced bid the common domain reaches,
     otherwise a ValueError is raised.
+
+    Each table is called once per distinct reduced bid, weight before
+    fee, in the order the vectors first reach it, so the first error is
+    the one a walk that looks both up at every vector raises.  Vectors
+    with equal rival pairs share one reduced bid.
     """
     i = canonicalize(i)
     base = as_fraction(canonicalize(base_alloc))
+    looked_up: dict = {}  # rival pairs -> (weight, fee) at their reduced bid
     for b in intersection(domain_of(alloc), domain_of(price)).payload:
-        reduced = single_outside(b, i)
-        w = _table_lookup(weight, reduced)
-        t = _table_lookup(fee, reduced)
+        _require_relation(b)
+        rivals = _rival_pairs(b, i)[0]
+        tables = looked_up.get(rivals)
+        if tables is None:
+            reduced = _set_of_sorted(rivals)
+            tables = looked_up[rivals] = (
+                _table_lookup(weight, reduced), _table_lookup(fee, reduced))
+        w, t = tables
         lhs = as_fraction(eval_rel(price, b))
         rhs = (as_fraction(eval_rel(alloc, b)) - base) * w + t
         if lhs != rhs:
@@ -248,7 +274,9 @@ def reduced_bid_map(i, alloc: Value) -> Value:
 
     Two bid vectors differing only in bidder i's component with the same
     allocation land on the same triple; the kernel of this map is exactly
-    that equivalence.
+    that equivalence.  Within one call each distinct reduced vector and
+    each distinct triple is built once, so vectors with equal rival pairs,
+    flag and domain share one triple object.
     """
     i = canonicalize(i)
     if not right_unique(alloc):
@@ -258,6 +286,8 @@ def reduced_bid_map(i, alloc: Value) -> Value:
     # the vectors of a grid mechanism share one domain: each domain is
     # built once, keyed by the keys of its vectors' first components
     domains: dict = {}
+    reduced_of: dict = {}  # rival pairs -> b without i
+    triples: dict = {}  # (rival pairs, won, domain) -> its triple
     for p in alloc.payload:
         b, won = p.payload
         if not is_relation(b):
@@ -266,7 +296,15 @@ def reduced_bid_map(i, alloc: Value) -> Value:
         domain = domains.get(firsts)
         if domain is None:
             domain = domains[firsts] = domain_of(b)
-        out.append(pair(b, pair(domain, pair(single_outside(b, i), won))))
+        rivals = _rival_pairs(b, i)[0]
+        key = (rivals, won, domain)
+        triple = triples.get(key)
+        if triple is None:
+            reduced = reduced_of.get(rivals)
+            if reduced is None:
+                reduced = reduced_of[rivals] = _set_of_sorted(rivals)
+            triple = triples[key] = pair(domain, pair(reduced, won))
+        out.append(pair(b, triple))
     return _set_of_sorted(tuple(out))
 
 

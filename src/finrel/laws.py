@@ -853,16 +853,13 @@ def random_instance(rng) -> CombinatorialInstance:
     goods = fset(sym(f"g{k}") for k in range(1, n_goods + 1))
     bidders = fset(num(k) for k in range(1, n_bidders + 1))
     bundles = [s for s in all_subsets(goods).payload if s.payload]
+    # each bundle's goods as a frozenset, built once per instance
+    members = [frozenset(bundle.payload) for bundle in bundles]
     triples = []
     for bidder in bidders.payload:
-        raw = {}
-        for bundle in bundles:
-            raw[bundle] = Fraction(rng.randint(0, 24), rng.choice((1, 1, 2, 4)))
-        for bundle in bundles:
-            keys = frozenset(bundle.payload)
-            closed = max(
-                raw[b] for b in bundles if frozenset(b.payload) <= keys
-            )
+        raw = [Fraction(rng.randint(0, 24), rng.choice((1, 1, 2, 4))) for _ in bundles]
+        for bundle, keys in zip(bundles, members):
+            closed = max(x for x, inside in zip(raw, members) if inside <= keys)
             triples.append((bidder, bundle, num(closed)))
     return make_instance(goods, bidders, triples)
 

@@ -491,10 +491,10 @@ def _fee_closure_verdict(m):
     return _payment_form_verdict(m, auctions.reduced_fee_table(m.price, m.bidder, m.alloc))
 
 
-def _fee_definition_verdict(m):
-    """The verdict with the fee read off its definition: at a reduced bid,
-    the one payment over the vectors b that bid for the bidder, reduce to
-    it, and get the lowest allocation; UNDEFINED unless there is exactly one."""
+def _definition_fee(m):
+    """The fee read off its definition: at a reduced bid, the one payment
+    over the vectors b that bid for the bidder, reduce to it, and get the
+    lowest allocation; UNDEFINED unless there is exactly one."""
     lowest = values.min_of(relations.range_of(m.alloc))
 
     def fee(reduced):
@@ -504,7 +504,58 @@ def _fee_definition_verdict(m):
                 and relations.eval_rel(m.alloc, p.first) == lowest}
         return paid.pop() if len(paid) == 1 else UNDEFINED
 
-    return _payment_form_verdict(m, fee)
+    return fee
+
+
+def _fee_definition_verdict(m):
+    """The verdict with the fee read off its definition."""
+    return _payment_form_verdict(m, _definition_fee(m))
+
+
+def _payment_form_walk(i, alloc, price, weight, fee, base_alloc):
+    """The payment-form check as a walk over the common domain: each
+    vector's reduced bid cut out with single_outside, and both tables
+    looked up at it, weight first, at every vector."""
+    i = canonicalize(i)
+    base = values.as_fraction(canonicalize(base_alloc))
+
+    def looked_up(table, reduced):
+        y = canonicalize(table(reduced))
+        if not y.is_num:
+            raise ValueError(f"table has no numeric value at {reduced!r} (got {y!r})")
+        return y.payload
+
+    for b in values.intersection(relations.domain_of(alloc), relations.domain_of(price)).payload:
+        reduced = relations.single_outside(b, i)
+        w, t = looked_up(weight, reduced), looked_up(fee, reduced)
+        paid = values.as_fraction(relations.eval_rel(price, b))
+        won = values.as_fraction(relations.eval_rel(alloc, b))
+        if paid != (won - base) * w + t:
+            return False
+    return True
+
+
+def _spoiled_at(table, at, spoiled):
+    """table, but spoiled at the reduced bid at."""
+    return lambda reduced: spoiled if reduced == at else table(reduced)
+
+
+def _payment_form_arguments(m):
+    """m's payment-form check with the fee closure, the fee read off its
+    definition, the definition undefined at the reduced bid of m's middle
+    vector, and the closure with a weight that is no number there."""
+    vectors = relations.domain_of(m.alloc).payload
+    middle = relations.single_outside(vectors[len(vectors) // 2], m.bidder)
+    closure = auctions.reduced_fee_table(m.price, m.bidder, m.alloc)
+    definition = _definition_fee(m)
+    return [
+        (m.bidder, m.alloc, m.price, weight, fee, num(0)) for weight, fee in (
+            (auctions.max_rival_bid, closure),
+            (auctions.max_rival_bid, definition),
+            (auctions.max_rival_bid, _spoiled_at(definition, middle, UNDEFINED)),
+            (_spoiled_at(auctions.max_rival_bid, middle, sym("w")), closure),
+        )
+    ]
 
 
 def _quotient_reduced_price(price, i, alloc):
@@ -768,6 +819,13 @@ def _single_outside_sweep():
         "not relations or not values": list(
             product(NOT_RELATIONS, UNREADABLE + [V(1)])),
     }
+
+
+def _payment_form_sweep():
+    [mechanisms] = _mechanism_sweep().values()
+    return {"each mechanism with two fees, one undefined at a reduced bid, and a weight "
+            "that is no number there": [
+                case for (m,) in mechanisms for case in _payment_form_arguments(m)]}
 
 
 def _reduced_price_sweep():
@@ -1058,6 +1116,11 @@ ROWS = (
     Row("reduced_price_map", auctions.reduced_price_map, _quotient_reduced_price,
         _reduced_price_sweep, 42, lambda st: st.tuples(_mechanism_cases(st), st.integers(0, 2))
         .map(lambda t: _price_arguments(*t[0])[t[1]])),
+    # each distinct reduced bid is looked up once, the walk looks it up at
+    # every vector: the verdicts, and the first error, are the same
+    Row("vickrey_payment_form_check", auctions.vickrey_payment_form_check, _payment_form_walk,
+        _payment_form_sweep, 56, lambda st: st.tuples(_mechanism_cases(st), st.integers(0, 3))
+        .map(lambda t: _payment_form_arguments(*t[0])[t[1]]), errors=(TypeError, ValueError)),
     Row("reduced_fee_table", _fee_closure_verdict, _fee_definition_verdict, _mechanism_sweep, 14,
         _mechanism_cases),
     Row("serialize_value", encoding.serialize_value, lambda v: _dumped(paper.value_to_obj(v)),

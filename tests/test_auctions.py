@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from finrel.errors import CapExceeded, ParseError, ValidationError
-from finrel.values import EMPTY, UNDEFINED, V, as_fraction, fset, num, pair, sym
+from finrel.values import EMPTY, UNDEFINED, V, as_fraction, fset, num, pair, rat, sym
 from finrel.enumeration import all_subsets
-from finrel.relations import domain_of, eval_rel, relation, right_unique
+from finrel.relations import domain_of, eval_rel, relation, right_unique, single_outside
 from finrel.quotients import kernel
 from finrel.auctions import (
     CombinatorialInstance,
@@ -190,6 +190,50 @@ def test_extracted_fee_undefined_for_tie_favored_bidder():
         vickrey_payment_form_check(
             m.bidder, m.alloc, m.price, max_rival_bid, fee, num(0)
         )
+
+
+B123, GRID5 = V([1, 2, 3]), V([-1, rat(-1, 2), 0, rat(1, 2), 3])
+
+
+def test_the_vectors_of_a_mechanism_share_its_bid_pairs():
+    m = second_price_single_good(B123, GRID5, V(3))
+    vectors = domain_of(m.alloc).elements
+    assert len(vectors) == 125
+    assert len({id(p) for b in vectors for p in b.elements}) == 15
+    # a loser's (b, 0) is one object in both tables
+    lost = [p for p in m.alloc.elements if p.second == num(0)]
+    assert lost and all(any(q is p for q in m.price.elements) for p in lost)
+    assert m == oracles.ROW["second_price_single_good"].oracle(B123, GRID5, V(3))
+
+
+def test_reduced_bid_map_shares_one_triple_per_rival_pairs_and_flag():
+    m = second_price_single_good(B123, GRID5, V(2))
+    rb = reduced_bid_map(m.bidder, m.alloc)
+    triples = {}
+    for p in rb.elements:
+        b, triple = p.first, p.second
+        key = (single_outside(b, m.bidder), eval_rel(m.alloc, b))
+        assert triples.setdefault(key, triple) is triple
+    assert len(triples) == len({id(t) for t in triples.values()}) < 125
+    assert rb == oracles._literal_reduced_bid_map(m.bidder, m.alloc)
+
+
+def test_payment_form_looks_up_each_reduced_bid_once_in_first_met_order():
+    m = second_price_single_good(B123, GRID5, V(3))
+    fee = reduced_fee_table(m.price, m.bidder, m.alloc)
+    asked = {"weight": [], "fee": []}
+
+    def counted(name, table):
+        def lookup(reduced):
+            asked[name].append(reduced)
+            return table(reduced)
+        return lookup
+
+    assert vickrey_payment_form_check(m.bidder, m.alloc, m.price, counted("weight", max_rival_bid),
+                                      counted("fee", fee), num(0))
+    first_met = list(dict.fromkeys(single_outside(b, m.bidder) for b in domain_of(m.alloc)))
+    assert len(first_met) == 25
+    assert asked["weight"] == asked["fee"] == first_met
 
 
 def test_possible_allocation_counts():

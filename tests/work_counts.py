@@ -178,7 +178,7 @@ ROWS = (
     Row("run-single-second-price", _single("second-price"), None, {
         "values.fset": 2,
         "values._set_of_sorted": 132,
-        "values.pair": 625,
+        "values.pair": 183,
         "relations.eval_rel": 250,
         "relations.domain_of": 2,
         "encoding._build": 11,
@@ -187,7 +187,7 @@ ROWS = (
     Row("run-single-first-price", _single("first-price"), None, {
         "values.fset": 2,
         "values._set_of_sorted": 132,
-        "values.pair": 625,
+        "values.pair": 191,
         "relations.eval_rel": 250,
         "relations.domain_of": 2,
         "encoding._build": 11,
@@ -201,12 +201,12 @@ ROWS = (
         "encoding.serialize_value": 3,
         "auctions._input_set": 67}),
     Row("check-laws-quick", ("check-laws", "--profile", "quick"), None, {
-        "values.fset": 16_531,
-        "values._set_of_sorted": 47_698,
-        "values.pair": 19_688,
-        "relations.eval_rel": 2_767,
+        "values.fset": 16_405,
+        "values._set_of_sorted": 47_332,
+        "values.pair": 17_507,
+        "relations.eval_rel": 2_725,
         "relations.compose": 5_224,
-        "relations.domain_of": 6_081,
+        "relations.domain_of": 6_039,
         "relations.single_paste": 13,
         "auctions._input_set": 658}),
 )
