@@ -1,22 +1,23 @@
 """Finite relation algebra with exhaustively checked laws and auction clearing.
 
-The package is organized bottom-up:
+The package is organized bottom-up, each module importing only earlier ones:
 
+- errors: the three input error types and the nesting-depth cap.
 - values: the hereditarily finite value universe (numbers, symbols,
   pairs, canonical sets) with its total order and set operations.
+- encoding: the JSON text format, which auctions and expressions read.
 - relations: the operator suite over relations-as-pair-sets (outside,
   paste, evaluation, right-uniqueness, graphs, maximizer sets).
-- quotients: projector, quotient, compatibility, kernel.
 - enumeration: injections and partitions by constructive recursion.
+- quotients: projector, quotient, compatibility, kernel.
 - auctions: single-good second-price mechanisms with the dominance and
   payment-form checks, and combinatorial Vickrey clearing.
-- paper: the paper's set-theoretic formulations (seven of
-  right-uniqueness, the partition predicates and oracle, the allocation
-  space, brute-force welfare), the oracles the fast paths above are
-  checked against; no module above imports it.
-- laws: a registry of executable laws verifying the algebra over small
-  finite universes, exhaustively or with seeded sampling.
-- encoding / expressions / cli: the text formats and command line.
+- paper: the paper's set-theoretic formulations (seven of right-uniqueness,
+  the partition predicates and oracle, the allocation space, brute-force
+  welfare), the oracles of the fast paths above; only laws imports it.
+- laws: executable laws checked over small finite universes.
+- expressions: the operator expression language that `eval` reads.
+- cli: the command line.
 """
 
 __version__ = "0.1.0"

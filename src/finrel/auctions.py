@@ -508,6 +508,8 @@ def _solve(inst: CombinatorialInstance) -> _Solution:
         return top
 
     optimum = best(all_goods, everyone)
+    if optimum is None:
+        raise ValueError("no bidders to allocate the goods to")
     # the bundle masks in canonical order, filed under their lowest good;
     # bit g is goods[g], so masks sort by the positions of their bits
     by_lowest = {1 << g: [] for g in range(len(goods))}

@@ -33,27 +33,22 @@ digit limit keeps none for the failing part or any part holding it.
 from __future__ import annotations
 
 import json
-import re
 import sys
-from fractions import Fraction
 from json.encoder import encode_basestring
 
 from .errors import CAP_DEPTH, CapExceeded, ParseError, ValidationError
-from .values import NUM, PAIR, SYM, Value, fset, num, pair, sym
-
-_RATIONAL = re.compile(r"-?[0-9]+/[0-9]+\Z")
-_INTEGER = re.compile(r"-?[0-9]+\Z")
+from .values import _NUMBER_LOOKALIKE, NUM, PAIR, SYM, Value, fset, num, pair, rat, sym
 
 
-def _read_int(digits: str) -> int:
-    """int of text a number pattern has matched, so its one possible
-    failure is Python's int-conversion digit limit."""
+def _read_number(text: str) -> Value:
+    """The number of text that values.NUMBER_TEXT matches, in both formats:
+    an int, or n/d by rat, whose ValueError at a zero denominator each
+    reader words itself.  A part past the digit limit is CapExceeded first."""
     try:
-        return int(digits)
+        parts = [int(part) for part in text.split("/")]
     except ValueError:
-        raise CapExceeded(
-            f"number longer than {sys.get_int_max_str_digits()} digits"
-        ) from None
+        raise CapExceeded(f"number longer than {sys.get_int_max_str_digits()} digits") from None
+    return num(parts[0]) if len(parts) == 1 else rat(*parts)
 
 
 def _read(obj, room: int, what: str, memo: dict | None = None) -> Value:
@@ -89,13 +84,13 @@ def _build(obj, room: int, what: str, memo: dict | None) -> Value:
     if isinstance(obj, float):
         raise ValidationError(f"non-integer number {obj!r}; write rationals as \"n/d\"")
     if isinstance(obj, str):
-        if _RATIONAL.match(obj):
-            numerator, denominator = (_read_int(part) for part in obj.split("/"))
-            if denominator == 0:
-                raise ValidationError(f"zero denominator in {obj!r}")
-            return num(Fraction(numerator, denominator))
-        if _INTEGER.match(obj):
-            raise ValidationError(f"integer {obj!r} must be a JSON number, not a string")
+        if _NUMBER_LOOKALIKE.match(obj):
+            if "/" not in obj:
+                raise ValidationError(f"integer {obj!r} must be a JSON number, not a string")
+            try:
+                return _read_number(obj)
+            except ValueError:
+                raise ValidationError(f"zero denominator in {obj!r}") from None
         try:
             return sym(obj)
         except (TypeError, ValueError) as e:

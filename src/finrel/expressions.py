@@ -1,9 +1,10 @@
 """A small expression language over the relation operators.
 
 Literals use brace/paren syntax: sets as {a, b}, pairs as (a, b), numbers
-as 12 or 3/4, symbols as "quoted".  The operators are available both as
-infix tokens (`outside`, `+*`, `+<`, `,,`, `,,,`, `O`, `--`) and as prefix
-calls (`paste(P, Q)`, `eval(R, x)`, `quotient(R, P, Q)`, ...), all at one
+as 12 or 3/4 (values.NUMBER_TEXT), symbols as "quoted", where sym decides
+what text a symbol may hold.  The operators are available both as infix
+tokens (`outside`, `+*`, `+<`, `,,`, `,,,`, `O`, `--`) and as prefix calls
+(`paste(P, Q)`, `eval(R, x)`, `quotient(R, P, Q)`, ...), all at one
 precedence level, left-associative.  Type ascriptions of the form `::name`
 are skipped, so examples written for typed systems evaluate unchanged:
 
@@ -14,12 +15,11 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .encoding import _read_int
+from .encoding import _read_number
 from .errors import CAP_DEPTH, CapExceeded, ParseError, ValidationError
-from .values import Value, fset, num, pair, sym
+from .values import NUMBER_TEXT, Value, fset, pair, sym
 from .relations import (
     _by_first,
     compose,
@@ -93,14 +93,13 @@ _PREFIX = {op.name: op for op in OPERATORS if op.name}
 _INFIX = {op.token: op for op in OPERATORS if op.token}
 
 _TOKEN = re.compile(
-    r"""
+    rf"""
     (?P<ws>\s+)
   | (?P<ascription>::[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<string>"[^"\\\x00-\x1f]*")
-  | (?P<rat>-?[0-9]+/[0-9]+)
-  | (?P<int>-?[0-9]+)
+  | (?P<string>"[^"]*")
+  | (?P<number>{NUMBER_TEXT})
   | (?P<op>,,,|,,|\+\*|\+<|--)
-  | (?P<punct>[(){},])
+  | (?P<punct>[(){{}},])
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     """,
     re.VERBOSE,
@@ -165,13 +164,11 @@ class _Parser:
 
     def atom(self) -> Value:
         kind, text, at = self.take()
-        if kind == "int":
-            return num(_read_int(text))
-        if kind == "rat":
-            numerator, denominator = (_read_int(part) for part in text.split("/"))
-            if denominator == 0:
-                raise ParseError(f"zero denominator at position {at}")
-            return num(Fraction(numerator, denominator))
+        if kind == "number":
+            try:
+                return _read_number(text)
+            except ValueError:
+                raise ParseError(f"zero denominator at position {at}") from None
         if kind == "string":
             try:
                 return sym(text[1:-1])

@@ -4,11 +4,12 @@ Each function states a concept as the paper defines it, by a predicate
 over sets or by walking the whole candidate space, and names the fast
 path the law suite and the tests check against it.  The command line runs
 none of it, and no production module imports this one.  value_to_obj,
-the text encoding as a JSON object tree, is the writer's oracle.  Three
+the text encoding as a JSON object tree, is the writer's oracle.  Two
 oracles stay in their modules because perfbench/ reads them by that
-path: enumeration.injections_oracle, auctions.vickrey_payment_form_check
-(with _table_lookup and max_rival_bid) and laws._oracle_best_value, a
-wrapper over _oracle_optima below.
+path: enumeration.injections_oracle and laws._oracle_best_value, over
+_oracle_optima below.  It also calls auctions.max_rival_bid by path, the
+weight table it gives vickrey_payment_form_check: a fast path, whose
+oracle is _payment_form_walk in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -190,8 +191,6 @@ def possible_allocations(goods: Value, bidders: Value) -> list[Value]:
     same space by subset recursion instead of walking it."""
     _require_set(goods, "goods")
     _require_set(bidders, "bidders")
-    if not goods.payload:
-        raise ValueError("no goods to allocate")
     _check_caps(goods, bidders)
     out = []
     for blocks in all_partitions_list(list(goods.payload)):
@@ -228,14 +227,18 @@ def won_value(inst: CombinatorialInstance, alloc: Value, bidder: Value) -> Fract
 def _oracle_optima(inst: CombinatorialInstance, bidders=None) -> tuple[Fraction, dict]:
     """Brute-force welfare maximum by assigning each good to a bidder, and
     each bidder's excluded optimum: the maximum over the assignments that
-    give them nothing (0 when every assignment gives them something).
+    give them nothing (0 when none does).  `bidders` defaults to all of
+    the instance's; with none of them, as for a lone bidder's excluded
+    optimum, the maximum is 0.  An instance with goods and no bidders has
+    no assignment: ValueError, as in clearing.
 
-    `bidders` defaults to all of the instance's.  Independent of the
-    partition/injection enumeration and of clear_vickrey: one walk over
-    the assignment functions scores their preimages, and each bundle set
-    is built once.  Fast path: auctions.clear_vickrey.
+    Independent of the partitions, the injections and clear_vickrey: one
+    walk over the assignment functions scores their preimages, each bundle
+    set built once.  Fast path: auctions.clear_vickrey.
     """
     goods = inst.goods.payload
+    if goods and not inst.bidders.payload:
+        raise ValueError("no bidders to allocate the goods to")
     bidders = tuple(inst.bidders.payload if bidders is None else bidders)
     bundle = functools.cache(fset)
     best = Fraction(0)

@@ -23,8 +23,9 @@ from typing import Iterable
 
 NUM, SYM, PAIR, SET = 0, 1, 2, 3
 
-# symbols that could be read back as numbers would break the text encoding
-_NUMBER_LOOKALIKE = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
+# number text, an integer or n/d, in both text formats; sym refuses it as a symbol
+NUMBER_TEXT = r"-?[0-9]+(?:/[0-9]+)?"
+_NUMBER_LOOKALIKE = re.compile(NUMBER_TEXT + r"\Z")
 
 
 class Value:

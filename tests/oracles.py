@@ -32,6 +32,11 @@ from finrel.values import (
 import work_counts
 
 
+class _Raised(NamedTuple):
+    type: type
+    message: str
+
+
 class Row(NamedTuple):
     name: str
     fast: Callable
@@ -41,18 +46,21 @@ class Row(NamedTuple):
     strategy: Callable  # hypothesis.strategies -> strategy of argument tuples
     same: Callable = operator.eq  # (fast result, oracle result) -> agree
     # input errors that count as a result: raised, they compare as their
-    # type and message
+    # type and message, not by `same`
     errors: tuple = ()
 
     def agrees(self, case: tuple) -> bool:
-        return self.same(*(_result(f, case, self.errors) for f in (self.fast, self.oracle)))
+        got, want = (_result(f, case, self.errors) for f in (self.fast, self.oracle))
+        if isinstance(got, _Raised) or isinstance(want, _Raised):
+            return got == want
+        return self.same(got, want)
 
 
 def _result(f: Callable, case: tuple, errors: tuple):
     try:
         return f(*case)
     except errors as e:
-        return type(e), str(e)
+        return _Raised(type(e), str(e))
 
 
 # ---------------------------------------------------------------------------
@@ -363,11 +371,14 @@ def _reference_clear(inst):
     """Clearing read off the paper's enumeration: the canonical least of
     the welfare-optimal allocations in `possible_allocations`, and each
     bidder's excluded optimum taken from the allocations that leave them
-    out (0 when none does)."""
+    out (0 when none does).  With no allocation at all it refuses the
+    instance as clearing does."""
     scored = [
         (sum((inst.value(p.second, p.first) for p in a.payload), Fraction(0)), a)
         for a in paper.possible_allocations(inst.goods, inst.bidders)
     ]
+    if not scored:
+        raise ValueError("no bidders to allocate the goods to")
     best = max(w for w, _ in scored)
     chosen = min(a for w, a in scored if w == best)
     served = [(w, {p.second for p in a.payload}) for w, a in scored]
@@ -628,6 +639,11 @@ def _clearing_sweep():
     for shape in ("monotone", "equal", "sparse"):
         rng = random.Random(f"dp5:{shape}")
         parts[f"5x5 {shape}"] = [(_shaped_instance(5, 5, valuation[shape], rng),)]
+    # the edges of the allocation space, which make_instance refuses: no
+    # goods has the one empty allocation, goods and no bidders have none
+    parts["0x2, 0x0 and 1x0"] = [
+        (CombinatorialInstance(fset(goods), fset(bidders), {}),)
+        for goods, bidders in (((), (1, 2)), ((), ()), (("g1",), ()))]
     parts["no free disposal"] = [
         (make_instance(V(["g1", "g2"]), V([1, 2]), [(1, V(["g1"]), 10), (2, V(["g2"]), 10)]),)
     ]
@@ -1103,12 +1119,12 @@ ROWS = (
         _reduced_bid_sweep, 26, lambda st: st.tuples(_mechanism_cases(st), st.booleans()).map(
             lambda t: (t[0][0].bidder, t[0][0].price if t[1] else t[0][0].alloc)),
         errors=(ValueError,)),
-    Row("clear_vickrey", auctions.clear_vickrey, _clears_as_both, _clearing_sweep, 76,
-        lambda st: _one(small_instances(st)), _same_clearing),
+    Row("clear_vickrey", auctions.clear_vickrey, _clears_as_both, _clearing_sweep, 79,
+        lambda st: _one(small_instances(st)), _same_clearing, errors=(ValueError,)),
     # clearing's solve step builds no Value, and its integers over one
     # scale are the oracle's optima and the outcome's own values
-    Row("_solve", _solved, lambda inst: (inst, paper._oracle_optima(inst)), _clearing_sweep, 76,
-        lambda st: _one(small_instances(st)), _same_record),
+    Row("_solve", _solved, lambda inst: (inst, paper._oracle_optima(inst)), _clearing_sweep, 79,
+        lambda st: _one(small_instances(st)), _same_record, errors=(ValueError,)),
     Row("parse_instance", auctions.parse_instance, _read_row_by_row, _instance_file_sweep, 632,
         lambda st: st.lists(st.sampled_from(INSTANCE_ROWS), max_size=4).map(
             lambda rows: (_instance_text(rows),)),

@@ -94,8 +94,9 @@ GUARDS = [
      ValidationError, "bidder must be an atom"),
     ("valuation-not-numeric", lambda: make_instance(V(["g1"]), B12, [(V(1), V(["g1"]), sym("x"))]),
      ValidationError, "valuation must be numeric"),
-    ("no-goods-to-allocate", lambda: possible_allocations(EMPTY, B12),
-     ValueError, "no goods to allocate"),
+    ("no-bidders-for-the-goods",
+     lambda: clear_vickrey(CombinatorialInstance(V(["g1"]), EMPTY, {})),
+     ValueError, "no bidders to allocate the goods to"),
 ]
 
 
@@ -240,6 +241,14 @@ def test_possible_allocation_counts():
     assert len(possible_allocations(V(["g1", "g2"]), B12)) == 4
     assert len(possible_allocations(V(["g1"]), V([1, 2, 3]))) == 3
     assert len(possible_allocations(V(["g1", "g2"]), V([1]))) == 1
+
+
+def test_possible_allocations_at_the_edges():
+    # the empty set has one partition and one injection of it: no goods
+    # have the empty allocation, and goods without bidders have none
+    assert possible_allocations(EMPTY, B12) == [EMPTY]
+    assert possible_allocations(EMPTY, EMPTY) == [EMPTY]
+    assert possible_allocations(V(["g1"]), EMPTY) == []
 
 
 def test_possible_allocations_are_valid():

@@ -3,6 +3,7 @@ import threading
 
 import pytest
 
+from finrel import paper
 from finrel.enumeration import all_partitions_list
 from finrel.errors import CAP_DEPTH, CapExceeded, ParseError, ValidationError
 from finrel.values import EMPTY, UNDEFINED, V, fset, num, pair, rat, sym
@@ -69,6 +70,15 @@ def test_validation_errors():
         parse_value("true")
     with pytest.raises(ValidationError):
         parse_value("null")
+
+
+# the writer and its oracle, each given what is not a Value
+@pytest.mark.parametrize("write", [serialize_value, paper.value_to_obj],
+                         ids=["serialize_value", "value_to_obj"])
+@pytest.mark.parametrize("obj", [1, "a", (1, 2), None], ids=["int", "str", "tuple", "None"])
+def test_each_writer_refuses_what_is_not_a_value(write, obj):
+    with pytest.raises(TypeError, match="not a value"):
+        write(obj)
 
 
 def test_read_caps_its_own_depth():

@@ -97,6 +97,28 @@ def test_operator_type_errors_are_validation_errors():
         E("{(1,2)} +< 3")  # update needs a pair
 
 
+# each literal error and the start of its message; a quoted literal is
+# any text between quotes, and sym refuses the bad ones: (id, text, message)
+LITERAL_ERRORS = [
+    ("set-without-comma", "{1 2}", "expected ',' or '}' at position 3, got '2'"),
+    ("paren-without-comma", "(1 2)", "expected ')' or ',' at position 3, got '2'"),
+    ("backslash-in-symbol", '{"a\\b"}', "bad symbol at position 1: "),
+    ("newline-in-symbol", '"a\nb"', "bad symbol at position 0: "),
+    ("number-as-symbol", '"1/2"', "bad symbol at position 0: "),
+    ("unclosed-quote", '"a', "unexpected character '\"' at position 0"),
+    ("zero-denominator", "(1, 3/0)", "zero denominator at position 4"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, message", [e[1:] for e in LITERAL_ERRORS], ids=[e[0] for e in LITERAL_ERRORS]
+)
+def test_each_literal_error_names_its_position(text, message):
+    with pytest.raises(ParseError) as err:
+        E(text)
+    assert str(err.value).startswith(message)
+
+
 def test_zero_denominator_literal():
     with pytest.raises(ParseError):
         E("1/0")

@@ -4,6 +4,7 @@ Every public function outside finrel.paper is used in src/ or exported."""
 
 import ast
 import inspect
+import re
 import types
 from pathlib import Path
 
@@ -89,6 +90,29 @@ def test_only_the_law_suite_and_the_package_import_the_paper_module():
         if {"paper", "finrel.paper"} & set(_imported(path))
     ]
     assert importers == ["__init__.py", "laws.py"]
+
+
+# finrel's modules bottom-up, as the package docstring and README's
+# "Library layout" list them, then the entry point that runs the CLI
+LAYERS = ("errors", "values", "encoding", "relations", "enumeration", "quotients", "auctions",
+          "paper", "laws", "expressions", "cli", "__main__")
+
+
+def test_each_module_imports_only_earlier_layers():
+    root = Path(finrel.__file__).parent
+    modules = sorted(path.stem for path in root.glob("*.py") if path.stem != "__init__")
+    assert modules == sorted(LAYERS)
+    for module in LAYERS:
+        for node in ast.walk(ast.parse((root / f"{module}.py").read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                # `from . import __version__` reads the package itself
+                imported = [node.module] if node.module else [
+                    alias.name for alias in node.names if alias.name != "__version__"]
+                for name in imported:
+                    assert LAYERS.index(name) < LAYERS.index(module), f"{module} imports {name}"
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    assert re.findall(r"^- (\w+):", finrel.__doc__, re.M) == list(LAYERS[:-1])
+    assert re.findall(r"^\| `finrel\.(\w+)`", readme, re.M) == list(LAYERS[:-1])
 
 
 def test_the_paste_sweep_reaches_each_operand_that_paste_returns():

@@ -61,6 +61,13 @@ writer_values = oracles.writer_values(st)
 deep_values = oracles.deep_values(st)
 
 
+@PROPERTY
+@given(writer_values)
+def test_eval_reads_back_repr(v):
+    # so a check-laws counterexample pastes into `finrel eval` as itself
+    assert evaluate_expression(repr(v)) == v
+
+
 def _rebuilt(v):
     """A value equal to v built afresh, so it shares no node with v
     except cached small integers."""

@@ -1,8 +1,14 @@
-import pytest
+import json
 from fractions import Fraction
+from itertools import product
+
+import pytest
 
 from finrel.encoding import parse_value, serialize_value
+from finrel.errors import ParseError, ValidationError
+from finrel.expressions import evaluate_expression
 from finrel.values import (
+    _NUMBER_LOOKALIKE,
     EMPTY,
     UNDEFINED,
     V,
@@ -133,6 +139,58 @@ def test_symbols_validated():
         sym('quo"te')
     with pytest.raises(TypeError):
         sym("")
+
+
+# every text of 1-4 characters over digits, sign, slash, a letter, a
+# non-ASCII letter, and the space, backslash, newline and colon that a
+# symbol or a reader may trip on
+AGREEMENT_TEXTS = ["".join(t) for n in range(1, 5) for t in product("01-/aé \\\n:", repeat=n)]
+
+
+def _read_or_none(read, text: str, error: type):
+    try:
+        return read(text)
+    except error:
+        return None
+
+
+def test_sym_decides_symbols_and_numbers_for_both_readers():
+    assert len(AGREEMENT_TEXTS) == 11_110
+    for text in AGREEMENT_TEXTS:
+        symbol = _read_or_none(sym, text, ValueError)
+        from_json = _read_or_none(parse_value, json.dumps(text), ValidationError)
+        # a JSON string is that symbol exactly when sym takes it, else a
+        # number in the number pattern or refused
+        if symbol is None and from_json is not None:
+            assert from_json.is_num and _NUMBER_LOOKALIKE.match(text), text
+        else:
+            assert from_json == symbol, text
+        assert _read_or_none(evaluate_expression, f'"{text}"', ParseError) == symbol, text
+        if _NUMBER_LOOKALIKE.match(text):
+            assert symbol is None, text
+            bare = _read_or_none(evaluate_expression, text, ParseError)
+            assert bare is None or bare.is_num, text
+
+
+# each TypeError of a Value of the wrong kind, and of a Python object
+# that is no value: (id, call, message)
+WRONG_KINDS = [
+    ("first-of-a-number", lambda: num(1).first, "not a pair: 1"),
+    ("second-of-a-set", lambda: EMPTY.second, "not a pair: {}"),
+    ("elements-of-a-pair", lambda: pair(1, 2).elements, r"not a set: \(1, 2\)"),
+    ("len-of-a-symbol", lambda: len(sym("a")), 'not a set: "a"'),
+    ("num-of-a-bool", lambda: num(True), "booleans are not values"),
+    ("num-of-a-float", lambda: num(1.5), "not a number: 1.5"),
+    ("canonicalize-a-3-tuple", lambda: canonicalize((1, 2, 3)), "must have length 2"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, message", [w[1:] for w in WRONG_KINDS], ids=[w[0] for w in WRONG_KINDS]
+)
+def test_each_wrong_kind_raises_type_error(call, message):
+    with pytest.raises(TypeError, match=message):
+        call()
 
 
 def test_nested_sets_allowed():
