@@ -13,8 +13,9 @@ The package is organized bottom-up, each module importing only earlier ones:
 - auctions: single-good second-price mechanisms with the dominance and
   payment-form checks, and combinatorial Vickrey clearing.
 - paper: the paper's set-theoretic formulations (seven of right-uniqueness,
-  the partition predicates and oracle, the allocation space, brute-force
-  welfare), the oracles of the fast paths above; only laws imports it.
+  the composed kernel and compatibility, the partition predicates and
+  oracle, the allocation space, brute-force welfare), the oracles of the
+  fast paths above; only laws imports it.
 - laws: executable laws checked over small finite universes.
 - expressions: the operator expression language that `eval` reads.
 - cli: the command line.

@@ -577,17 +577,19 @@ def parse_instance(text: str) -> CombinatorialInstance:
     obj = _load_json(text, "instance file")
     if not isinstance(obj, dict):
         raise ValidationError("instance file must be a JSON object")
-    missing = {"goods", "bidders", "valuations"} - set(obj)
-    if missing:
-        raise ValidationError(f"instance file is missing {sorted(missing)}")
     # one memo for the file: a row element that is an atom, or an array of
     # atoms, is read once per file, since each bidder and bundle repeats in
     # many rows, and the goods of every bundle are the instance's goods
     # themselves.  The object is one level, so the goods and bidders have
-    # one level less room, and a row element three.
+    # one level less room, and a row element three.  The goods and bidders
+    # present are read before a missing key is reported, so a part nested
+    # too deep is refused as such whatever depth the decoder reached.
     what, memo = "instance file", {}
-    goods = _read(obj["goods"], CAP_DEPTH - 1, what, memo)
-    bidders = _read(obj["bidders"], CAP_DEPTH - 1, what, memo)
+    goods = _read(obj["goods"], CAP_DEPTH - 1, what, memo) if "goods" in obj else None
+    bidders = _read(obj["bidders"], CAP_DEPTH - 1, what, memo) if "bidders" in obj else None
+    missing = {"goods", "bidders", "valuations"} - set(obj)
+    if missing:
+        raise ValidationError(f"instance file is missing {sorted(missing)}")
     _check_caps(_input_set(goods, "goods"), _input_set(bidders, "bidders"))
     raw = obj["valuations"]
     if not isinstance(raw, list):

@@ -101,6 +101,18 @@ def is_equivalence(E: Value, carrier: Value) -> bool:
     )
 
 
+def kernel_by_composition(f: Value) -> Value:
+    """The kernel of f as the paper composes it: f ; f^-1.  Fast path:
+    quotients.kernel, which groups f's domain points by image."""
+    return compose(f, converse(f))
+
+
+def compatible_by_composition(R: Value, P: Value, Q: Value) -> bool:
+    """Compatibility as the paper's inclusion: P ; R within R ; Q.  Fast
+    path: quotients.compatible, which walks the three by-first indexes."""
+    return is_subset(compose(P, R), compose(R, Q))
+
+
 PARTITION_ORACLE_CAP = 6
 
 

@@ -6,6 +6,13 @@ well-definedness condition under which the quotient of a right-unique
 relation stays right-unique.  kernel builds the equivalence identifying
 points with equal images; only it requires a function.  The others take
 any relations; the hypotheses only matter for the laws.
+
+kernel and compatible are answered from the function view, the by-first
+index of relations: kernel groups f's domain points by image and fills
+the new relation's by-first view as it builds it, and compatible walks
+the indexes of its three operands, building no relation.  The paper's
+composed forms, f ; f^-1 and P ; R within R ; Q, are their oracles in
+finrel.paper.
 """
 
 from __future__ import annotations
@@ -14,7 +21,6 @@ from .values import (
     Value,
     cartesian_product,
     fset,
-    is_subset,
     pair,
     _require_set,
     _set_of_sorted,
@@ -22,9 +28,8 @@ from .values import (
 )
 from .relations import (
     _by_first,
+    _indexed_relation,
     _views,
-    compose,
-    converse,
     relation,
     right_unique,
 )
@@ -91,16 +96,47 @@ def quotient(R: Value, P: Value, Q: Value) -> Value:
 def compatible(R: Value, P: Value, Q: Value) -> bool:
     """True iff R maps P-related points into Q-related images: P ; R within
     R ; Q, that is image(R, image(P, {x})) within image(Q, image(R, {x}))
-    for every x."""
-    return is_subset(compose(P, R), compose(R, Q))
+    for every x.
+
+    Decided on the three by-first indexes, building no relation: for each
+    x of P's domain, each y in P(x) and each w in R(y), w must be in
+    Q(R(x)), a set built once per x and only when some w needs it.
+    """
+    # P, then R, then Q: a non-relation raises as P ; R and R ; Q would
+    p_images, r_images, q_images = _by_first(P), _by_first(R), _by_first(Q)
+    for x, ys in p_images.items():
+        allowed = None
+        for y in ys:
+            for w in r_images.get(y, ()):
+                if allowed is None:
+                    allowed = frozenset([
+                        z for v in r_images.get(x, ()) for z in q_images.get(v, ())
+                    ])
+                if w not in allowed:
+                    return False
+    return True
 
 
 def kernel(f: Value) -> Value:
     """Equivalence on Domain f identifying points with equal f-values:
-    f ; f^-1."""
+    f ; f^-1.
+
+    f's domain points are grouped by image, and each x is paired with the
+    points of its class.  f is sorted and right-unique, so each class, and
+    the pairs, come out in canonical order.  The new relation's by-first
+    view is each x's class, filled before it is returned.
+    """
     if not right_unique(f):
         raise ValueError("kernel requires a right-unique relation")
-    return compose(f, converse(f))
+    images = _by_first(f)
+    grouped: dict = {}
+    for x, (y,) in images.items():
+        grouped.setdefault(y, []).append(x)
+    classes = {y: tuple(xs) for y, xs in grouped.items()}
+    by_first = {x: classes[y] for x, (y,) in images.items()}
+    return _indexed_relation(
+        tuple([pair(x, z) for x, zs in by_first.items() for z in zs]), by_first
+    )
 
 
 def identity_on(X: Value) -> Value:

@@ -56,8 +56,9 @@ class _Views:
     the by-first index of image tuples, the projector, the tuple of its
     image classes and the converse.
 
-    Only a set that has passed the relation check gets one, so having it
-    is the check's result.  The views are pure functions of the immutable
+    Only a set that has passed the relation check gets one, or a set
+    _indexed_relation builds from pairs, so having it is the check's
+    result.  The views are pure functions of the immutable
     pairs: each is built on first use, never changed, and freed with the
     relation.  A thread that races to build one writes an equal one.
     """
@@ -99,6 +100,17 @@ def _by_first(R: Value) -> dict:
     return index
 
 
+def _indexed_relation(pairs: tuple, by_first: dict) -> Value:
+    """The relation of pairs, with its by-first index filled before it is
+    returned: the caller guarantees that the pairs are distinct and in
+    canonical order and that by_first is the index _by_first would build.
+    The relation is fresh, so no other thread can see it half built."""
+    R = _set_of_sorted(pairs)
+    views = R._index = _Views()
+    views.by_first = by_first
+    return R
+
+
 def _first(p: Value) -> Value:
     return p.payload[0]
 
@@ -133,11 +145,22 @@ def image(R: Value, X: Value) -> Value:
 
 
 def converse(R: Value) -> Value:
-    """{ (y, x) | (x, y) in R }, built once and kept in R's views."""
+    """{ (y, x) | (x, y) in R }, built once and kept in R's views.
+
+    R's pairs are grouped by second component and only the distinct
+    seconds are sorted: R is sorted by (first, second), so each group's
+    firsts are already distinct and in order.
+    """
     views = _views(R)
     flipped = views.converse
     if flipped is None:
-        flipped = views.converse = fset(pair(p.second, p.first) for p in R.payload)
+        groups: dict = {}
+        for p in R.payload:
+            x, y = p.payload
+            groups.setdefault(y, []).append(x)
+        flipped = views.converse = _set_of_sorted(tuple([
+            pair(y, x) for y in sorted(groups, key=_sort_key) for x in groups[y]
+        ]))
     return flipped
 
 

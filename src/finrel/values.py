@@ -178,8 +178,10 @@ def sym(name: str) -> Value:
         raise TypeError("symbol name must be a nonempty string")
     if _NUMBER_LOOKALIKE.match(name):
         raise ValueError(f"symbol {name!r} would be read back as a number")
-    if '"' in name or "\\" in name or any(ord(c) < 32 for c in name):
+    if '"' in name or any(ord(c) < 32 for c in name):
         raise ValueError(f"symbol {name!r} contains quote or control characters")
+    if "\\" in name:
+        raise ValueError(f"symbol {name!r} contains a backslash")
     # a lone surrogate (from a JSON escape or an undecodable argument) has
     # no UTF-8 encoding, so the symbol could never be written out
     if not name.isascii() and any("\ud800" <= c <= "\udfff" for c in name):

@@ -211,6 +211,11 @@ def _literal_quotient(R, P, Q):
     )
 
 
+def _agrees_with_each(got, want):
+    """The oracle gives a list of definitions, and got equals each one."""
+    return all(got == w for w in want)
+
+
 def _literal_compatible(R, P, Q):
     # off the field of P the left side is the image of the empty set
     return all(
@@ -445,13 +450,16 @@ def _read_part(node, above: int):
 
 
 def _read_row_by_row(text):
-    """parse_instance with no memo: _read on the goods, the bidders and
-    every element of every row, each with its depth counted from the
-    document root, then each row checked as make_instance reads, with
-    member."""
+    """parse_instance with no memo: _read on the goods and the bidders
+    present, then a missing key reported, then _read on every element of
+    every row, each part with its depth counted from the document root,
+    then each row checked as make_instance reads, with member."""
     obj = encoding._load_json(text, "instance file")
-    goods = _read_part(obj["goods"], 1)
-    bidders = _read_part(obj["bidders"], 1)
+    goods = _read_part(obj["goods"], 1) if "goods" in obj else None
+    bidders = _read_part(obj["bidders"], 1) if "bidders" in obj else None
+    missing = {"goods", "bidders", "valuations"} - set(obj)
+    if missing:
+        raise ValidationError(f"instance file is missing {sorted(missing)}")
     auctions._check_caps(auctions._input_set(goods, "goods"), auctions._input_set(bidders, "bidders"))
     rows = []
     for row in obj["valuations"]:
@@ -693,6 +701,14 @@ def _instance_file_sweep():
                 _instance_text([], ("g1",), (_nested(depth - 2),)),
                 _instance_text([[1, _nested(depth - 3), 1]]),
                 _instance_text([[1, _nested(1), 1], [2, _nested(depth - 3), 1]]))],
+        # the goods and bidders present are read before a missing key is
+        # reported: at the cap the key is reported, past it the depth
+        "a key missing, the goods or bidders at and past the depth cap": [
+            (json.dumps(obj),) for depth in (CAP_DEPTH, CAP_DEPTH + 1) for obj in (
+                {"goods": ["set", _nested(depth - 2)]},
+                {"goods": ["set", "g1"], "bidders": ["set", _nested(depth - 2)]},
+                {"bidders": ["set", _nested(depth - 2)], "valuations": []})] + [
+            (json.dumps({"goods": ["set", "g1"], "valuations": []}),)],
     }
 
 
@@ -834,6 +850,34 @@ def _single_outside_sweep():
             product(RELATIONS_3X2 + MIXED_RELATIONS, EDGE_POINTS)),
         "not relations or not values": list(
             product(NOT_RELATIONS, UNREADABLE + [V(1)])),
+    }
+
+
+def _price_kernel_identity(m):
+    """m's price, the kernel of its reduced-bid map and the identity on the
+    price's range: compatible for second price, and for first price only
+    where the law first_price_not_dominant looks for no deviation."""
+    kernel = quotients.kernel(auctions.reduced_bid_map(m.bidder, m.alloc))
+    return m.price, kernel, quotients.identity_on(relations.range_of(m.price))
+
+
+def _compatible_sweep():
+    [mechanisms] = _mechanism_sweep().values()
+    return {
+        "3x2 functions, partial equivalences on source and target": list(product(
+            FUNCTIONS_3X2, all_partial_equivalences(A3), all_partial_equivalences(B2))),
+        "the grid mechanisms' prices, reduced-bid kernels and price identities": [
+            _price_kernel_identity(m) for (m,) in mechanisms],
+    }
+
+
+def _kernel_sweep():
+    [mechanisms] = _mechanism_sweep().values()
+    return {
+        "3x2 functions": [(f,) for f in FUNCTIONS_3X2],
+        "the grid mechanisms' reduced-bid maps and prices": [
+            (f,) for (m,) in mechanisms
+            for f in (auctions.reduced_bid_map(m.bidder, m.alloc), m.price)],
     }
 
 
@@ -1031,7 +1075,7 @@ ROWS = (
     Row("right_unique", right_unique,
         lambda R: [ru(R) for ru in paper.RIGHT_UNIQUE_CHARACTERIZATIONS.values()],
         _product("3x2 relations", RELATIONS_3X2), 64,
-        lambda st: _one(_subsets(st, PAIRS)), lambda got, want: set(want) == {got}),
+        lambda st: _one(_subsets(st, PAIRS)), _agrees_with_each),
     Row("arg_max_list", relations.arg_max_list,
         lambda f, xs: [
             canonicalize(x) for x in xs if member(x, relations.arg_max_set(f, fset(xs)))],
@@ -1047,22 +1091,24 @@ ROWS = (
         lambda st: _one(_subsets(st, PAIRS))),
     Row("quotient", quotients.quotient, _literal_quotient, _quotient_sweep, 8896,
         lambda st: st.tuples(_subsets(st, PAIRS), _subsets(st, PAIRS), _subsets(st, PAIRS))),
-    Row("compatible", quotients.compatible, _literal_compatible,
-        _product("3x2 functions, partial equivalences on source and target",
-                 FUNCTIONS_3X2, all_partial_equivalences(A3), all_partial_equivalences(B2)), 2025,
-        lambda st: st.tuples(_subsets(st, PAIRS), _subsets(st, PAIRS), _subsets(st, PAIRS))),
+    Row("compatible", quotients.compatible,
+        lambda R, P, Q: [_literal_compatible(R, P, Q), paper.compatible_by_composition(R, P, Q)],
+        _compatible_sweep, 2039,
+        lambda st: st.tuples(_subsets(st, PAIRS), _subsets(st, PAIRS), _subsets(st, PAIRS)),
+        _agrees_with_each),
     Row("is_equivalence", paper.is_equivalence, lambda E, c: E in _equivalences(c),
         _product("relations on 3 points, carriers within them",
                  all_subsets(cartesian_product(A3, A3)).payload, all_subsets(A3).payload), 4096,
         lambda st: st.tuples(_subsets(st, ATOMS[:3]), st.integers(0, 9), _subsets(st, PAIRS))
         .map(lambda t: (_equivalence_or_reflexive(*t), t[0]))),
-    # the points with equal f-values, pair by pair
+    # the points with equal f-values, pair by pair, and f ; f^-1
     Row("kernel", quotients.kernel,
-        lambda f: fset(pair(p.first, q.first) for p in f.payload for q in f.payload
-                       if p.second == q.second),
-        _product("3x2 functions", FUNCTIONS_3X2), 27,
+        lambda f: [fset(pair(p.first, q.first) for p in f.payload for q in f.payload
+                        if p.second == q.second), paper.kernel_by_composition(f)],
+        _kernel_sweep, 55,
         lambda st: _one(_digits(st, len(ATOMS) + 1).map(lambda ys: relation(
-            (x, ATOMS[y - 1]) for x, y in zip(ATOMS, ys) if y)))),
+            (x, ATOMS[y - 1]) for x, y in zip(ATOMS, ys) if y))),
+        _agrees_with_each),
     # each injection as its pair list: listed from a source in canonical
     # order, the list is in its set's order and writes as its set
     Row("injections_alg", enumeration.injections_alg, _pasted_in_order,
@@ -1125,7 +1171,7 @@ ROWS = (
     # scale are the oracle's optima and the outcome's own values
     Row("_solve", _solved, lambda inst: (inst, paper._oracle_optima(inst)), _clearing_sweep, 79,
         lambda st: _one(small_instances(st)), _same_record, errors=(ValueError,)),
-    Row("parse_instance", auctions.parse_instance, _read_row_by_row, _instance_file_sweep, 632,
+    Row("parse_instance", auctions.parse_instance, _read_row_by_row, _instance_file_sweep, 639,
         lambda st: st.lists(st.sampled_from(INSTANCE_ROWS), max_size=4).map(
             lambda rows: (_instance_text(rows),)),
         errors=(ParseError, ValidationError, CapExceeded)),

@@ -103,6 +103,7 @@ LITERAL_ERRORS = [
     ("set-without-comma", "{1 2}", "expected ',' or '}' at position 3, got '2'"),
     ("paren-without-comma", "(1 2)", "expected ')' or ',' at position 3, got '2'"),
     ("backslash-in-symbol", '{"a\\b"}', "bad symbol at position 1: "),
+    ("backslash-named", '"a\\b"', "bad symbol at position 0: symbol 'a\\\\b' contains a backslash"),
     ("newline-in-symbol", '"a\nb"', "bad symbol at position 0: "),
     ("number-as-symbol", '"1/2"', "bad symbol at position 0: "),
     ("unclosed-quote", '"a', "unexpected character '\"' at position 0"),

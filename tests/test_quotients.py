@@ -3,7 +3,8 @@ import threading
 
 import pytest
 
-from finrel.values import V, fset, num, pair
+from finrel import auctions
+from finrel.values import V, _set_of_sorted, fset, num, pair
 from finrel.relations import (
     _by_first,
     compose,
@@ -24,7 +25,7 @@ from finrel.quotients import (
     quotient,
 )
 
-from finrel.paper import is_equivalence, is_partition_of
+from finrel.paper import compatible_by_composition, is_equivalence, is_partition_of
 
 import oracles
 
@@ -229,4 +230,52 @@ def test_non_relations_raise_on_every_call():
 
 
 
+def test_compatible_refuses_non_relations_in_the_order_its_composed_form_does():
+    # each nonempty set of R, P and Q not a relation, each with its own
+    # non-pair member: the first one P ; R within R ; Q reads is named
+    ok = identity_on(V([1]))
+    for mask in range(1, 8):
+        args = [fset([num(10 + k), pair(1, 1)]) if mask >> k & 1 else ok for k in range(3)]
+        with pytest.raises(TypeError) as fast:
+            compatible(*args)
+        with pytest.raises(TypeError) as composed:
+            compatible_by_composition(*args)
+        assert str(fast.value) == str(composed.value)
+
+
 test_kernel_equals_its_relational_and_pointwise_definitions = oracles.checker("kernel")
+
+
+def _indexed_kernels():
+    """The kernel of each function of the kernel row's sweep, and of the
+    reduced-bid maps of both rules for each of 3 bidders on a 5-point grid."""
+    for cases in oracles.ROW["kernel"].sweep().values():
+        for (f,) in cases:
+            yield kernel(f)
+    bidders, grid = V([1, 2, 3]), V([0, 1, 2, 3, 4])
+    for build in (auctions.second_price_single_good, auctions.first_price_single_good):
+        for i in bidders.payload:
+            yield kernel(auctions.reduced_bid_map(i, build(bidders, grid, i).alloc))
+
+
+def test_a_kernel_comes_with_the_index_its_pairs_give():
+    # an equal relation says nothing of the kept view, so it is compared
+    # with the one a fresh copy builds, order of points and images included
+    for K in _indexed_kernels():
+        assert K._index is not None and K._index.by_first is not None
+        fresh = _set_of_sorted(K.payload)
+        assert list(_by_first(K).items()) == list(_by_first(fresh).items())
+
+
+def test_reduced_bid_kernels_are_compatible_under_second_price_only():
+    # first price loses compatibility wherever the law first_price_not_dominant
+    # looks for a deviation: on three bid levels, or on two for the
+    # tie-favored bidder; every grid of the sweep has at least two
+    [mechanisms] = oracles._mechanism_sweep().values()
+    rules = []
+    for (m,) in mechanisms:
+        second = m == auctions.second_price_single_good(m.bidders, m.grid, m.bidder)
+        deviates = len(m.grid) >= 3 or m.bidder == m.bidders.payload[0]
+        assert compatible(*oracles._price_kernel_identity(m)) == (second or not deviates)
+        rules.append(second)
+    assert rules.count(True) == rules.count(False) == 7
