@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .encoding import _load_json, _read, serialize_value
-from .errors import CAP_DEPTH, CapExceeded, ValidationError
+from .errors import CapExceeded, ValidationError
 from .values import (
     NUM,
     Value,
@@ -577,31 +577,24 @@ def parse_instance(text: str) -> CombinatorialInstance:
     obj = _load_json(text, "instance file")
     if not isinstance(obj, dict):
         raise ValidationError("instance file must be a JSON object")
-    # one memo for the file: a row element that is an atom, or an array of
-    # atoms, is read once per file, since each bidder and bundle repeats in
-    # many rows, and the goods of every bundle are the instance's goods
-    # themselves.  The object is one level, so the goods and bidders have
-    # one level less room, and a row element three.  The goods and bidders
-    # present are read before a missing key is reported, so a part nested
-    # too deep is refused as such whatever depth the decoder reached.
-    what, memo = "instance file", {}
-    goods = _read(obj["goods"], CAP_DEPTH - 1, what, memo) if "goods" in obj else None
-    bidders = _read(obj["bidders"], CAP_DEPTH - 1, what, memo) if "bidders" in obj else None
     missing = {"goods", "bidders", "valuations"} - set(obj)
     if missing:
         raise ValidationError(f"instance file is missing {sorted(missing)}")
+    # one memo for the file: an atom or an array of atoms is read once, since
+    # each bidder and bundle repeats in many rows, and the goods of every
+    # bundle are the instance's goods themselves
+    memo = {}
+    goods, bidders = _read(obj["goods"], memo), _read(obj["bidders"], memo)
     _check_caps(_input_set(goods, "goods"), _input_set(bidders, "bidders"))
     raw = obj["valuations"]
     if not isinstance(raw, list):
         raise ValidationError("valuations must be an array of [bidder, bundle, value]")
-    room = CAP_DEPTH - 3
     triples = []
     for row in raw:
         if not isinstance(row, list) or len(row) != 3:
             raise ValidationError(f"bad valuation row: {row!r}")
         bidder, bundle, value = row
-        triples.append((_read(bidder, room, what, memo), _read(bundle, room, what, memo),
-                        _read(value, room, what, memo)))
+        triples.append((_read(bidder, memo), _read(bundle, memo), _read(value, memo)))
     return make_instance(goods, bidders, triples)
 
 

@@ -6,9 +6,9 @@ Sets may arrive in any order; output is always canonical order, compact,
 UTF-8, newline-free.  Strings that look like numbers are rejected as
 symbols so that parsing stays unambiguous.
 
-_read is the one reader from decoded JSON to Values.  Its depth cap
-applies to every value read, counted from the document root by the room
-each caller gives; what is never read is bounded by the JSON decoder.
+A document nested deeper than CAP_DEPTH levels, counting arrays and
+objects outside strings, is refused on its text before it is decoded
+(_load_json); _read, the one reader of decoded JSON, counts no depth.
 
 serialize_value writes that text directly, node by node;
 auctions.serialize_outcome joins its text for the outcome fields.  The
@@ -51,32 +51,24 @@ def _read_number(text: str) -> Value:
     return num(parts[0]) if len(parts) == 1 else rat(*parts)
 
 
-def _read(obj, room: int, what: str, memo: dict | None = None) -> Value:
-    """obj read with room array levels left; an array with none left
-    refuses the input, named what, as nested too deep.  With a memo, one
-    per document, each str or int atom and each array of such atoms is
-    built once; the exact type test keeps true and 1.0 apart from 1.  The
-    room is checked first, so a memoized array is refused where it is
-    too deep."""
+def _read(obj, memo: dict) -> Value:
+    """The Value obj stands for; memo, one per document, keeps each str or
+    int atom and array of such atoms built, typed exactly: true is not 1."""
     kind = type(obj)
-    if kind is list and room == 0:
-        raise CapExceeded(f"{what} nested deeper than {CAP_DEPTH} levels")
-    if memo is None:
-        return _build(obj, room, what, None)
     if kind is str or kind is int:
         key = obj
     elif kind is list and all(type(x) is str or type(x) is int for x in obj):
         key = tuple(obj)
     else:
-        return _build(obj, room, what, memo)
+        return _build(obj, memo)
     v = memo.get(key)
     if v is None:
-        v = memo[key] = _build(obj, room, what, memo)
+        v = memo[key] = _build(obj, memo)
     return v
 
 
-def _build(obj, room: int, what: str, memo: dict | None) -> Value:
-    """The Value obj stands for, its components read one level down."""
+def _build(obj, memo: dict) -> Value:
+    """The Value obj stands for, its components read by _read."""
     if isinstance(obj, bool):
         raise ValidationError("booleans are not values")
     if isinstance(obj, int):
@@ -100,34 +92,50 @@ def _build(obj, room: int, what: str, memo: dict | None) -> Value:
     if not obj:
         raise ValidationError('untagged array; expected ["set", ...] or ["pair", a, b]')
     tag, rest = obj[0], obj[1:]
-    room -= 1
     if tag == "pair":
         if len(rest) != 2:
             raise ValidationError(f"pair needs exactly 2 components, got {len(rest)}")
-        return pair(_read(rest[0], room, what, memo), _read(rest[1], room, what, memo))
+        return pair(_read(rest[0], memo), _read(rest[1], memo))
     if tag == "set":
-        return fset(_read(e, room, what, memo) for e in rest)
+        return fset(_read(e, memo) for e in rest)
     raise ValidationError(f"unknown tag {tag!r}; expected \"set\" or \"pair\"")
 
 
+# brackets as ( and ), quotes kept, every other byte dropped
+_BRACKETS, _OTHER_BYTES = bytes.maketrans(b"[{]}", b"(())"), bytes(set(range(256)) - set(b'[]{}"'))
+
+
+def _json_depth(text: str) -> int:
+    """Levels of arrays and objects that JSON text nests outside strings, up
+    to CAP_DEPTH + 1, by bytes methods: escapes, other bytes and quoted runs
+    go, each pass peels the innermost () pairs, and unclosed openers add on,
+    so on other text it is at least any depth the decoder reaches in it."""
+    data = text.encode("utf-8", "surrogatepass").replace(b"\\\\", b"").replace(b'\\"', b"")
+    data = b"".join(data.translate(_BRACKETS, _OTHER_BYTES).replace(b'""', b"").split(b'"')[::2])
+    height = 0
+    while b"()" in data and height < CAP_DEPTH:
+        data, height = data.replace(b"()", b""), height + 1
+    return min(height + data.count(b"("), CAP_DEPTH + 1)
+
+
 def _load_json(text: str, what: str):
-    """Decoded JSON text.  Bad syntax is a ParseError; nesting deeper than
-    the decoder can recurse and integers past Python's digit limit are
-    CapExceeded.  _read caps the depth of what it reads."""
+    """Decoded JSON text.  Nesting deeper than CAP_DEPTH is CapExceeded,
+    decided on the text first; then bad syntax is a ParseError, and an
+    integer past Python's digit limit CapExceeded."""
+    # no more openers than the cap, in strings or not, cannot nest past it
+    if text.count("[") + text.count("{") > CAP_DEPTH and _json_depth(text) > CAP_DEPTH:
+        raise CapExceeded(f"{what} nested deeper than {CAP_DEPTH} levels")
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"bad {what} at position {e.pos}: {e.msg}") from None
-    except RecursionError:
-        raise CapExceeded(f"{what} nested deeper than {CAP_DEPTH} levels") from None
     except ValueError:  # the other error json.loads raises: the digit limit
-        raise CapExceeded(
-            f"{what} has a number longer than {sys.get_int_max_str_digits()} digits"
-        ) from None
+        digits = sys.get_int_max_str_digits()
+        raise CapExceeded(f"{what} has a number longer than {digits} digits") from None
 
 
 def parse_value(text: str) -> Value:
-    return _read(_load_json(text, "value text"), CAP_DEPTH, "value text")
+    return _read(_load_json(text, "value text"), {})
 
 
 def serialize_value(v: Value) -> str:

@@ -9,10 +9,9 @@ size past a documented cap is CapExceeded.  Any other exception the CLI
 sees is a bug and surfaces as one.
 """
 
-# Levels of nesting (JSON arrays and objects, expression brackets and
-# calls) that any value read from input may have, counted from the top of
-# its document; a deeper one raises CapExceeded before it can exhaust the
-# interpreter's recursion limit.
+# Levels of nesting an input may have (JSON arrays and objects outside
+# strings, on the text before it is decoded; expression brackets and calls,
+# as parsed): deeper is CapExceeded before it can exhaust the recursion limit.
 CAP_DEPTH = 100
 
 

@@ -54,8 +54,8 @@ def _compose_work(R: Value, S: Value) -> int:
 
 
 def _kernel_work(f: Value) -> int:
-    """Images kernel(f) = f ; f^-1 reads: each pair (x, y) of f reads the
-    points f maps to y."""
+    """Pairs kernel(f) builds: each point with every point of its class, so
+    the sum of the squared sizes of f's classes."""
     return sum([n * n for n in Counter([p.payload[1] for p in f.payload]).values()])
 
 

@@ -435,37 +435,116 @@ def _same_record(got, want):
     )
 
 
-def _depth(node) -> int:
-    """Levels of arrays in a decoded JSON node."""
-    return 1 + max(map(_depth, node), default=0) if isinstance(node, list) else 0
+def _walked_depth(text: str) -> int:
+    """Levels of arrays and objects open at the deepest point of text, read
+    character by character: a string runs from a quote to the next quote
+    that no backslash escapes, and a backslash escapes the next character."""
+    depth = deepest = 0
+    in_string = escaped = False
+    for c in text:
+        if escaped:
+            escaped = False
+        elif in_string:
+            escaped, in_string = c == "\\", c != '"'
+        elif c == '"':
+            in_string = True
+        elif c in "[{":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif c in "]}":
+            depth -= 1
+    return deepest
 
 
-def _read_part(node, above: int):
-    """The reader's value of a part that is `above` levels below the
-    document root, refused first when that puts an array past CAP_DEPTH
-    levels, then read with the whole CAP_DEPTH of room and no memo."""
-    if above + _depth(node) > CAP_DEPTH:
-        raise CapExceeded(f"instance file nested deeper than {CAP_DEPTH} levels")
-    return encoding._read(node, CAP_DEPTH, "value")
+def _walked_json_depth(text: str):
+    """(depth, JSON or not): of JSON text, its walked depth; of other text,
+    the walked depth of what the decoder reads before it stops.  Each is
+    counted up to CAP_DEPTH + 1, as encoding._json_depth counts."""
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as e:
+        return min(_walked_depth(text[:e.pos]), CAP_DEPTH + 1), False
+    return min(_walked_depth(text), CAP_DEPTH + 1), True
+
+
+def _scan_is_safe(got: int, want) -> bool:
+    """The scan gives JSON text its walked depth; other text it passes only
+    where the decoder nests within the cap before it stops."""
+    depth, is_json = want
+    return got == depth if is_json else got > CAP_DEPTH or depth <= CAP_DEPTH
+
+
+# strings with brackets, quotes, runs of 1-3 backslashes, non-ASCII
+# characters and a lone surrogate
+SCAN_STRINGS = ["", "[", "]}", '"', "\\", "\\\\", "\\\\\\", '\\"[', "é{", "\ud800]", '[{"\\']
+
+
+def _nested_json(depth: int, kinds: int, strings, ascii: bool) -> str:
+    """JSON text of depth arrays and objects: level k is an object where bit
+    k of kinds is set, else an array, and holds the k-th string of strings,
+    cycled, beside the level below it (as that level's key in an object)."""
+    node = None
+    for k in reversed(range(depth)):
+        s = strings[k % len(strings)]
+        below = s if node is None else node
+        node = {s: below} if kinds >> k & 1 else [s, below]
+    return json.dumps(node, ensure_ascii=ascii)
+
+
+def _altered(text: str, pos: int, insert: str, cut: bool) -> str:
+    """text with insert put in at pos, and the rest cut off after it if cut."""
+    pos %= len(text) + 1
+    return text[:pos] + insert + ("" if cut else text[pos:])
+
+
+def _json_depth_sweep():
+    # all arrays, all objects, and every other level an object
+    texts = [(depth, kinds, ascii) for depth in (CAP_DEPTH - 1, CAP_DEPTH, CAP_DEPTH + 1)
+             for kinds in (0, (1 << 101) - 1, int("01" * 51, 2)) for ascii in (True, False)]
+    full = [_nested_json(depth, kinds, SCAN_STRINGS, ascii) for depth, kinds, ascii in texts]
+    return {
+        "arrays and objects 99-101 deep, each level holding one string or all": [
+            (_nested_json(depth, kinds, strings, ascii),) for depth, kinds, ascii in texts
+            for strings in [SCAN_STRINGS] + [[s] for s in SCAN_STRINGS]],
+        # the decoder stops at a syntax error: after the last bracket, at a
+        # cut, or at a stray bracket first or quote, backslash or bracket halfway
+        "the same, all strings, cut or with a character put in": [
+            (_altered(text, pos, insert, cut),) for text in full for pos, insert, cut in (
+                (len(text), "x", False), (len(text) - 1, "", True), (0, "]", False),
+                *((len(text) // 2, c, False) for c in '"\\]'))],
+    }
+
+
+def json_texts(st):
+    """JSON texts 95-107 levels deep, their strings drawn from brackets,
+    quotes, backslashes, a non-ASCII character and a lone surrogate, and
+    such texts cut or with a character put in."""
+    strings = st.lists(st.sampled_from('[]{}"\\é\ud800a'), max_size=4).map("".join)
+    texts = st.builds(_nested_json, st.integers(CAP_DEPTH - 5, CAP_DEPTH + 7),
+                      st.integers(0, (1 << 107) - 1), st.lists(strings, min_size=1, max_size=4),
+                      st.booleans())
+    return texts | st.builds(_altered, texts, st.integers(0, 1 << 20),
+                             st.sampled_from(["x", '"', "\\", "]", "[", "{", ""]), st.booleans())
 
 
 def _read_row_by_row(text):
-    """parse_instance with no memo: _read on the goods and the bidders
-    present, then a missing key reported, then _read on every element of
-    every row, each part with its depth counted from the document root,
-    then each row checked as make_instance reads, with member."""
-    obj = encoding._load_json(text, "instance file")
-    goods = _read_part(obj["goods"], 1) if "goods" in obj else None
-    bidders = _read_part(obj["bidders"], 1) if "bidders" in obj else None
+    """parse_instance with no memo: the document's depth walked character
+    by character, then a missing key reported, then each part read on its
+    own from its own JSON text, then each row checked as make_instance
+    reads, with member."""
+    if _walked_depth(text) > CAP_DEPTH:
+        raise CapExceeded(f"instance file nested deeper than {CAP_DEPTH} levels")
+    obj = json.loads(text)
     missing = {"goods", "bidders", "valuations"} - set(obj)
     if missing:
         raise ValidationError(f"instance file is missing {sorted(missing)}")
+    goods, bidders = (encoding.parse_value(json.dumps(obj[key])) for key in ("goods", "bidders"))
     auctions._check_caps(auctions._input_set(goods, "goods"), auctions._input_set(bidders, "bidders"))
     rows = []
     for row in obj["valuations"]:
         if not isinstance(row, list) or len(row) != 3:
             raise ValidationError(f"bad valuation row: {row!r}")
-        rows.append([_read_part(e, 3) for e in row])
+        rows.append([encoding.parse_value(json.dumps(e)) for e in row])
     if not goods.payload:
         raise ValidationError("no goods")
     if not bidders.payload:
@@ -701,7 +780,7 @@ def _instance_file_sweep():
                 _instance_text([], ("g1",), (_nested(depth - 2),)),
                 _instance_text([[1, _nested(depth - 3), 1]]),
                 _instance_text([[1, _nested(1), 1], [2, _nested(depth - 3), 1]]))],
-        # the goods and bidders present are read before a missing key is
+        # the depth is decided on the whole text before a missing key is
         # reported: at the cap the key is reported, past it the depth
         "a key missing, the goods or bidders at and past the depth cap": [
             (json.dumps(obj),) for depth in (CAP_DEPTH, CAP_DEPTH + 1) for obj in (
@@ -709,6 +788,12 @@ def _instance_file_sweep():
                 {"goods": ["set", "g1"], "bidders": ["set", _nested(depth - 2)]},
                 {"bidders": ["set", _nested(depth - 2)], "valuations": []})] + [
             (json.dumps({"goods": ["set", "g1"], "valuations": []}),)],
+        # a part never read, or met after a bad row, is refused past the cap
+        "unread parts at and past the depth cap": [
+            (text,) for depth in (CAP_DEPTH, CAP_DEPTH + 1) for text in (
+                json.dumps({"goods": ["set", "g1"], "bidders": ["set", 1], "valuations": [],
+                            "note": _nested(depth - 1)}),
+                _instance_text([["bad"], [1, _nested(depth - 3), 1]]))],
     }
 
 
@@ -1171,10 +1256,14 @@ ROWS = (
     # scale are the oracle's optima and the outcome's own values
     Row("_solve", _solved, lambda inst: (inst, paper._oracle_optima(inst)), _clearing_sweep, 79,
         lambda st: _one(small_instances(st)), _same_record, errors=(ValueError,)),
-    Row("parse_instance", auctions.parse_instance, _read_row_by_row, _instance_file_sweep, 639,
+    Row("parse_instance", auctions.parse_instance, _read_row_by_row, _instance_file_sweep, 643,
         lambda st: st.lists(st.sampled_from(INSTANCE_ROWS), max_size=4).map(
             lambda rows: (_instance_text(rows),)),
         errors=(ParseError, ValidationError, CapExceeded)),
+    # the depth of JSON text on its bytes, against a walk character by
+    # character; where the decoder stops at a syntax error, only the cap
+    Row("_json_depth", encoding._json_depth, _walked_json_depth, _json_depth_sweep, 324,
+        lambda st: _one(json_texts(st)), _scan_is_safe),
     Row("reduced_price_map", auctions.reduced_price_map, _quotient_reduced_price,
         _reduced_price_sweep, 42, lambda st: st.tuples(_mechanism_cases(st), st.integers(0, 2))
         .map(lambda t: _price_arguments(*t[0])[t[1]])),

@@ -327,6 +327,15 @@ def _rows(*rows) -> str:
     return json.dumps(dict(WORKED_INSTANCE, valuations=list(rows)))
 
 
+def _rows_text(*rows: str) -> str:
+    """An instance file of WORKED_INSTANCE's goods and bidders and rows
+    given as JSON text."""
+    text = json.dumps(dict(WORKED_INSTANCE, valuations="rows"))
+    return text.replace('"rows"', "[" + ",".join(rows) + "]")
+
+
+_DEEP_3000 = "[" * 3000 + "]" * 3000
+
 # an element read once per file must still be refused wherever it is written
 _TRUE_AFTER_ONE = _rows([1, ["set", "g1"], 1], [True, ["set", "g2"], 1])
 _FLOAT_AFTER_ONE = _rows([1, ["set", "g1"], 1], [1.0, ["set", "g2"], 1])
@@ -375,15 +384,23 @@ EXIT_CASES = [
         (case, ["run-combinatorial", FILE], json.dumps(doc), code)
         for case, (doc, code) in _DEEP_PARTS.items()
     ),
-    # the cap is counted on what is read, in the order it is read: a part
-    # that is never read is bounded only by the JSON decoder
+    # the cap is decided on the whole text before it is decoded: a part
+    # that is never read, or read after a fault, is refused as too deep too
     ("bad-row-before-a-deep-element", ["run-combinatorial", FILE],
-     _rows(["bad"], [1, _nested(120), 1]), 2),
+     _rows(["bad"], [1, _nested(120), 1]), 3),
     ("unread-key-120-deep", ["run-combinatorial", FILE],
-     json.dumps(dict(WORKED_INSTANCE, note=_nested(120))), 0),
-    ("instance-file-an-array-120-deep", ["run-combinatorial", FILE], _nested_set(120), 2),
+     json.dumps(dict(WORKED_INSTANCE, note=_nested(120))), 3),
+    ("instance-file-an-array-120-deep", ["run-combinatorial", FILE], _nested_set(120), 3),
     ("object-120-deep-in-a-set-argument",
-     ["enumerate", "partitions", '["set",' + '{"a":' * 120 + "1" + "}" * 120 + "]"], None, 2),
+     ["enumerate", "partitions", '["set",' + '{"a":' * 120 + "1" + "}" * 120 + "]"], None, 3),
+    # 3,000 deep, where the JSON decoders of Python versions differ: each
+    # exits 3, as the text is refused before it is decoded
+    ("row-3000-deep", ["run-combinatorial", FILE], _rows_text(_DEEP_3000), 3),
+    ("row-with-a-3000-deep-untagged-array", ["run-combinatorial", FILE],
+     _rows_text(f"[1,{_DEEP_3000},1]"), 3),
+    ("unknown-key-3000-deep", ["run-combinatorial", FILE],
+     json.dumps(WORKED_INSTANCE)[:-1] + f',"note":{_DEEP_3000}}}', 3),
+    ("3000-brackets-then-a-syntax-error", ["run-combinatorial", FILE], "[" * 3000 + "x", 3),
     ("deep-expression", ["eval", FILE], "{" * 3000, 3),
     ("expression-past-cap", ["eval", FILE], "{" * 101 + "1" + "}" * 101, 3),
     ("expression-at-cap", ["eval", FILE], "{" * 100 + "1" + "}" * 100, 0),

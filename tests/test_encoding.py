@@ -7,7 +7,7 @@ from finrel import paper
 from finrel.enumeration import all_partitions_list
 from finrel.errors import CAP_DEPTH, CapExceeded, ParseError, ValidationError
 from finrel.values import EMPTY, UNDEFINED, V, fset, num, pair, rat, sym
-from finrel.encoding import _read, parse_value, serialize_elements, serialize_value
+from finrel.encoding import parse_value, serialize_elements, serialize_value
 
 
 def test_parse_canonicalizes_sets():
@@ -81,14 +81,14 @@ def test_each_writer_refuses_what_is_not_a_value(write, obj):
         write(obj)
 
 
-def test_read_caps_its_own_depth():
-    # a decoded tree that never went through the JSON text reader
-    obj, want = ["set"], EMPTY
-    for _ in range(CAP_DEPTH - 1):
-        obj, want = ["set", obj], fset([want])
-    assert _read(obj, CAP_DEPTH, "value") == want
-    with pytest.raises(CapExceeded, match=f"deeper than {CAP_DEPTH} levels"):
-        _read(["set", obj], CAP_DEPTH, "value")
+def test_depth_is_refused_before_a_syntax_error():
+    # the cap is decided on the text before it is decoded: past it, a text
+    # is refused as too deep though its syntax fails after its last bracket
+    deep = '["set",' * CAP_DEPTH + "1" + "]" * CAP_DEPTH
+    with pytest.raises(ParseError, match=f"position {len(deep)}"):
+        parse_value(deep + ",")
+    with pytest.raises(CapExceeded, match=f"value text nested deeper than {CAP_DEPTH} levels"):
+        parse_value('["set",' + deep + "],")
 
 
 def test_serialization_is_compact_and_ordered():

@@ -67,6 +67,23 @@ def _huge_denominator_instance(denominators: list) -> dict:
     return {"goods": ["set", *goods], "bidders": ["set", 1, 2, 3], "valuations": rows}
 
 
+def _bracket_symbol_instance() -> dict:
+    """4 goods x 3 bidders named by symbols that hold brackets and
+    non-ASCII characters, every nonempty bundle valued additively, and an
+    unread key whose string holds quotes, backslashes and brackets 150
+    deep: the depth cap counts brackets outside strings only.  A symbol
+    itself may hold no quote or backslash."""
+    goods, bidders = ["[g1]", "{g2}", "é[", "]ü"], ["b{", "ü]", "[[["]
+    rows = [
+        [b, ["set", *[g for j, g in enumerate(goods) if mask >> j & 1]],
+         sum((k * 5 + j * 3) % 7 + 1 for j in range(len(goods)) if mask >> j & 1)]
+        for k, b in enumerate(bidders)
+        for mask in range(1, 1 << len(goods))
+    ]
+    return {"goods": ["set", *goods], "bidders": ["set", *bidders], "valuations": rows,
+            "note": '\\"' + "[" * 150 + "\\\\" + "{" * 150 + '"\\'}
+
+
 GRID = '["set",-1,"-1/2",0,"1/2",3]'
 BIDDERS = '["set",1,2,3]'
 
@@ -89,6 +106,7 @@ COMMANDS = [
     # common denominator past auctions.MAX_SCALE_BITS, onto the rationals
     ("run-combinatorial 3x3 shared 1,000-digit", ["run-combinatorial", "{shared1000}"]),
     ("run-combinatorial 3x3 distinct 500-digit", ["run-combinatorial", "{distinct500}"]),
+    ("run-combinatorial bracket symbols 4x3", ["run-combinatorial", "{brackets}"]),
     ("check-laws full 0", ["check-laws", "--profile", "full", "--seed", "0"]),
     (
         "enumerate partitions mixed 6",
@@ -171,6 +189,8 @@ GOLDEN = {
     # recorded before clearing read its payments off the integer memo
     'run-combinatorial 3x3 shared 1,000-digit': ('929dd0f7d5398ccf3b5c5eff7f67c3aa3dd2c64619f4088f6de7a2dc77b3a49e', 1),
     'run-combinatorial 3x3 distinct 500-digit': ('6b012c1c66a00a45aa46038411d7ca587f9a9175c3871a1eb42fdd1206785c8f', 1),
+    # recorded before the depth cap was decided on the text
+    'run-combinatorial bracket symbols 4x3': ('c1e60aea0767ad98c5cc18903d78e53d71f0e4d3a41cd0cb43be738424267e99', 1),
     'check-laws full 0': ('9a87faa9ab161b9705b4dcb06385e8499a4bcfd07bfa8301a7c258e6e29f6f5f', 21),
     # recorded before stdout was written in blocks of lines
     'enumerate partitions numbers 8': ('5e128116aba4bc6db500977ff8e325082c556f06f598374c7f4e2c14b04a95d6', 4140),
@@ -188,6 +208,7 @@ def files(tmp_path):
         "zero53": tmp_path / "zero53.json",
         "shared1000": tmp_path / "shared1000.json",
         "distinct500": tmp_path / "distinct500.json",
+        "brackets": tmp_path / "brackets.json",
         "expr": tmp_path / "expr.txt",
         "expr_non_ascii": tmp_path / "expr_non_ascii.txt",
     }
@@ -201,6 +222,8 @@ def files(tmp_path):
     paths["distinct500"].write_text(
         json.dumps(_huge_denominator_instance([10**499 + k for k in range(1, 42, 2)])),
         encoding="utf-8")
+    paths["brackets"].write_text(
+        json.dumps(_bracket_symbol_instance(), ensure_ascii=False), encoding="utf-8")
     paths["expr"].write_text("({(0::nat,10),(1,11),(1,12)} +< (1,13::nat)) ,, 1\n", encoding="utf-8")
     paths["expr_non_ascii"].write_text(
         '{(1,"é"),(-1/2,{-3/4,"ü⊥"})} +< (-7/3, {"ß", -2})\n', encoding="utf-8"
