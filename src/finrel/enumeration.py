@@ -22,6 +22,15 @@ enumerate` prints that set without building it: for elements listed in
 canonical order, every block list and every pair list comes in canonical
 order, so encoding.serialize_elements writes the set's text from the
 list.
+
+Per output both recursions do only int and list work.  Each validates its
+listed elements once per call (_distinct) and then runs from the last
+element to the first.  The injection levels below the outermost carry,
+next to each pair list, an int whose bit j is set when Y.payload[j] is
+taken, so a target is tested free with one `&` and no set is built.  Every
+list they return is sized exactly, [step] + R or one copy of the blocks
+changed in place, since a list display with * over-allocates, and the
+lists are most of the memory a large enumeration holds.
 """
 
 from __future__ import annotations
@@ -100,9 +109,10 @@ def injections_alg(xs: list, Y: Value) -> list[list]:
     """All injections from the listed elements into Y, constructively, each
     as its list of pairs; fset(pairs) is the injection as a set.
 
-    Recursion on the list: every partial injection of the tail is
-    extended with each still-unused element of Y, taken in canonical
-    order.  The output order is deterministic and duplicate-free.
+    Induction on the list, from its last element to its first: every
+    partial injection of the tail is extended with each still-unused
+    element of Y, taken in canonical order.  The output order is
+    deterministic and duplicate-free.
 
     When xs is in canonical order, each list is in canonical order too,
     the order of its set of pairs: xs[0] is less than every element of
@@ -111,22 +121,20 @@ def injections_alg(xs: list, Y: Value) -> list[list]:
     xs in another order this does not hold."""
     xs = _distinct(xs)
     _require_set(Y)
-    if len(xs) > len(Y.payload):  # no injection exists; do not recurse
+    if len(xs) > len(Y.payload):  # no injection exists; build no level
         return []
-    if not xs:
-        return [[]]
-    head, rest = xs[0], xs[1:]
-    # payload is already the sorted element list; head is in no tail
-    # injection's domain, so [step, *R] is again an injection, and each
-    # pair of head is built once and shared by every list that holds it
-    steps = [(y, pair(head, y)) for y in Y.payload]
-    out = []
-    for R in injections_alg(rest, Y):
-        used = {p.payload[1] for p in R}
-        for y, step in steps:
-            if y not in used:
-                out.append([step, *R])
-    return out
+    # payload is already the sorted element list, and bit j of a mask is
+    # set when Y.payload[j] is taken; xs[k] is in no tail injection's
+    # domain, so [step] + R is again an injection, and each pair of xs[k]
+    # is built once and shared by every list that holds it
+    lists, masks = [[]], [0]
+    for k in reversed(range(len(xs))):
+        steps = [(1 << j, pair(xs[k], y)) for j, y in enumerate(Y.payload)]
+        lists = [[step] + R
+                 for R, used in zip(lists, masks) for bit, step in steps if not used & bit]
+        if k:  # the outermost level keeps no masks
+            masks = [used | bit for used in masks for bit, _ in steps if not used & bit]
+    return lists
 
 
 def injections_oracle(X: Value, Y: Value) -> Value:
@@ -187,7 +195,16 @@ def all_coarser_partitions_with_list(new_el, partitions: list[list]) -> list[lis
                 if enlarged is b:  # _set_plus returns b itself when new_el is in it
                     raise ValueError(f"element already present: {new_el!r}")
                 plus[b] = enlarged
-            out.append([enlarged] + blocks[:i] + blocks[i + 1 :])
+            # one exact copy, so no list is over-allocated; the first block
+            # is replaced in place, since deleting a list's only item frees
+            # its room and the insert after it would over-allocate
+            moved = blocks.copy()
+            if i:
+                del moved[i]
+                moved.insert(0, enlarged)
+            else:
+                moved[0] = enlarged
+            out.append(moved)
     return out
 
 
@@ -198,7 +215,7 @@ def all_partitions_list(xs: list) -> list[list]:
     the order of its set of blocks: by induction, xs[0] is less than every
     element of the tail, so the block that holds it, put first, is less
     than every other block.  For xs in another order this does not hold."""
-    xs = _distinct(xs)
-    if not xs:
-        return [[]]
-    return all_coarser_partitions_with_list(xs[0], all_partitions_list(xs[1:]))
+    partitions = [[]]
+    for x in reversed(_distinct(xs)):
+        partitions = all_coarser_partitions_with_list(x, partitions)
+    return partitions

@@ -1203,7 +1203,13 @@ ROWS = (
             "0-4 mixed sources in canonical order into 0-5 mixed targets": [
                 (list(fset(MIXED[:n]).payload), fset(MIXED[3 : 3 + m]))
                 for n in range(5) for m in range(6)],
-        }, 50,
+            # a used-target mask past one 30-bit digit of an int
+            "0-2 mixed sources, in either order, into 31-33 values": [
+                (xs, fset([*MIXED, *range(100, 100 + m - len(MIXED))]))
+                for xs in ([], MIXED[:1], MIXED[:2], MIXED[1::-1]) for m in range(31, 34)],
+            "5-8 mixed sources into 0-4 mixed targets": [
+                (MIXED[:n], fset(MIXED[3 : 3 + m])) for n in range(5, 9) for m in range(5)],
+        }, 82,
         lambda st: st.tuples(_arrangements(st, MIXED, 3),
                              _subsets(st, MIXED[2:])),
         _same_injections),

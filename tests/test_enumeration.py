@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -146,6 +147,23 @@ def test_each_distinct_block_is_built_once(n, distinct):
     # equal blocks are one object, however the hash seed orders the table
     blocks = [b for p in all_partitions_list(list(range(n))) for b in p]
     assert len(set(blocks)) == len({id(b) for b in blocks}) == distinct
+
+
+def test_each_injection_pair_is_built_once():
+    # equal pairs are one object, so the writer writes each pair's text once
+    ps = [p for pairs in injections_alg([A, B, C], V([1, 2, 3, 4, 5])) for p in pairs]
+    assert len(set(ps)) == len({id(p) for p in ps}) == 15
+
+
+def test_each_listed_partition_and_injection_is_sized_exactly():
+    # a list display with * over-allocates, and the lists are most of the
+    # memory a large `finrel enumerate` holds
+    partitions = all_partitions_list(list(range(7)))
+    family = all_partitions_list(list(range(6)))
+    for lists in (partitions, all_coarser_partitions_with_list(6, family),
+                  injections_alg([A, B, C, sym("d")], V([1, 2, 3, 4, 5, 6]))):
+        assert all(sys.getsizeof(lst) == sys.getsizeof([None] * len(lst)) for lst in lists)
+    assert len(partitions) == 877
 
 
 def test_all_partitions_list_examples():

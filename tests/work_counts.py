@@ -42,6 +42,7 @@ COUNTED = (
     "relations.compose",
     "relations.domain_of",
     "relations.single_paste",
+    "enumeration._distinct",  # validation of a listed source: one per call
     "encoding._build",  # the reader's builds: with a memo, its misses
     "encoding.serialize_value",
     "auctions._input_set",
@@ -166,6 +167,7 @@ ROWS = (
     Row("enumerate-partitions", ("enumerate", "partitions", '["set",1,2,3,4,5]'), None, {
         "values.fset": 1,
         "values._set_of_sorted": 32,
+        "enumeration._distinct": 1,
         "encoding._build": 6,
         "auctions._input_set": 1}),
     Row("enumerate-injections",
@@ -173,6 +175,7 @@ ROWS = (
         "values.fset": 2,
         "values._set_of_sorted": 2,
         "values.pair": 12,
+        "enumeration._distinct": 1,
         "encoding._build": 9,
         "auctions._input_set": 2}),
     Row("run-single-second-price", _single("second-price"), None, {
@@ -208,6 +211,7 @@ ROWS = (
         "relations.compose": 216,
         "relations.domain_of": 6_039,
         "relations.single_paste": 13,
+        "enumeration._distinct": 76,
         "auctions._input_set": 658}),
 )
 
