@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .encoding import _load_json, _read, serialize_value
+from .encoding import _json, _load_json, _read, serialize_value
 from .errors import CapExceeded, ValidationError
 from .values import (
     NUM,
@@ -161,6 +161,16 @@ def _rival_pairs(b: Value, i: Value) -> tuple[tuple, tuple]:
     return b.payload[:lo] + b.payload[hi:], b.payload[lo:hi]
 
 
+def _bid_vectors(i, alloc: Value, price: Value):
+    """(b, _rival_pairs(b, i), alloc at b, price at b) flattened, for each b
+    of the common domain of alloc and price in order; b is checked before i
+    is read, so each input error is the one the test i in domain(b) raises."""
+    for b in intersection(domain_of(alloc), domain_of(price)).payload:
+        _require_relation(b)
+        rivals, own = _rival_pairs(b, canonicalize(i))
+        yield b, rivals, own, eval_rel(alloc, b), eval_rel(price, b)
+
+
 def dominant_strategy_counterexample(
     i: Value, alloc: Value, price: Value
 ) -> tuple[Value, Value] | None:
@@ -188,16 +198,10 @@ def dominant_strategy_counterexample(
     through `_utility`, which raises the first TypeError in the paper's
     order: v, won and paid at b, then at the pasted vector.
     """
-    common = intersection(domain_of(alloc), domain_of(price))
     read = []  # (b, its rival pairs, i's one bid or None, won, paid)
-    for b in common.payload:
-        # b is checked before i is read, so each input error is the one
-        # the membership test i in domain(b) raises
-        _require_relation(b)
-        rivals, own = _rival_pairs(b, canonicalize(i))
+    for b, rivals, own, won, paid in _bid_vectors(i, alloc, price):
         if own:
-            bid = own[0].payload[1] if len(own) == 1 else None
-            read.append((b, rivals, bid, eval_rel(alloc, b), eval_rel(price, b)))
+            read.append((b, rivals, own[0].payload[1] if len(own) == 1 else None, won, paid))
     numbers = {x for entry in read for x in entry[2:] if x is not None and x._key[0] == NUM}
     scale, up = _common_scale(x.payload for x in numbers)
     scaled = {x: up(x.payload) for x in numbers}  # a non-number gets None
@@ -247,18 +251,14 @@ def vickrey_payment_form_check(i, alloc, price, weight, fee, base_alloc) -> bool
     i = canonicalize(i)
     base = as_fraction(canonicalize(base_alloc))
     looked_up: dict = {}  # rival pairs -> (weight, fee) at their reduced bid
-    for b in intersection(domain_of(alloc), domain_of(price)).payload:
-        _require_relation(b)
-        rivals = _rival_pairs(b, i)[0]
+    for _, rivals, _, won, paid in _bid_vectors(i, alloc, price):
         tables = looked_up.get(rivals)
         if tables is None:
             reduced = _set_of_sorted(rivals)
             tables = looked_up[rivals] = (
                 _table_lookup(weight, reduced), _table_lookup(fee, reduced))
         w, t = tables
-        lhs = as_fraction(eval_rel(price, b))
-        rhs = (as_fraction(eval_rel(alloc, b)) - base) * w + t
-        if lhs != rhs:
+        if as_fraction(paid) != (as_fraction(won) - base) * w + t:
             return False
     return True
 
@@ -592,7 +592,7 @@ def parse_instance(text: str) -> CombinatorialInstance:
     triples = []
     for row in raw:
         if not isinstance(row, list) or len(row) != 3:
-            raise ValidationError(f"bad valuation row: {row!r}")
+            raise ValidationError(f"bad valuation row: {_json(row)}")
         bidder, bundle, value = row
         triples.append((_read(bidder, memo), _read(bundle, memo), _read(value, memo)))
     return make_instance(goods, bidders, triples)

@@ -67,6 +67,11 @@ def _read(obj, memo: dict) -> Value:
     return v
 
 
+def _json(obj) -> str:
+    """Decoded JSON as an error message quotes it: as JSON text."""
+    return json.dumps(obj, ensure_ascii=False)
+
+
 def _build(obj, memo: dict) -> Value:
     """The Value obj stands for, its components read by _read."""
     if isinstance(obj, bool):
@@ -78,17 +83,17 @@ def _build(obj, memo: dict) -> Value:
     if isinstance(obj, str):
         if _NUMBER_LOOKALIKE.match(obj):
             if "/" not in obj:
-                raise ValidationError(f"integer {obj!r} must be a JSON number, not a string")
+                raise ValidationError(f"integer {_json(obj)} must be a JSON number, not a string")
             try:
                 return _read_number(obj)
             except ValueError:
-                raise ValidationError(f"zero denominator in {obj!r}") from None
+                raise ValidationError(f"zero denominator in {_json(obj)}") from None
         try:
             return sym(obj)
         except (TypeError, ValueError) as e:
             raise ValidationError(str(e)) from None
     if not isinstance(obj, list):
-        raise ValidationError(f"cannot read {obj!r} as a value")
+        raise ValidationError(f"cannot read {_json(obj)} as a value")
     if not obj:
         raise ValidationError('untagged array; expected ["set", ...] or ["pair", a, b]')
     tag, rest = obj[0], obj[1:]
@@ -98,7 +103,7 @@ def _build(obj, memo: dict) -> Value:
         return pair(_read(rest[0], memo), _read(rest[1], memo))
     if tag == "set":
         return fset(_read(e, memo) for e in rest)
-    raise ValidationError(f"unknown tag {tag!r}; expected \"set\" or \"pair\"")
+    raise ValidationError(f"unknown tag {_json(tag)}; expected \"set\" or \"pair\"")
 
 
 # brackets as ( and ), quotes kept, every other byte dropped

@@ -252,11 +252,7 @@ def _random_relation(rng: random.Random, pool: list[Value]) -> Value:
 # value-core laws
 
 def _boolean_cases(config):
-    subsets = all_subsets(fset(_atoms(3))).payload
-    for a in subsets:
-        for b in subsets:
-            for c in subsets:
-                yield (a, b, c)
+    yield from itertools.product(all_subsets(fset(_atoms(3))).payload, repeat=3)
 
 
 def _boolean_check(a, b, c):
@@ -294,11 +290,7 @@ def _order_family(extended: bool) -> list[Value]:
 
 
 def _order_cases(config):
-    fam = _order_family(extended=False)
-    for v in fam:
-        for w in fam:
-            for u in fam:
-                yield (v, w, u)
+    yield from itertools.product(_order_family(extended=False), repeat=3)
     if config.full:
         rng = config.rng("order")
         fam = _order_family(extended=True)
@@ -326,12 +318,7 @@ _register(
 # relation-algebra laws
 
 def _paste_assoc_cases(config):
-    A, B = _atoms(2), _atoms(2, 10)
-    rels = list(_all_relations(A, B))
-    for p in rels:
-        for q in rels:
-            for r in rels:
-                yield (p, q, r)
+    yield from itertools.product(_all_relations(_atoms(2), _atoms(2, 10)), repeat=3)
     if config.full:
         rng = config.rng("paste")
         pool = _pair_pool(_atoms(4), _atoms(4, 10))
@@ -358,11 +345,7 @@ _register(
 def _paste_outside_cases(config):
     A, B = _atoms(2), _atoms(2, 10)
     rels = list(_all_relations(A, B))
-    xsets = list(all_subsets(fset(A)).payload)
-    for p in rels:
-        for q in rels:
-            for x in xsets:
-                yield (p, q, x)
+    yield from itertools.product(rels, rels, all_subsets(fset(A)).payload)
     if config.full:
         rng = config.rng("paste_outside")
         A3 = _atoms(3)
@@ -546,13 +529,13 @@ _register(
 
 
 def _quotient_triples(config):
+    """f, then P, then Q; the relations f come one at a time, so the witness
+    search builds none past its witness."""
     A, B = _atoms(3), _atoms(2, 10)
     ps = all_partial_equivalences(fset(A))
     qs = all_partial_equivalences(fset(B))
     for f in _right_unique_relations(A, B):
-        for P in ps:
-            for Q in qs:
-                yield (f, P, Q)
+        yield from itertools.product([f], ps, qs)
 
 
 def _quotient_right_unique_check(f, P, Q):
@@ -585,15 +568,12 @@ _register(
 
 
 def _factorization_cases(config):
-    if config.full:
-        A = _atoms(3)
-    else:
-        A = _atoms(2)
+    """r, then p, then q, the order _factorization_checker relies on; the
+    relations r come one at a time, 512 of them on the full profile."""
+    A = _atoms(3) if config.full else _atoms(2)
     eqs = all_partial_equivalences(fset(A))
     for r in _all_relations(A, A):
-        for p in eqs:
-            for q in eqs:
-                yield (r, p, q)
+        yield from itertools.product([r], eqs, eqs)
 
 
 def _factorization_checker():
@@ -658,17 +638,14 @@ def _injection_cases(config):
         pool = [sym(s) for s in ("a", "b")]
         ys = [s for s in all_subsets(fset(_atoms(3, 1))).payload if s.payload]
         max_len = 2
-    lists = [[]]
-    for k in range(1, max_len + 1):
-        lists += [list(p) for p in itertools.permutations(pool, k)]
-    for xs in lists:
-        for Y in ys:
-            yield (relation(enumerate(xs)), Y)
+    listings = [relation(enumerate(xs))
+                for k in range(max_len + 1) for xs in itertools.permutations(pool, k)]
+    yield from itertools.product(listings, ys)
     if config.full:
         # size-4 witnesses for the falling-factorial counts
-        xs4 = [sym(s) for s in ("a", "b", "c", "d")]
+        listing4 = relation(enumerate(sym(s) for s in ("a", "b", "c", "d")))
         for k in range(1, 5):
-            yield (relation(enumerate(xs4)), fset(_atoms(k, 1)))
+            yield (listing4, fset(_atoms(k, 1)))
 
 
 def _injection_check(listing, Y):
@@ -736,10 +713,9 @@ def _bidder_family() -> list[Value]:
 
 
 def _mechanism_cases(config):
-    for grid in _grid_family(config):
-        for bidders in _bidder_family():
-            for i in bidders.payload:
-                yield (grid, bidders, i)
+    for grid, bidders in itertools.product(_grid_family(config), _bidder_family()):
+        for i in bidders.payload:
+            yield (grid, bidders, i)
 
 
 def _second_price_dominant_check(grid, bidders, i):
@@ -757,13 +733,12 @@ _register(
 
 
 def _first_price_cases(config):
-    for grid in _grid_family(config):
-        for bidders in _bidder_family():
-            if len(grid.payload) >= 2:
-                yield (grid, bidders, bidders.payload[0])
-            if len(grid.payload) >= 3:
-                for i in bidders.payload:
-                    yield (grid, bidders, i)
+    for grid, bidders in itertools.product(_grid_family(config), _bidder_family()):
+        if len(grid.payload) >= 2:
+            yield (grid, bidders, bidders.payload[0])
+        if len(grid.payload) >= 3:
+            for i in bidders.payload:
+                yield (grid, bidders, i)
 
 
 def _first_price_violation_check(grid, bidders, i):
@@ -814,9 +789,8 @@ def _vickrey_form_cases(config):
     # the fee extraction needs a bidder who can lose against every rival
     # profile; the canonical tie-break favors the least bidder, so take
     # the greatest
-    for grid in _grid_family(config):
-        for bidders in _bidder_family():
-            yield (grid, bidders, bidders.payload[-1])
+    for grid, bidders in itertools.product(_grid_family(config), _bidder_family()):
+        yield (grid, bidders, bidders.payload[-1])
 
 
 def _vickrey_form_check(grid, bidders, i):

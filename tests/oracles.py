@@ -543,7 +543,7 @@ def _read_row_by_row(text):
     rows = []
     for row in obj["valuations"]:
         if not isinstance(row, list) or len(row) != 3:
-            raise ValidationError(f"bad valuation row: {row!r}")
+            raise ValidationError(f"bad valuation row: {json.dumps(row, ensure_ascii=False)}")
         rows.append([encoding.parse_value(json.dumps(e)) for e in row])
     if not goods.payload:
         raise ValidationError("no goods")

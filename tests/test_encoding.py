@@ -4,6 +4,7 @@ import threading
 import pytest
 
 from finrel import paper
+from finrel.auctions import parse_instance
 from finrel.enumeration import all_partitions_list
 from finrel.errors import CAP_DEPTH, CapExceeded, ParseError, ValidationError
 from finrel.values import EMPTY, UNDEFINED, V, fset, num, pair, rat, sym
@@ -70,6 +71,30 @@ def test_validation_errors():
         parse_value("true")
     with pytest.raises(ValidationError):
         parse_value("null")
+
+
+# an error message quotes the input as the JSON it was written in
+@pytest.mark.parametrize("text,message", [
+    ("null", "cannot read null as a value"),
+    ('{"a": 1}', 'cannot read {"a": 1} as a value'),
+    ('["set", {"é": [true]}]', 'cannot read {"é": [true]} as a value'),
+    ('["x", 1]', 'unknown tag "x"; expected "set" or "pair"'),
+    ('[null]', 'unknown tag null; expected "set" or "pair"'),
+    ('"12"', 'integer "12" must be a JSON number, not a string'),
+    ('"1/0"', 'zero denominator in "1/0"'),
+], ids=["null", "object", "nested-object", "unknown-tag", "null-tag", "integer-string",
+        "zero-denominator"])
+def test_validation_errors_quote_the_input_as_json(text, message):
+    with pytest.raises(ValidationError) as err:
+        parse_value(text)
+    assert str(err.value) == message
+
+
+def test_a_bad_valuation_row_is_quoted_as_json():
+    text = '{"goods": ["set", "g"], "bidders": ["set", 1], "valuations": [[1, true]]}'
+    with pytest.raises(ValidationError) as err:
+        parse_instance(text)
+    assert str(err.value) == "bad valuation row: [1, true]"
 
 
 # the writer and its oracle, each given what is not a Value

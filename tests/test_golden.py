@@ -13,7 +13,9 @@ from fractions import Fraction
 import pytest
 
 from finrel.cli import main
+from finrel.encoding import serialize_value
 from finrel.laws import LAWS, PROFILES, LawConfig, _pack
+from finrel.values import Value
 
 README_INSTANCE = {
     "goods": ["set", "g1", "g2"],
@@ -257,3 +259,71 @@ def test_first_case_of_every_law_matches_recorded_digest():
             lines.append(f"{law_id} {profile} {_pack(*case)!r}")
     assert len(lines) == 42
     assert hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest() == FIRST_CASES
+
+
+# Each law's whole case stream, seed 0: its case count and the sha256 of
+# its cases, one serialize_value of the packed case per line.  Recorded
+# before the case spaces were written as products of their universes; a
+# stream reordered, shortened or with a case changed moves its digest.
+CASE_STREAMS = {
+    "quick": {
+        "boolean_algebra": (512, "947a1f50bf057131411991af38077599ab6d7f782200de8e30fc26454f0b46f7"),
+        "order_totality": (8_000, "9c90c5119d8595851f30a25340925cce2bb393625ddea7cd8042d27cfc86008e"),
+        "paste_associative": (4_096, "94ff7d353ace7581b3fa4b3935bca7922370066e6fedda196da4eeffb38304f0"),
+        "paste_outside_domains": (1_024, "d97cab79acad6e5fe2e965e1b196c80fb4f6cfc78c3cdd9fb0fd1bd4d15e0a51"),
+        "right_unique_characterizations": (64, "86b4e53a06e14f3cac6ed7c461c2b080f7e879d8088e5812d5b70111468af3e3"),
+        "right_unique_cardinality": (64, "86b4e53a06e14f3cac6ed7c461c2b080f7e879d8088e5812d5b70111468af3e3"),
+        "eval_union_agreement": (125, "39c2d1fb91b3fb6115afd0123ce64619e79781595301ded72f6d9a244ef3cc5e"),
+        "graph_eval_roundtrip": (64, "34131a6c3932566e2b58f3bb3e857d81ca2831ef19763cdd3ea6108e732ea7b5"),
+        "argmax_recursive_agreement": (279, "d9083599794ea825299f344c8c02778d2963a5e71c0c594710fa1097761a7d6c"),
+        "projector_kernel_properties": (106, "5068836630b55a1cf43b6c993f3ee55738e3049e8f54f6044026c9a000713874"),
+        "quotient_preserves_right_unique": (2_025, "96c20efd4556cf57f6f31d088576593dab7046ffb693ea2ca3a4d92943a02d64"),
+        "compatibility_necessity": (2_025, "96c20efd4556cf57f6f31d088576593dab7046ffb693ea2ca3a4d92943a02d64"),
+        "quotient_factorization": (400, "a175160ac32fb2466912c80f6915248f18e2ed3cbf64023cdbf1fa4718c98664"),
+        "injections_match_oracle": (35, "61e8762fc2a869c51c6e29de968a5f28370edf99d3716054d2be831de11a2fdc"),
+        "partitions_match_oracle": (5, "16226a8141fcc5a94970cff1c0b3778eb9f392ae4e0dfacc5d12c706c6d64579"),
+        "second_price_dominant": (35, "a7e892d73e496af3a5a9deba4919fb07f95a01392c62a3e9bf1b8dad86d9d2d5"),
+        "first_price_not_dominant": (13, "4a3ddf00cb856f7e287adc179502bbea7fecbb6ab9c453e1eada9928cb81521e"),
+        "reduced_bid_kernel_compatible": (35, "a7e892d73e496af3a5a9deba4919fb07f95a01392c62a3e9bf1b8dad86d9d2d5"),
+        "vickrey_payment_decomposition": (14, "a87b2d4fbe0fda74bed2b50fcc8d2819410f3f5b832cb04e6524254d14117550"),
+        "vcg_payment_bounds": (30, "52ede5ce7269f63123f6e98f18056ca755b9d65d324147ba6a2fafb8fa1ee6d1"),
+        "vcg_matches_oracle": (30, "52ede5ce7269f63123f6e98f18056ca755b9d65d324147ba6a2fafb8fa1ee6d1"),
+    },
+    "full": {
+        "boolean_algebra": (512, "947a1f50bf057131411991af38077599ab6d7f782200de8e30fc26454f0b46f7"),
+        "order_totality": (28_000, "1e283afc1cb39d8547dc4340ea136f1abaf08bfcd99acade5711610e74bdf403"),
+        "paste_associative": (14_096, "67e5e75896337eda52785aafcd094d29dda8030578255e27164b80d13553ef89"),
+        "paste_outside_domains": (3_024, "34a45d264a109952f97ae58a6d11c3123e958c22c6ac46f90b9ab7ba5763df88"),
+        "right_unique_characterizations": (64, "86b4e53a06e14f3cac6ed7c461c2b080f7e879d8088e5812d5b70111468af3e3"),
+        "right_unique_cardinality": (64, "86b4e53a06e14f3cac6ed7c461c2b080f7e879d8088e5812d5b70111468af3e3"),
+        "eval_union_agreement": (125, "39c2d1fb91b3fb6115afd0123ce64619e79781595301ded72f6d9a244ef3cc5e"),
+        "graph_eval_roundtrip": (64, "34131a6c3932566e2b58f3bb3e857d81ca2831ef19763cdd3ea6108e732ea7b5"),
+        "argmax_recursive_agreement": (2_882, "24078584268eb7ce4cdf9a80adb31273fcd0d91ed4f061fadb356bcb8fb9510c"),
+        "projector_kernel_properties": (106, "5068836630b55a1cf43b6c993f3ee55738e3049e8f54f6044026c9a000713874"),
+        "quotient_preserves_right_unique": (2_025, "96c20efd4556cf57f6f31d088576593dab7046ffb693ea2ca3a4d92943a02d64"),
+        "compatibility_necessity": (2_025, "96c20efd4556cf57f6f31d088576593dab7046ffb693ea2ca3a4d92943a02d64"),
+        "quotient_factorization": (115_200, "7effdedc74e8b2b3ec60b15b5f45a42c826c73bc4c3123b14c1eac915899a9cb"),
+        "injections_match_oracle": (244, "d9e9e1d0a9f233fda7185fe8ee2a0f5fc38b6767bbcfc070299e85d03a1c6275"),
+        "partitions_match_oracle": (6, "8d1067d08701b9ac4f2f6b435fbbf4cb2ccaf6f049043267062f4ed79b5222e5"),
+        "second_price_dominant": (75, "b9de6975c2417d44ccae573ce94224893221375731eb38c8d6945553f1618ef5"),
+        "first_price_not_dominant": (47, "3f13c99ebb2925af0536443a7feb240e31f674976a2721605a7b5ec799634627"),
+        "reduced_bid_kernel_compatible": (75, "b9de6975c2417d44ccae573ce94224893221375731eb38c8d6945553f1618ef5"),
+        "vickrey_payment_decomposition": (30, "db42fa1bbcf87061b900b3c463fc7adb2903aeb09c8e269d9eead5fd7b6c1625"),
+        "vcg_payment_bounds": (200, "a247ef8a007bd67e9e0f6d7cb12336cb19e9ef97342572938a710f12e9b53ded"),
+        "vcg_matches_oracle": (200, "a247ef8a007bd67e9e0f6d7cb12336cb19e9ef97342572938a710f12e9b53ded"),
+    },
+}
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_case_stream_of_every_law_matches_recorded_digest(profile):
+    streams = {}
+    for law_id, law in LAWS.items():
+        digest, count = hashlib.sha256(), 0
+        for case in law.cases(LawConfig(profile, 0)):
+            # a case is a tuple of Values, so a counterexample replays as check(*case)
+            assert type(case) is tuple and all(isinstance(v, Value) for v in case), (law_id, case)
+            digest.update(serialize_value(_pack(*case)).encode("utf-8") + b"\n")
+            count += 1
+        streams[law_id] = (count, digest.hexdigest())
+    assert streams == CASE_STREAMS[profile]

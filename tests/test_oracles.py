@@ -115,6 +115,23 @@ def test_each_module_imports_only_earlier_layers():
     assert re.findall(r"^\| `finrel\.(\w+)`", readme, re.M) == list(LAYERS[:-1])
 
 
+def test_each_module_reads_every_name_it_imports():
+    """A name a module imports and never reads is a leftover; the package's
+    __init__ imports to export and is not read here."""
+    root = Path(finrel.__file__).parent
+    for module in LAYERS:
+        tree = ast.parse((root / f"{module}.py").read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        assert imported <= read, f"{module} never reads {sorted(imported - read)}"
+
+
 def test_the_paste_sweep_reaches_each_operand_that_paste_returns():
     row = oracles.ROW["paste"]
     returned = {"P, Q empty": 0, "Q, every pair of P overridden": 0}

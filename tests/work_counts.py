@@ -204,9 +204,9 @@ ROWS = (
         "encoding.serialize_value": 3,
         "auctions._input_set": 67}),
     Row("check-laws-quick", ("check-laws", "--profile", "quick"), None, {
-        "values.fset": 16_242,
-        "values._set_of_sorted": 42_324,
-        "values.pair": 9_072,
+        "values.fset": 16_164,
+        "values._set_of_sorted": 42_246,
+        "values.pair": 9_036,
         "relations.eval_rel": 2_725,
         "relations.compose": 216,
         "relations.domain_of": 6_039,
