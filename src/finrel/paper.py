@@ -2,8 +2,9 @@
 
 Each function states a concept as the paper defines it, by a predicate
 over sets or by walking the whole candidate space, and names the fast
-path the law suite and the tests check against it.  The command line runs
-none of it, and no production module imports this one.  value_to_obj,
+path the law suite and the tests check against it.  Only finrel.laws and
+the tests use it: check-laws runs the oracles its laws name, and no other
+command runs any of it.  value_to_obj,
 the text encoding as a JSON object tree, is the writer's oracle.  Two
 oracles stay in their modules because perfbench/ reads them by that
 path: enumeration.injections_oracle and laws._oracle_best_value, over

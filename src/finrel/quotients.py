@@ -29,7 +29,7 @@ from .values import (
 from .relations import (
     _by_first,
     _indexed_relation,
-    _views,
+    _require_relation,
     relation,
     right_unique,
 )
@@ -40,7 +40,7 @@ def projector(R: Value) -> Value:
     """The relation { (x, image of x through R) | x in Domain R }, built
     once and kept in R's views: each image tuple of the index wrapped as
     its set."""
-    views = _views(R)
+    views = _require_relation(R)._index
     projected = views.projector
     if projected is None:
         # the index is in domain order, so the pairs are too
@@ -53,7 +53,7 @@ def projector(R: Value) -> Value:
 def _classes(E: Value) -> tuple:
     """The distinct image sets of E, Range (projector E), in canonical
     order: built once and kept in E's views."""
-    views = _views(E)
+    views = _require_relation(E)._index
     classes = views.classes
     if classes is None:
         classes = views.classes = tuple(

@@ -34,20 +34,27 @@ def relation(pairs: Iterable = ()) -> Value:
 
 
 def is_relation(v) -> bool:
-    return (
-        isinstance(v, Value)
-        and v._key[0] == SET
-        and all(e._key[0] == PAIR for e in v.payload)
-    )
+    """The relation check as a bool; a set of pairs keeps its record."""
+    try:
+        _require_relation(v)
+    except TypeError:
+        return False
+    return True
 
 
 def _require_relation(v) -> Value:
+    """v, once it is known to be a set of pairs; TypeError otherwise.
+
+    The check is kept like a view: a set that passes gets an empty views
+    record, so each set of pairs is scanned once.  A set that fails keeps
+    nothing and raises on every call."""
     if not isinstance(v, Value) or v._key[0] != SET:
         raise TypeError(f"relation must be a set of pairs, got {v!r}")
-    if v._index is None:  # a set with views has passed this check
+    if v._index is None:
         for e in v.payload:
             if e._key[0] != PAIR:
                 raise TypeError(f"relation contains a non-pair member: {e!r}")
+        v._index = _Views()
     return v
 
 
@@ -56,8 +63,8 @@ class _Views:
     the by-first index of image tuples, the projector, the tuple of its
     image classes and the converse.
 
-    Only a set that has passed the relation check gets one, or a set
-    _indexed_relation builds from pairs, so having it is the check's
+    A set gets one when it passes the relation check, or when
+    _indexed_relation builds it from pairs, so having one is the check's
     result.  The views are pure functions of the immutable
     pairs: each is built on first use, never changed, and freed with the
     relation.  A thread that races to build one writes an equal one.
@@ -69,17 +76,6 @@ class _Views:
         self.by_first = self.projector = self.classes = self.converse = None
 
 
-def _views(R: Value) -> _Views:
-    """The views record kept on R, made on the first call after checking
-    that R is a relation.  A set that is not a relation gets none, so it
-    raises on every call."""
-    views = R._index if isinstance(R, Value) else None
-    if views is None:
-        _require_relation(R)
-        views = R._index = _Views()
-    return views
-
-
 def _by_first(R: Value) -> dict:
     """Map each domain point of R to the tuple of its images, in canonical
     order: the payload of its image set.
@@ -87,7 +83,7 @@ def _by_first(R: Value) -> dict:
     The function view of R, kept in R's views record: built on the first
     call and returned as is after.  Callers only read it.
     """
-    views = _views(R)
+    views = _require_relation(R)._index
     index = views.by_first
     if index is None:
         runs: dict = {}
@@ -151,7 +147,7 @@ def converse(R: Value) -> Value:
     seconds are sorted: R is sorted by (first, second), so each group's
     firsts are already distinct and in order.
     """
-    views = _views(R)
+    views = _require_relation(R)._index
     flipped = views.converse
     if flipped is None:
         groups: dict = {}

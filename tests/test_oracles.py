@@ -17,12 +17,11 @@ import oracles
 
 # A fast path is a public function that names one of these shortcuts past
 # canonical construction, in its own body or a nested function, or names a
-# private function of its own module that does (one level down): _views
-# returns a view kept from an earlier call.  fset is the definition of a
-# canonical set; all_partitions_list reaches the shortcuts only through
-# other functions, and parse_instance reads each distinct row element of
-# a file once.
-SHORTCUTS = {"_by_first", "_views", "_set_of_sorted", "_set_plus", "_write"}
+# private function of its own module that does (one level down).  fset is
+# the definition of a canonical set; all_partitions_list reaches the
+# shortcuts only through other functions, and parse_instance reads each
+# distinct row element of a file once.
+SHORTCUTS = {"_by_first", "_set_of_sorted", "_set_plus", "_write"}
 NAMED = {enumeration.all_partitions_list, auctions.parse_instance}
 
 

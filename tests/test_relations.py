@@ -11,6 +11,7 @@ from finrel.relations import (
     eval_rel_union,
     graph,
     image,
+    is_relation,
     outside,
     paste,
     range_of,
@@ -20,6 +21,7 @@ from finrel.relations import (
     single_paste,
     to_function,
     trivial,
+    _require_relation,
 )
 from finrel.quotients import compatible, kernel, projector, quotient
 from finrel.paper import RIGHT_UNIQUE_CHARACTERIZATIONS, is_equivalence
@@ -181,6 +183,27 @@ def test_non_relation_raises_on_every_call():
             compose(relation([(0, 1)]), bad)
         with pytest.raises(TypeError):
             domain_of(bad)
+
+
+def test_is_relation_keeps_no_record_of_a_non_relation():
+    bad = fset([num(1), pair(1, 10)])
+    for _ in range(3):
+        assert not is_relation(bad)
+        assert bad._index is None
+    assert not is_relation(num(1)) and not is_relation((1, 10))
+
+
+def test_is_relation_keeps_the_record_of_a_relation():
+    # the scan ends by making a record, so a kept one shows that a later
+    # check did not scan again
+    R = fset([pair(1, 10), pair(2, 20)])
+    assert R._index is None
+    assert is_relation(R)
+    record = R._index
+    assert record is not None
+    assert _require_relation(R)._index is record
+    domain_of(R)
+    assert is_relation(R) and R._index is record
 
 
 def test_every_operator_raises_on_a_non_relation_on_every_call():

@@ -1,6 +1,14 @@
-"""Every row of work_counts.ROWS makes exactly its pinned calls."""
+"""Every row of work_counts.ROWS makes exactly its pinned calls, and the
+law suite scans no set for pairs twice."""
+
+import io
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+
+import finrel.cli
+from finrel import relations
+from finrel.values import Value
 
 import work_counts
 
@@ -8,3 +16,22 @@ import work_counts
 @pytest.mark.parametrize("row", work_counts.ROWS, ids=lambda row: row.name)
 def test_each_command_makes_its_pinned_calls(row, tmp_path):
     assert work_counts.measure(row, tmp_path) == row.pins
+
+
+def test_check_laws_scans_each_set_for_pairs_once():
+    # a set that reaches the relation check with no views record is
+    # scanned; each is kept, so no later set can reuse its id
+    check = relations._require_relation
+    scanned = []
+
+    def recording(v):
+        if isinstance(v, Value) and v._index is None:
+            scanned.append(v)
+        return check(v)
+
+    with work_counts.patched({"relations._require_relation": recording}), \
+            redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert finrel.cli.main(["check-laws", "--profile", "quick"]) == 0
+    assert relations._require_relation is check
+    repeats = len(scanned) - len({id(v) for v in scanned})
+    assert scanned and repeats == 0, f"{repeats:,} repeated scans of {len(scanned):,}"

@@ -66,41 +66,51 @@ def _counter(fn, name: str, counts: dict):
     return counted
 
 
-@contextmanager
-def counting():
-    """Count the calls to each COUNTED function while the block runs.
+def _function(name: str):
+    """The `finrel` function named "module.attr"."""
+    module, attr = name.split(".")
+    return getattr(sys.modules[f"finrel.{module}"], attr)
 
-    Each function is replaced by a counting wrapper in every loaded
-    `finrel` namespace that holds it, so calls between modules and
-    calls inside one module are both counted, and in the expression
-    operator tables, which hold the operators themselves, taken at
-    import."""
-    counts = dict.fromkeys(COUNTED, 0)
-    wrappers = {}
-    for name in COUNTED:
-        module, attr = name.split(".")
-        fn = getattr(sys.modules[f"finrel.{module}"], attr)
-        wrappers[fn] = _counter(fn, name, counts)
+
+@contextmanager
+def patched(replacements: dict):
+    """Swap each named `finrel` function ("module.attr") for its
+    replacement while the block runs.
+
+    The swap is made in every loaded `finrel` namespace that holds the
+    function, so calls between modules and calls inside one module both
+    reach the replacement, and in the expression operator tables, which
+    hold the operators themselves, taken at import."""
+    new_of = {_function(name): new for name, new in replacements.items()}
     swaps = [
-        (vars(module), attr, wrappers[obj])
+        (vars(module), attr, new_of[obj])
         for mod_name, module in list(sys.modules.items())
         if mod_name == "finrel" or mod_name.startswith("finrel.")
         for attr, obj in list(vars(module).items())
-        if inspect.isfunction(obj) and obj in wrappers
+        if inspect.isfunction(obj) and obj in new_of
     ] + [
-        (table, key, op._replace(fn=wrappers[op.fn]))
+        (table, key, op._replace(fn=new_of[op.fn]))
         for table in (expressions._PREFIX, expressions._INFIX)
         for key, op in table.items()
-        if op.fn in wrappers
+        if op.fn in new_of
     ]
     saved = [(space, key, space[key]) for space, key, _ in swaps]
     try:
         for space, key, new in swaps:
             space[key] = new
-        yield counts
+        yield
     finally:
         for space, key, old in saved:
             space[key] = old
+
+
+@contextmanager
+def counting():
+    """Count the calls to each COUNTED function while the block runs,
+    through a counting wrapper patched in for each one."""
+    counts = dict.fromkeys(COUNTED, 0)
+    with patched({name: _counter(_function(name), name, counts) for name in COUNTED}):
+        yield counts
 
 
 def measure(row: Row, directory) -> dict:
