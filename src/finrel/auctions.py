@@ -29,7 +29,6 @@ from .values import (
     as_fraction,
     canonicalize,
     fset,
-    intersection,
     member,
     min_of,
     max_of,
@@ -37,6 +36,7 @@ from .values import (
     pair,
     union,
     _set_of_sorted,
+    _sole,
 )
 from .relations import (
     compose,
@@ -46,6 +46,7 @@ from .relations import (
     is_relation,
     range_of,
     right_unique,
+    _by_first,
     _require_relation,
     _run_of,
 )
@@ -163,12 +164,15 @@ def _rival_pairs(b: Value, i: Value) -> tuple[tuple, tuple]:
 
 def _bid_vectors(i, alloc: Value, price: Value):
     """(b, _rival_pairs(b, i), alloc at b, price at b) flattened, for each b
-    of the common domain of alloc and price in order; b is checked before i
+    of the common domain of alloc and price in order, walking alloc's point
+    index against price's.  alloc is checked before price, and b before i
     is read, so each input error is the one the test i in domain(b) raises."""
-    for b in intersection(domain_of(alloc), domain_of(price)).payload:
-        _require_relation(b)
-        rivals, own = _rival_pairs(b, canonicalize(i))
-        yield b, rivals, own, eval_rel(alloc, b), eval_rel(price, b)
+    won_at, paid_at = _by_first(alloc), _by_first(price)
+    for b, wons in won_at.items():
+        if b in paid_at:
+            _require_relation(b)
+            rivals, own = _rival_pairs(b, canonicalize(i))
+            yield b, rivals, own, _sole(wons), _sole(paid_at[b])
 
 
 def dominant_strategy_counterexample(
@@ -190,10 +194,10 @@ def dominant_strategy_counterexample(
     pair (i, v), so each vector with exactly one bid for i is filed under
     its rival pairs themselves (a tuple of Values, whose hashes are kept)
     and that bid, and a pasted vector is a dict lookup; alloc and price
-    are read once per vector.  Utilities are compared as integers: every
-    number times the common denominator `scale` of the bids, wins and
-    payments, so v * won - paid compares as V * W - P * scale.  When that
-    denominator passes MAX_SCALE_BITS the same comparison runs on the
+    are read once per vector, off their point indexes.  Utilities are
+    compared as integers: every number times the common denominator
+    `scale` of the bids, wins and payments, so v * won - paid compares as
+    V * W - P * scale; past MAX_SCALE_BITS the same comparison runs on the
     rationals (scale 1).  A comparison that meets a non-number goes
     through `_utility`, which raises the first TypeError in the paper's
     order: v, won and paid at b, then at the pasted vector.
@@ -281,15 +285,14 @@ def reduced_bid_map(i, alloc: Value) -> Value:
     i = canonicalize(i)
     if not right_unique(alloc):
         raise ValueError("allocation relation must be right-unique")
-    # alloc is right-unique and sorted, so its pairs give each b once, in order
+    # alloc's point index, built by the check, gives each b once, in order
     out = []
     # the vectors of a grid mechanism share one domain: each domain is
     # built once, keyed by the keys of its vectors' first components
     domains: dict = {}
     reduced_of: dict = {}  # rival pairs -> b without i
     triples: dict = {}  # (rival pairs, won, domain) -> its triple
-    for p in alloc.payload:
-        b, won = p.payload
+    for b, (won,) in _by_first(alloc).items():
         if not is_relation(b):
             raise ValueError(f"domain member is not a bid vector: {b!r}")
         firsts = tuple([key[1] for key in b._key[1]])

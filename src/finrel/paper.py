@@ -31,9 +31,9 @@ from .enumeration import all_partitions_list, all_subsets, injections_alg
 from .auctions import CombinatorialInstance, _check_caps
 
 
-# Seven formulations of right-uniqueness, all proven equivalent on finite
-# relations by the law suite.  None of them calls relations.right_unique,
-# which reads the by-first index, so each checks it from outside.
+# Seven formulations of right-uniqueness, proven equivalent by the law suite.
+# None calls relations.right_unique; five read only R's pairs, while
+# eval_bounds and eval_exact_on_domain read its by-first index via eval_rel.
 
 def _ru_image_of_points_trivial(R: Value) -> bool:
     """The image of each domain point is trivial.  Fast path: relations.right_unique."""

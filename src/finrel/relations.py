@@ -5,18 +5,20 @@ wrapper class, so relations nest freely inside other values.  Evaluation
 is totalized: looking up a point with no unique image yields the reserved
 UNDEFINED marker instead of raising.  Callers that need definedness
 (the auction engine) check right-uniqueness and domain membership first.
+
+The library computes with a relation through its point index (_by_first);
+only image, domain_of and range_of read the pairs, since they state the
+definitions that the laws and tests/oracles.py check the index against.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import groupby
 from typing import Callable, Iterable
 
 from .values import (
     PAIR,
     SET,
-    UNDEFINED,
     Value,
     as_fraction,
     canonicalize,
@@ -24,6 +26,7 @@ from .values import (
     pair,
     _require_set,
     _set_of_sorted,
+    _sole,
     _sort_key,
 )
 
@@ -107,10 +110,6 @@ def _indexed_relation(pairs: tuple, by_first: dict) -> Value:
     return R
 
 
-def _first(p: Value) -> Value:
-    return p.payload[0]
-
-
 def _run_of(R: Value, x: Value) -> tuple[int, int]:
     """The slice of R's sorted payload holding the pairs whose first
     component is x; empty, at x's place, when x is off the domain."""
@@ -163,22 +162,18 @@ def converse(R: Value) -> Value:
 def compose(R: Value, S: Value) -> Value:
     """Left-to-right composition: { (x, z) | (x, y) in R and (y, z) in S }.
 
-    R is sorted, so the pairs of each x are one run of its payload, and the
-    x's come in order.  Each image tuple of S is sorted, so a run that
-    reaches one of them emits it as it is; only a run that reaches several
-    merges their z's.
+    Both operands are read through their point indexes, R's first: its
+    x's come in order, each with its y's.  Each image tuple of S is
+    sorted, so an x whose y's reach one of them emits it as it is; only an
+    x that reaches several merges their z's.
     """
-    _require_relation(R)
-    s_images = _by_first(S)
+    r_images, s_images = _by_first(R), _by_first(S)
     out = []
-    for x, run in groupby(R.payload, _first):
-        images = [zs for p in run if (zs := s_images.get(p.payload[1])) is not None]
-        if not images:
-            continue
-        zs = images[0] if len(images) == 1 else sorted(
-            dict.fromkeys([z for image in images for z in image]), key=_sort_key
-        )
-        out.extend([pair(x, z) for z in zs])
+    for x, ys in r_images.items():
+        images = [zs for y in ys if (zs := s_images.get(y)) is not None]
+        if len(images) > 1:
+            images = [sorted(dict.fromkeys([z for zs in images for z in zs]), key=_sort_key)]
+        out.extend([pair(x, z) for zs in images for z in zs])
     return _set_of_sorted(tuple(out))
 
 
@@ -241,12 +236,10 @@ def right_unique(R: Value) -> bool:
 
 
 def eval_rel(R: Value, x) -> Value:
-    """Unique image of x through R; UNDEFINED when there is none or many."""
+    """Unique image of x through R: _sole of x's image tuple in R's point
+    index, so UNDEFINED when there is none or many."""
     x = canonicalize(x)
-    ys = _by_first(R).get(x)
-    if ys is None or len(ys) != 1:
-        return UNDEFINED
-    return ys[0]
+    return _sole(_by_first(R).get(x, ()))
 
 
 def eval_rel_union(R: Value, x) -> Value:

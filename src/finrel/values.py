@@ -320,12 +320,14 @@ def big_union(s: Value) -> Value:
     return fset(out)
 
 
+def _sole(items: tuple) -> Value:
+    """The one item of a tuple; UNDEFINED for none or several."""
+    return items[0] if len(items) == 1 else UNDEFINED
+
+
 def the_elem(s: Value) -> Value:
     """The sole element of a singleton; UNDEFINED for any other set."""
-    _require_set(s)
-    if len(s.payload) == 1:
-        return s.payload[0]
-    return UNDEFINED
+    return _sole(_require_set(s).payload)
 
 
 def as_fraction(v: Value) -> Fraction:

@@ -72,6 +72,15 @@ def test_the_paper_module_holds_no_fast_path():
     assert fast_paths([paper]) == []
 
 
+def test_the_set_readers_read_pairs_not_the_point_index():
+    # image, domain_of and range_of are the literal sides of the laws and
+    # the oracles (eval_rel's oracle is the_elem(image(R, {x}))), so they
+    # read R's pairs: through the point index, a fault in it would pass
+    # for the definition it is checked against
+    for fn in (relations.image, relations.domain_of, relations.range_of):
+        assert not {"_by_first", "_index"} & set(_names(fn.__code__)), fn.__name__
+
+
 def _imported(path: Path):
     """The modules a source file imports, each with its names appended."""
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

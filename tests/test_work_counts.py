@@ -1,5 +1,6 @@
-"""Every row of work_counts.ROWS makes exactly its pinned calls, and the
-law suite scans no set for pairs twice."""
+"""Every row of work_counts.ROWS makes exactly its pinned calls, the
+law suite scans no set for pairs twice, and a dominance check reads its
+tables through their point indexes."""
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
@@ -7,8 +8,8 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import finrel.cli
-from finrel import relations
-from finrel.values import Value
+from finrel import auctions, relations
+from finrel.values import V, Value
 
 import work_counts
 
@@ -35,3 +36,12 @@ def test_check_laws_scans_each_set_for_pairs_once():
     assert relations._require_relation is check
     repeats = len(scanned) - len({id(v) for v in scanned})
     assert scanned and repeats == 0, f"{repeats:,} repeated scans of {len(scanned):,}"
+
+
+def test_a_dominance_check_at_3_bidders_by_grid_5_makes_no_counted_call():
+    # alloc and price are read through their point indexes: no domain set,
+    # no intersection and no eval_rel call, so no set Value is built
+    m = auctions.second_price_single_good(V([1, 2, 3]), V([0, 1, 2, 3, 4]), V(1))
+    with work_counts.counting() as counts:
+        assert auctions.dominant_strategy_counterexample(m.bidder, m.alloc, m.price) is None
+    assert not any(counts.values()), {name: n for name, n in counts.items() if n}

@@ -190,19 +190,15 @@ ROWS = (
         "auctions._input_set": 2}),
     Row("run-single-second-price", _single("second-price"), None, {
         "values.fset": 2,
-        "values._set_of_sorted": 132,
+        "values._set_of_sorted": 129,
         "values.pair": 183,
-        "relations.eval_rel": 250,
-        "relations.domain_of": 2,
         "encoding._build": 11,
         "encoding.serialize_value": 5,
         "auctions._input_set": 2}),
     Row("run-single-first-price", _single("first-price"), None, {
         "values.fset": 2,
-        "values._set_of_sorted": 132,
+        "values._set_of_sorted": 129,
         "values.pair": 191,
-        "relations.eval_rel": 250,
-        "relations.domain_of": 2,
         "encoding._build": 11,
         "encoding.serialize_value": 7,
         "auctions._input_set": 2}),
@@ -215,11 +211,11 @@ ROWS = (
         "auctions._input_set": 67}),
     Row("check-laws-quick", ("check-laws", "--profile", "quick"), None, {
         "values.fset": 16_164,
-        "values._set_of_sorted": 42_246,
+        "values._set_of_sorted": 42_060,
         "values.pair": 9_036,
-        "relations.eval_rel": 2_725,
+        "relations.eval_rel": 1_807,
         "relations.compose": 216,
-        "relations.domain_of": 6_039,
+        "relations.domain_of": 5_915,
         "relations.single_paste": 13,
         "enumeration._distinct": 76,
         "auctions._input_set": 658}),
