@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -55,8 +55,8 @@ CAP_GOODS = 6
 CAP_BIDDERS = 6
 CAP_GRID = 5
 CAP_SINGLE_BIDDERS = 3
-# _common_scale, which clearing (_solve) and dominant_strategy_counterexample
-# share, scales amounts to integers over their common denominator up to
+# _common_scale, which clearing (_solve) and both dominance checks share,
+# scales amounts to integers over their common denominator up to
 # this many bits (about the 4,300-digit integer limit) and leaves them
 # rationals beyond; the bound limits the integers' size, and past it either
 # path can be the faster one (README, "Combinatorial instances")
@@ -71,6 +71,12 @@ class SingleGoodMechanism:
     the good and 0 otherwise; price maps every bid vector to what that
     bidder pays.  Both are right-unique relations over the full grid of
     bid vectors.
+
+    The builders also keep _paid, the same outcome on grid positions: for
+    each bid vector, in canonical order, the position in the grid of what
+    the bidder pays, or None where they lose.  It is what `run-single`
+    decides dominance on (`_grid_counterexample`); a mechanism made from
+    its tables alone has none, and _paid is neither compared nor shown.
     """
 
     bidders: Value
@@ -78,6 +84,7 @@ class SingleGoodMechanism:
     bidder: Value
     alloc: Value
     price: Value
+    _paid: tuple | None = field(default=None, compare=False, repr=False)
 
 
 def _input_set(v: Value, what: str) -> Value:
@@ -118,6 +125,7 @@ def _single_good(bidders, grid, i, price_rule) -> SingleGoodMechanism:
     zero, one = num(0), num(1)
     alloc_pairs = []
     price_pairs = []
+    paid_at = []  # i's price position where i wins, None where i loses
     # each (bidder, bid) pair is built once, and every vector is put
     # together from them; the bid tuples, and so their vectors, come in
     # canonical order.  Each tuple goes with its tuple of grid positions;
@@ -130,13 +138,15 @@ def _single_good(bidders, grid, i, price_rule) -> SingleGoodMechanism:
         b = _set_of_sorted(bid_pairs)
         wins = ps.index(max(ps)) == k
         won = one if wins else zero
-        paid = grid.payload[price_rule(ps, k)] if wins else zero
+        at = price_rule(ps, k) if wins else None
+        paid_at.append(at)
+        paid = zero if at is None else grid.payload[at]
         # a loser's (b, 0) is one pair of both tables
         at_won = pair(b, won)
         alloc_pairs.append(at_won)
         price_pairs.append(at_won if paid is won else pair(b, paid))
     alloc, price = (_set_of_sorted(tuple(pairs)) for pairs in (alloc_pairs, price_pairs))
-    return SingleGoodMechanism(bidders, grid, i, alloc, price)
+    return SingleGoodMechanism(bidders, grid, i, alloc, price, tuple(paid_at))
 
 
 def second_price_single_good(bidders, grid, i) -> SingleGoodMechanism:
@@ -228,6 +238,33 @@ def dominant_strategy_counterexample(
                 hurts = V * W - P * scale > V * TW - TP * scale
             if hurts:
                 return b, v
+    return None
+
+
+def _grid_counterexample(m: SingleGoodMechanism) -> tuple[Value, Value] | None:
+    """dominant_strategy_counterexample(m.bidder, m.alloc, m.price) for a
+    mechanism that kept its _paid record, decided on grid positions.
+
+    Vector idx of the product order holds i's bid at position
+    idx // stride % g, for g grid values and stride g ** (n - 1 - k) with k
+    i's index among the n bidders, so bidding q instead is vector
+    idx + (q - own) * stride.  On the grid G scaled by `_common_scale`, i's
+    utility at valuation q is G[q] - G[paid] where i wins and 0 where i
+    loses.  Vectors and valuations come in the walk's order, so the first
+    counterexample is the walk's, and only it is turned into Values.
+    """
+    grid, paid_at = m.grid.payload, m._paid
+    g = len(grid)
+    stride = g ** (len(m.bidders.payload) - 1 - m.bidders.payload.index(m.bidder))
+    _, up = _common_scale(x.payload for x in grid)
+    G = [up(x.payload) for x in grid]
+    for idx, paid in enumerate(paid_at):
+        base = idx - idx // stride % g * stride
+        for q, Gq in enumerate(G):
+            there = paid_at[base + q * stride]
+            here = 0 if paid is None else Gq - G[paid]
+            if here > (0 if there is None else Gq - G[there]):
+                return m.alloc.payload[idx].payload[0], grid[q]
     return None
 
 

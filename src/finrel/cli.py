@@ -29,9 +29,9 @@ from .enumeration import (
     injections_alg,
 )
 from .auctions import (
+    _grid_counterexample,
     _input_set,
     clear_vickrey,
-    dominant_strategy_counterexample,
     first_price_single_good,
     parse_instance,
     second_price_single_good,
@@ -102,14 +102,16 @@ def _cmd_run_single(args) -> int:
 
 def _mechanism_lines(rule: str, m):
     """The lines run-single writes for mechanism m, made as they are read,
-    so that the first is written before the dominance check runs."""
+    so that the first is written before the dominance check runs.  The
+    check reads the grid positions the builder kept, and only a
+    counterexample is turned back into Values."""
     yield f"rule {rule}"
     yield f"bidders {serialize_value(m.bidders)}"
     yield f"grid {serialize_value(m.grid)}"
     yield f"bidder {serialize_value(m.bidder)}"
     yield f"alloc {serialize_value(m.alloc)}"
     yield f"price {serialize_value(m.price)}"
-    cx = dominant_strategy_counterexample(m.bidder, m.alloc, m.price)
+    cx = _grid_counterexample(m)
     if cx is None:
         yield "dominant true"
     else:

@@ -48,9 +48,10 @@ CAP_EVAL_WORK = 150_000
 
 
 def _compose_work(R: Value, S: Value) -> int:
-    """Images compose(R, S) reads: |S(y)| summed over the pairs (x, y) of R."""
+    """Images compose(R, S) reads: |S(y)| summed over the y's of each x in
+    R's point index, which compose reads next, so the pairs (x, y) of R."""
     s_images = _by_first(S)
-    return sum([len(s_images.get(p.payload[1], ())) for p in R.payload])
+    return sum([len(s_images.get(y, ())) for ys in _by_first(R).values() for y in ys])
 
 
 def _kernel_work(f: Value) -> int:

@@ -87,6 +87,7 @@ from .enumeration import (
 from .auctions import (
     CombinatorialInstance,
     _fee_table,
+    _grid_counterexample,
     _utility,
     clear_vickrey,
     dominant_strategy_counterexample,
@@ -719,8 +720,10 @@ def _mechanism_cases(config):
 
 
 def _second_price_dominant_check(grid, bidders, i):
+    # run-single decides on grid positions: it must answer as the definition
     m = second_price_single_good(bidders, grid, i)
-    return dominant_strategy_counterexample(m.bidder, m.alloc, m.price) is None
+    cx = dominant_strategy_counterexample(m.bidder, m.alloc, m.price)
+    return cx is None and _grid_counterexample(m) is None
 
 
 _register(
@@ -744,7 +747,7 @@ def _first_price_cases(config):
 def _first_price_violation_check(grid, bidders, i):
     m = first_price_single_good(bidders, grid, i)
     cx = dominant_strategy_counterexample(m.bidder, m.alloc, m.price)
-    if cx is None:
+    if cx is None or _grid_counterexample(m) != cx:
         return False
     b, v = cx
     # replay: the reported pair must itself violate the inequality

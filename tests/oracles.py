@@ -838,6 +838,26 @@ HUGE_DENOMINATOR_GRID = [rat(k, p**e) for k, (p, e) in enumerate(
     ((3, 1900), (5, 1300), (7, 1100), (11, 900), (13, 800)), start=1)]
 
 
+def _huge_denominator_mechanisms():
+    """Second-price mechanisms for bidder 2 of two on the huge-denominator
+    grid, past the scale bound, and on its first four values, below it."""
+    return [auctions.second_price_single_good(V([1, 2]), fset(grid), 2)
+            for grid in (HUGE_DENOMINATOR_GRID, HUGE_DENOMINATOR_GRID[:-1])]
+
+
+def _grid_dominance_sweep():
+    builds = (auctions.second_price_single_good, auctions.first_price_single_good)
+    grids = [g for g in SINGLE_GOOD_GRIDS
+             if len(g.payload) <= auctions.CAP_GRID and all(x.is_num for x in g.payload)]
+    return {
+        "both rules, 2-3 bidders, each of them, every numeric grid within the cap": [
+            (build(V(list(range(1, n + 1))), grid, num(i)),)
+            for build in builds for n in (2, 3) for grid in grids for i in range(1, n + 1)],
+        "grid denominators past the scale bound and below it": [
+            (m,) for m in _huge_denominator_mechanisms()],
+    }
+
+
 def _dominance_sweep():
     [mechanisms] = _mechanism_sweep().values()
     m = mechanisms[0][0]
@@ -848,8 +868,7 @@ def _dominance_sweep():
     first = auctions.first_price_single_good(V([1, 2]), V([0, 1, 2]), 1)
     last_bidder = mechanisms[1][0]
     twice_last = relation([(1, 0), (2, 0), (2, 2)])
-    huge = [auctions.second_price_single_good(V([1, 2]), fset(grid), 2)
-            for grid in (HUGE_DENOMINATOR_GRID, HUGE_DENOMINATOR_GRID[:-1])]
+    huge = _huge_denominator_mechanisms()
     return {
         "the grid mechanisms of the mechanism sweep": [
             (x.bidder, x.alloc, x.price) for (x,) in mechanisms],
@@ -1252,6 +1271,11 @@ ROWS = (
         _deviation_walk, _dominance_sweep, 25,
         lambda st: _mechanism_cases(st).map(lambda t: (t[0].bidder, t[0].alloc, t[0].price)),
         errors=(TypeError, ValueError)),
+    # run-single decides on the positions the builder kept; the walk over
+    # the mechanism's tables is the definition
+    Row("_grid_counterexample", auctions._grid_counterexample,
+        lambda m: auctions.dominant_strategy_counterexample(m.bidder, m.alloc, m.price),
+        _grid_dominance_sweep, 312, _mechanism_cases),
     Row("reduced_bid_map", auctions.reduced_bid_map, _literal_reduced_bid_map,
         _reduced_bid_sweep, 26, lambda st: st.tuples(_mechanism_cases(st), st.booleans()).map(
             lambda t: (t[0][0].bidder, t[0][0].price if t[1] else t[0][0].alloc)),

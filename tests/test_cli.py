@@ -12,10 +12,14 @@ from pathlib import Path
 import pytest
 
 import finrel
+from finrel import auctions
 from finrel.cli import main
+from finrel.encoding import serialize_value
 from finrel.enumeration import CAP_ENUMERATE_LINES, _bell
 from finrel.errors import CAP_DEPTH
 from finrel.laws import LAWS
+
+import oracles
 
 WORKED_INSTANCE = {
     "goods": ["set", "g1", "g2"],
@@ -153,14 +157,14 @@ def test_a_broken_pipe_after_the_first_line_exits_2_without_a_traceback(capsys):
 
 def test_run_single_writes_its_first_line_before_the_dominance_check(monkeypatch):
     stream = Recording()
-    check = finrel.cli.dominant_strategy_counterexample
+    check = finrel.cli._grid_counterexample
     written_before = []
 
     def recorded(*args):
         written_before.append(list(stream.writes))
         return check(*args)
 
-    monkeypatch.setattr(finrel.cli, "dominant_strategy_counterexample", recorded)
+    monkeypatch.setattr(finrel.cli, "_grid_counterexample", recorded)
     argv = ["run-single", "--bidders", '["set",1,2]', "--grid", '["set",0,1]', "--bidder", "1"]
     with contextlib.redirect_stdout(stream):
         assert main(argv) == 0
@@ -183,6 +187,32 @@ def test_enumerate_deterministic(capsys):
     _, first, _ = run_cli(capsys, "enumerate", "partitions", '["set",1,2,3,4]')
     _, second, _ = run_cli(capsys, "enumerate", "partitions", '["set",1,2,3,4]')
     assert first == second
+
+
+def test_run_single_writes_what_the_dominance_walk_decides(monkeypatch):
+    # each mechanism of the _grid_counterexample row, under both rules:
+    # deciding on grid positions writes the bytes the walk over the tables
+    # writes, the counterexample line included
+    def outputs() -> list:
+        written = []
+        for bidders, grid, i in runs:
+            for rule in ("second-price", "first-price"):
+                stream = io.StringIO()
+                with contextlib.redirect_stdout(stream):
+                    assert main(["run-single", "--bidders", serialize_value(bidders),
+                                 "--grid", serialize_value(grid),
+                                 "--bidder", serialize_value(i), "--rule", rule]) == 0
+                written.append(stream.getvalue())
+        return written
+
+    runs = dict.fromkeys((m.bidders, m.grid, m.bidder)
+                         for cases in oracles._grid_dominance_sweep().values() for (m,) in cases)
+    decided = outputs()
+    monkeypatch.setattr(finrel.cli, "_grid_counterexample", lambda m: (
+        auctions.dominant_strategy_counterexample(m.bidder, m.alloc, m.price)))
+    walked = outputs()
+    assert decided == walked
+    assert sum("dominant false" in out for out in decided) > len(runs) / 2
 
 
 def test_run_single_second_price(capsys):

@@ -1,6 +1,6 @@
 import pytest
 
-from finrel import expressions
+from finrel import expressions, relations
 from finrel.errors import CapExceeded, ParseError, ValidationError
 from finrel.values import EMPTY, UNDEFINED, V, num, pair, rat, sym
 from finrel.relations import converse, range_of, relation
@@ -63,6 +63,18 @@ def test_each_work_bound_counts_the_steps_of_its_operator():
         for Q in equivalences:
             classes = [len(range_of(projector(eq)).payload) for eq in (P, Q)]
             assert expressions._quotient_work(P, P, Q) == classes[0] * classes[1]
+
+
+def test_the_compose_bound_reads_the_point_index_compose_reads():
+    # summed over R's point index, the bound counts what the walk over R's
+    # pairs counted, on every pair of relations of the compose sweep
+    cases = [(R, S) for cases in oracles.ROW["compose"].sweep().values() for R, S in cases
+             if relations.is_relation(R) and relations.is_relation(S)]
+    for R, S in cases:
+        s_images = relations._by_first(S)
+        steps = sum(len(s_images.get(p.payload[1], ())) for p in R.payload)
+        assert expressions._compose_work(R, S) == steps
+    assert len(cases) == oracles.ROW["compose"].count
 
 
 def test_eval_refuses_work_past_the_cap_before_it_starts(monkeypatch):
