@@ -35,12 +35,12 @@ from .values import (
     num,
     pair,
     union,
+    _product_sets,
     _set_of_sorted,
     _sole,
+    _sort_key,
 )
 from .relations import (
-    compose,
-    converse,
     domain_of,
     eval_rel,
     is_relation,
@@ -127,15 +127,15 @@ def _single_good(bidders, grid, i, price_rule) -> SingleGoodMechanism:
     price_pairs = []
     paid_at = []  # i's price position where i wins, None where i loses
     # each (bidder, bid) pair is built once, and every vector is put
-    # together from them; the bid tuples, and so their vectors, come in
-    # canonical order.  Each tuple goes with its tuple of grid positions;
-    # the grid's numbers are in numeric order, so bids compare as their
-    # positions, ints, and no Value is compared.  max keeps the first
-    # highest bid, the least bidder's: the canonical tie-break
+    # together from them, one set per tuple of the rows' product; the bid
+    # tuples, and so their vectors, come in canonical order.  Each vector
+    # goes with its tuple of grid positions; the grid's numbers are in
+    # numeric order, so bids compare as their positions, ints, and no
+    # Value is compared.  max keeps the first highest bid, the least
+    # bidder's: the canonical tie-break
     rows = [[pair(n, g) for g in grid.payload] for n in bs]
     positions = itertools.product(range(len(grid.payload)), repeat=len(bs))
-    for bid_pairs, ps in zip(itertools.product(*rows), positions):
-        b = _set_of_sorted(bid_pairs)
+    for b, ps in zip(_product_sets(rows), positions):
         wins = ps.index(max(ps)) == k
         won = one if wins else zero
         at = price_rule(ps, k) if wins else None
@@ -163,25 +163,42 @@ def _utility(valuation: Value, won: Value, paid: Value) -> Fraction:
     return as_fraction(valuation) * as_fraction(won) - as_fraction(paid)
 
 
-def _rival_pairs(b: Value, i: Value) -> tuple[tuple, tuple]:
-    """(b's pairs outside i's run, i's run): b without i, and i's bids in
-    b, each a slice of b's sorted payload.  The slices hold b's own pair
-    objects, so the rival pairs of vectors built from shared pairs are
-    equal tuples of the same objects, cheap to hash and compare."""
-    lo, hi = _run_of(b, i)
-    return b.payload[:lo] + b.payload[hi:], b.payload[lo:hi]
+def _rival_split(i) -> Callable[[Value], tuple]:
+    """A function from a bid vector b to (b's domain, as the keys of its
+    first components; b's pairs outside i's run; i's run): b without i,
+    and i's bids in b, each a slice of b's sorted payload.
+
+    Where i's run lies in b depends only on b's domain, so it is found
+    once per distinct domain and kept in the function: the vectors of a
+    grid mechanism share one.  i is made canonical when the first run is
+    found.  The slices hold b's own pair objects, so the rival pairs of
+    vectors built from shared pairs are equal tuples of the same objects,
+    cheap to hash and compare."""
+    runs: dict = {}  # keys of a domain -> i's run in its vectors
+
+    def split(b: Value) -> tuple:
+        firsts = tuple([key[1] for key in b._key[1]])
+        run = runs.get(firsts)
+        if run is None:
+            run = runs[firsts] = _run_of(b, canonicalize(i))
+        lo, hi = run
+        return firsts, b.payload[:lo] + b.payload[hi:], b.payload[lo:hi]
+
+    return split
 
 
 def _bid_vectors(i, alloc: Value, price: Value):
-    """(b, _rival_pairs(b, i), alloc at b, price at b) flattened, for each b
-    of the common domain of alloc and price in order, walking alloc's point
-    index against price's.  alloc is checked before price, and b before i
-    is read, so each input error is the one the test i in domain(b) raises."""
+    """(b, its rival pairs, i's run in it, alloc at b, price at b), for each
+    b of the common domain of alloc and price in order, walking alloc's
+    point index against price's; the pairs are cut by _rival_split.  alloc
+    is checked before price, and b before i is read, so each input error
+    is the one the test i in domain(b) raises."""
     won_at, paid_at = _by_first(alloc), _by_first(price)
+    split = _rival_split(i)
     for b, wons in won_at.items():
         if b in paid_at:
             _require_relation(b)
-            rivals, own = _rival_pairs(b, canonicalize(i))
+            _, rivals, own = split(b)
             yield b, rivals, own, _sole(wons), _sole(paid_at[b])
 
 
@@ -285,21 +302,31 @@ def vickrey_payment_form_check(i, alloc, price, weight, fee, base_alloc) -> bool
     otherwise a ValueError is raised.
 
     Each table is called once per distinct reduced bid, weight before
-    fee, in the order the vectors first reach it, so the first error is
-    the one a walk that looks both up at every vector raises.  Vectors
-    with equal rival pairs share one reduced bid.
+    fee, in the order the vectors first reach it, and the form's payment
+    is computed once per (reduced bid, win flag), so the first error is
+    the one a walk that looks both up and computes the form at every
+    vector raises.  Vectors with equal rival pairs share one reduced bid.
     """
     i = canonicalize(i)
     base = as_fraction(canonicalize(base_alloc))
     looked_up: dict = {}  # rival pairs -> (weight, fee) at their reduced bid
+    formed: dict = {}  # (rival pairs, win flag) -> the payment the form gives
     for _, rivals, _, won, paid in _bid_vectors(i, alloc, price):
-        tables = looked_up.get(rivals)
-        if tables is None:
-            reduced = _set_of_sorted(rivals)
-            tables = looked_up[rivals] = (
-                _table_lookup(weight, reduced), _table_lookup(fee, reduced))
-        w, t = tables
-        if as_fraction(paid) != (as_fraction(won) - base) * w + t:
+        expected = formed.get((rivals, won))
+        if expected is None:
+            tables = looked_up.get(rivals)
+            if tables is None:
+                reduced = _set_of_sorted(rivals)
+                tables = looked_up[rivals] = (
+                    _table_lookup(weight, reduced), _table_lookup(fee, reduced))
+            w, t = tables
+            if as_fraction(paid) != (as_fraction(won) - base) * w + t:
+                return False
+            # the number Value paid here is the class's payment: the other
+            # vectors of the class compare with it as Values
+            formed[rivals, won] = paid
+        elif paid != expected:
+            as_fraction(paid)  # a payment that is no number raises here
             return False
     return True
 
@@ -310,33 +337,30 @@ def max_rival_bid(reduced: Value) -> Value:
     return max_of(range_of(reduced))
 
 
-def reduced_bid_map(i, alloc: Value) -> Value:
-    """Send each bid vector b to (domain of b, (b without i, winner flag)).
+def _reduced_bids(i, alloc: Value):
+    """(b, rb at b) for each vector b of alloc's domain, in order, for the
+    reduced-bid map rb: the walk reduced_bid_map and reduced_price_map
+    share.  It checks i, then alloc, then each b as it reaches it.
 
-    Two bid vectors differing only in bidder i's component with the same
-    allocation land on the same triple; the kernel of this map is exactly
-    that equivalence.  Within one call each distinct reduced vector and
-    each distinct triple is built once, so vectors with equal rival pairs,
-    flag and domain share one triple object.
-    """
+    Within one walk each distinct domain, reduced vector and triple is
+    built once, so vectors with equal rival pairs, flag and domain share
+    one triple object.  A domain is keyed by the keys of its vectors'
+    first components, as _rival_split keys i's run in it."""
     i = canonicalize(i)
     if not right_unique(alloc):
         raise ValueError("allocation relation must be right-unique")
-    # alloc's point index, built by the check, gives each b once, in order
-    out = []
-    # the vectors of a grid mechanism share one domain: each domain is
-    # built once, keyed by the keys of its vectors' first components
-    domains: dict = {}
+    split = _rival_split(i)
+    domains: dict = {}  # keys of a domain -> the domain
     reduced_of: dict = {}  # rival pairs -> b without i
     triples: dict = {}  # (rival pairs, won, domain) -> its triple
+    # alloc's point index, built by the check, gives each b once, in order
     for b, (won,) in _by_first(alloc).items():
         if not is_relation(b):
             raise ValueError(f"domain member is not a bid vector: {b!r}")
-        firsts = tuple([key[1] for key in b._key[1]])
+        firsts, rivals, _ = split(b)
         domain = domains.get(firsts)
         if domain is None:
             domain = domains[firsts] = domain_of(b)
-        rivals = _rival_pairs(b, i)[0]
         key = (rivals, won, domain)
         triple = triples.get(key)
         if triple is None:
@@ -344,17 +368,38 @@ def reduced_bid_map(i, alloc: Value) -> Value:
             if reduced is None:
                 reduced = reduced_of[rivals] = _set_of_sorted(rivals)
             triple = triples[key] = pair(domain, pair(reduced, won))
-        out.append(pair(b, triple))
-    return _set_of_sorted(tuple(out))
+        yield b, triple
+
+
+def reduced_bid_map(i, alloc: Value) -> Value:
+    """Send each bid vector b to (domain of b, (b without i, winner flag)).
+
+    Two bid vectors differing only in bidder i's component with the same
+    allocation land on the same triple; the kernel of this map is exactly
+    that equivalence.
+    """
+    return _set_of_sorted(tuple([pair(b, triple) for b, triple in _reduced_bids(i, alloc)]))
 
 
 def reduced_price_map(price: Value, i, alloc: Value) -> Value:
     """Price as a function of the reduced-bid triple: converse(rb) ; price for
     the reduced-bid map rb, which is the paper's quotient of price by the
-    kernel of rb framed by two projectors (checked in tests/oracles.py)."""
+    kernel of rb framed by two projectors (checked in tests/oracles.py).
+
+    Nothing is composed: each triple's prices are grouped during the walk
+    of rb, and the triples and each one's distinct prices are put in
+    canonical order."""
     if not right_unique(price):
         raise ValueError("price relation must be right-unique")
-    return compose(converse(reduced_bid_map(i, alloc)), price)
+    paid_at = _by_first(price)
+    prices: dict = {}  # triple -> its class's prices, as keys in first-seen order
+    for b, triple in _reduced_bids(i, alloc):
+        paid = paid_at.get(b)
+        if paid is not None:
+            prices.setdefault(triple, {})[paid[0]] = None
+    return _set_of_sorted(tuple([
+        pair(triple, y) for triple in sorted(prices, key=_sort_key)
+        for y in sorted(prices[triple], key=_sort_key)]))
 
 
 def reduced_fee_table(price: Value, i, alloc: Value) -> Callable[[Value], Value]:
@@ -372,9 +417,10 @@ def _fee_table(rp: Value, i: Value, alloc: Value) -> Callable[[Value], Value]:
     """reduced_fee_table over a reduced price rp built already, for a
     canonical bidder i."""
     lowest = min_of(range_of(alloc))
+    own = fset([i])
 
     def fee(reduced: Value) -> Value:
-        key = pair(union(fset([i]), domain_of(reduced)), pair(reduced, lowest))
+        key = pair(union(own, domain_of(reduced)), pair(reduced, lowest))
         return eval_rel(rp, key)
 
     return fee

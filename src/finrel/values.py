@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import product
 from operator import attrgetter
 from typing import Iterable
 
@@ -216,6 +217,20 @@ def _set_of_sorted(elems: tuple) -> Value:
         (SET, tuple([e._key for e in elems])),
         hash((SET, tuple([e._hash for e in elems]))),
     )
+
+
+def _product_sets(rows: list) -> list:
+    """The set of each tuple of itertools.product(*rows), in product order.
+
+    The caller guarantees that every such tuple is canonical, distinct and
+    in canonical order, as _set_of_sorted requires: for example, each
+    row's elements all precede the next row's.  Each element's key and
+    hash is read once, in its row, and the sets' keys and hashes come
+    from their own products of those rows."""
+    keys = product(*[[e._key for e in row] for row in rows])
+    hashes = product(*[[e._hash for e in row] for row in rows])
+    return [Value(elems, (SET, k), hash((SET, h)))
+            for elems, k, h in zip(product(*rows), keys, hashes)]
 
 
 def _set_plus(s: Value, x: Value) -> Value:

@@ -10,6 +10,7 @@ import Hypothesis and the sweeps run without the test extra.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import operator
@@ -238,6 +239,23 @@ def _union_with(s, x):
 def _same_set_plus(got, want):
     s, joined = want
     return got == joined and (got is s) == (joined == s)
+
+
+def _cut(elements: tuple, mask: int) -> list:
+    """elements in consecutive rows: a new row starts after element k when
+    bit k of mask is set, so the last row is empty when the last bit is."""
+    rows = [[]]
+    for k, x in enumerate(elements):
+        rows[-1].append(x)
+        if mask >> k & 1:
+            rows.append([])
+    return rows
+
+
+def _same_sets(got: list, want: list) -> bool:
+    """Equal lists of sets holding the same elements: Value equality reads
+    only a set's key and hash, not its payload."""
+    return [(v, v.payload) for v in got] == [(w, w.payload) for w in want]
 
 
 def _paste_injections(xs: list, Y) -> list:
@@ -669,6 +687,26 @@ def _quotient_reduced_price(price, i, alloc):
     )
 
 
+def _mixed_domain_mechanisms():
+    """The second-price mechanism of bidders 1 and 2 on the grid {0, 1, 2}
+    for bidder 2, whose fee is defined at every reduced bid, with bid
+    vectors added to alloc and price: two over the domain {2, 3}; those
+    two and their rival pair alone, a vector without bidder 2 that is
+    paid off the payment form, or paid no number; and a vector with two
+    bids for bidder 2.  The vectors added last sort after a vector of the
+    same reduced bid and win flag.  Each is a mechanism record, so the
+    arguments of the grid mechanisms' rows are built from it."""
+    m = auctions.second_price_single_good(V([1, 2]), V([0, 1, 2]), 2)
+    two_domains = [([(2, 0), (3, 1)], 0, 0), ([(2, 2), (3, 1)], 1, 1)]
+    added = (two_domains, two_domains + [([(3, 1)], 1, 2)], two_domains + [([(3, 1)], 1, "x")],
+             [([(1, 0), (2, 0), (2, 2)], 0, 0)])
+    return [dataclasses.replace(
+        m, _paid=None,
+        alloc=union(m.alloc, relation([(relation(b), won) for b, won, _ in vectors])),
+        price=union(m.price, relation([(relation(b), paid) for b, _, paid in vectors])))
+        for vectors in added]
+
+
 def _price_arguments(m):
     """m's price, its allocation and the empty relation, each as the price."""
     return [(price, m.bidder, m.alloc) for price in (m.price, m.alloc, EMPTY)]
@@ -899,7 +937,7 @@ def _dominance_sweep():
 
 
 def _reduced_bid_sweep():
-    [cases] = _reduced_price_sweep().values()
+    cases = [case for cases in _reduced_price_sweep().values() for case in cases]
     b = relation([(1, 0), (2, 1)])
     # domains {1, 2}, {1, 3}, {2} and {}, and {1, 2} again from a vector
     # with two bids for 1
@@ -985,17 +1023,49 @@ def _kernel_sweep():
     }
 
 
+MIXED_DOMAINS = ("vectors over two domains, a vector without the bidder, "
+                 "a vector with two bids for it")
+
+
 def _payment_form_sweep():
     [mechanisms] = _mechanism_sweep().values()
-    return {"each mechanism with two fees, one undefined at a reduced bid, and a weight "
-            "that is no number there": [
-                case for (m,) in mechanisms for case in _payment_form_arguments(m)]}
+    return {
+        "each mechanism with two fees, one undefined at a reduced bid, and a weight "
+        "that is no number there": [
+            case for (m,) in mechanisms for case in _payment_form_arguments(m)],
+        f"the same arguments, with {MIXED_DOMAINS}": [
+            case for m in _mixed_domain_mechanisms() for case in _payment_form_arguments(m)],
+    }
 
 
 def _reduced_price_sweep():
     [mechanisms] = _mechanism_sweep().values()
-    return {"each mechanism, with its price, its allocation or nothing as the price": [
-        case for (m,) in mechanisms for case in _price_arguments(m)]}
+    first = auctions.first_price_single_good(V([1, 2]), V([0, 1, 2]), 2)
+    return {
+        "each mechanism, with its price, its allocation or nothing as the price": [
+            case for (m,) in mechanisms for case in _price_arguments(m)],
+        f"the same arguments, with {MIXED_DOMAINS}": [
+            case for m in _mixed_domain_mechanisms() for case in _price_arguments(m)],
+        # each class of winning vectors meets its prices in falling order
+        "a price that falls as the bidder's winning bid rises": [(
+            relation([(p.first, -values.as_fraction(p.second)) for p in first.price.payload]),
+            first.bidder, first.alloc)],
+    }
+
+
+def _product_sets_sweep():
+    grids = [g for g in all_subsets(V([0, rat(1, 2), "a"])).payload if g]
+    return {
+        "each subset of the atoms in rows cut every way: a single row when "
+        "uncut, a last row that is empty when cut after the last element": [
+            (_cut(s.payload, mask),) for s in all_subsets(fset(ATOMS)).payload
+            for mask in range(1 << len(s.payload))],
+        "rows of pairs: each of 1-3 bidders' bids on each grid": [
+            ([[pair(n, g) for g in grid.payload] for n in range(1, k + 1)],)
+            for k in (1, 2, 3) for grid in grids],
+        "no rows, and an empty row before and between others": [
+            ([],), ([[], [num(0)]],), ([[num(0)], [], [sym("a")]],)],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -1146,6 +1216,13 @@ ROWS = (
     Row("_set_plus", values._set_plus, _union_with,
         _product("subsets of the mixed values", all_subsets(fset(MIXED)).payload, MIXED), 2048,
         lambda st: st.tuples(_subsets(st, MIXED), st.sampled_from(MIXED)), _same_set_plus),
+    # the set of each tuple of a product of rows, from the rows' keys and
+    # hashes: the bid vectors of a grid mechanism
+    Row("_product_sets", values._product_sets, lambda rows: [fset(t) for t in product(*rows)],
+        _product_sets_sweep, 267, lambda st: st.tuples(
+            st.sampled_from((ATOMS, PAIRS)).flatmap(lambda pool: _subsets(st, pool)),
+            st.integers(0, (1 << len(PAIRS)) - 1)).map(
+            lambda t: (_cut(t[0].payload, t[1] % (1 << len(t[0].payload))),)), _same_sets),
     Row("domain_of", relations.domain_of, lambda R: fset(p.first for p in R.payload),
         _product("3x2 relations", RELATIONS_3X2), 64, lambda st: _one(_subsets(st, PAIRS))),
     Row("outside", relations.outside,
@@ -1277,7 +1354,7 @@ ROWS = (
         lambda m: auctions.dominant_strategy_counterexample(m.bidder, m.alloc, m.price),
         _grid_dominance_sweep, 312, _mechanism_cases),
     Row("reduced_bid_map", auctions.reduced_bid_map, _literal_reduced_bid_map,
-        _reduced_bid_sweep, 26, lambda st: st.tuples(_mechanism_cases(st), st.booleans()).map(
+        _reduced_bid_sweep, 34, lambda st: st.tuples(_mechanism_cases(st), st.booleans()).map(
             lambda t: (t[0][0].bidder, t[0][0].price if t[1] else t[0][0].alloc)),
         errors=(ValueError,)),
     Row("clear_vickrey", auctions.clear_vickrey, _clears_as_both, _clearing_sweep, 79,
@@ -1295,12 +1372,12 @@ ROWS = (
     Row("_json_depth", encoding._json_depth, _walked_json_depth, _json_depth_sweep, 324,
         lambda st: _one(json_texts(st)), _scan_is_safe),
     Row("reduced_price_map", auctions.reduced_price_map, _quotient_reduced_price,
-        _reduced_price_sweep, 42, lambda st: st.tuples(_mechanism_cases(st), st.integers(0, 2))
+        _reduced_price_sweep, 55, lambda st: st.tuples(_mechanism_cases(st), st.integers(0, 2))
         .map(lambda t: _price_arguments(*t[0])[t[1]])),
     # each distinct reduced bid is looked up once, the walk looks it up at
     # every vector: the verdicts, and the first error, are the same
     Row("vickrey_payment_form_check", auctions.vickrey_payment_form_check, _payment_form_walk,
-        _payment_form_sweep, 56, lambda st: st.tuples(_mechanism_cases(st), st.integers(0, 3))
+        _payment_form_sweep, 72, lambda st: st.tuples(_mechanism_cases(st), st.integers(0, 3))
         .map(lambda t: _payment_form_arguments(*t[0])[t[1]]), errors=(TypeError, ValueError)),
     Row("reduced_fee_table", _fee_closure_verdict, _fee_definition_verdict, _mechanism_sweep, 14,
         _mechanism_cases),

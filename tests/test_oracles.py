@@ -21,7 +21,7 @@ import oracles
 # the definition of a canonical set; all_partitions_list reaches the
 # shortcuts only through other functions, and parse_instance reads each
 # distinct row element of a file once.
-SHORTCUTS = {"_by_first", "_set_of_sorted", "_set_plus", "_write"}
+SHORTCUTS = {"_by_first", "_set_of_sorted", "_product_sets", "_set_plus", "_write"}
 NAMED = {enumeration.all_partitions_list, auctions.parse_instance}
 
 
@@ -66,6 +66,13 @@ def test_every_fast_path_has_a_row_with_its_pinned_sweep():
     counts = {row.name: sum(map(len, row.sweep().values())) for row in oracles.ROWS}
     assert counts == {row.name: row.count for row in oracles.ROWS}
     assert all(counts.values())
+
+
+def test_readme_counts_the_rows_and_the_fast_paths():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    [rows] = re.findall(r"`tests/oracles\.py` has (\d+)\s+rows", readme)
+    [paths] = re.findall(r"finds the (\d+) fast\s+paths", readme)
+    assert (int(rows), int(paths)) == (len(oracles.ROWS), len(fast_paths()))
 
 
 def test_the_paper_module_holds_no_fast_path():
