@@ -24,7 +24,6 @@ from typing import Callable, Iterable
 from .encoding import _json, _load_json, _read, serialize_value
 from .errors import CapExceeded, ValidationError
 from .values import (
-    NUM,
     Value,
     as_fraction,
     canonicalize,
@@ -55,11 +54,11 @@ CAP_GOODS = 6
 CAP_BIDDERS = 6
 CAP_GRID = 5
 CAP_SINGLE_BIDDERS = 3
-# _common_scale, which clearing (_solve) and both dominance checks share,
-# scales amounts to integers over their common denominator up to
-# this many bits (about the 4,300-digit integer limit) and leaves them
-# rationals beyond; the bound limits the integers' size, and past it either
-# path can be the faster one (README, "Combinatorial instances")
+# _common_scale, which only clearing (_solve) calls, scales amounts to
+# integers over their common denominator up to this many bits (about the
+# 4,300-digit integer limit) and leaves them rationals beyond; the bound
+# limits the integers' size, and past it either path can be the faster
+# one (README, "Combinatorial instances")
 MAX_SCALE_BITS = 14_300
 
 
@@ -159,8 +158,12 @@ def first_price_single_good(bidders, grid, i) -> SingleGoodMechanism:
     return _single_good(bidders, grid, i, lambda ps, k: ps[k])
 
 
-def _utility(valuation: Value, won: Value, paid: Value) -> Fraction:
-    return as_fraction(valuation) * as_fraction(won) - as_fraction(paid)
+def _utility(valuation: Value, won: Value, paid: Value) -> int | Fraction:
+    """valuation * won - paid, each checked as a number in that order.  It
+    is computed on the numbers' keys, and an integer is keyed by the int
+    itself, so integer utilities are computed and compared as ints."""
+    as_fraction(valuation), as_fraction(won), as_fraction(paid)
+    return valuation._key[1] * won._key[1] - paid._key[1]
 
 
 def _rival_split(i) -> Callable[[Value], tuple]:
@@ -221,39 +224,24 @@ def dominant_strategy_counterexample(
     pair (i, v), so each vector with exactly one bid for i is filed under
     its rival pairs themselves (a tuple of Values, whose hashes are kept)
     and that bid, and a pasted vector is a dict lookup; alloc and price
-    are read once per vector, off their point indexes.  Utilities are
-    compared as integers: every number times the common denominator
-    `scale` of the bids, wins and payments, so v * won - paid compares as
-    V * W - P * scale; past MAX_SCALE_BITS the same comparison runs on the
-    rationals (scale 1).  A comparison that meets a non-number goes
-    through `_utility`, which raises the first TypeError in the paper's
-    order: v, won and paid at b, then at the pasted vector.
+    are read once per vector, off their point indexes.  Each pair is
+    compared once, through `_utility`, which raises the first TypeError in
+    the paper's order: v, won and paid at b, then at the pasted vector.
     """
-    read = []  # (b, its rival pairs, i's one bid or None, won, paid)
+    vectors = []
+    by_rivals: dict = {}  # rival pairs -> {one bid v for i: (won, paid) there}
     for b, rivals, own, won, paid in _bid_vectors(i, alloc, price):
         if own:
-            read.append((b, rivals, own[0].payload[1] if len(own) == 1 else None, won, paid))
-    numbers = {x for entry in read for x in entry[2:] if x is not None and x._key[0] == NUM}
-    scale, up = _common_scale(x.payload for x in numbers)
-    scaled = {x: up(x.payload) for x in numbers}  # a non-number gets None
-    vectors = []
-    by_rivals: dict = {}  # rival pairs -> {one bid v for i: (V, outcome there)}
-    for b, rivals, bid, won, paid in read:
-        outcome = (won, paid, scaled.get(won), scaled.get(paid))
-        # each vector keeps its rivals' dict, so it is looked up once
-        deviations = by_rivals.setdefault(rivals, {})
-        vectors.append((b, deviations, outcome))
-        if bid is not None:
-            deviations[bid] = (scaled.get(bid), outcome)
+            # each vector keeps its rivals' dict, so it is looked up once
+            deviations = by_rivals.setdefault(rivals, {})
+            vectors.append((b, deviations, won, paid))
+            if len(own) == 1:
+                deviations[own[0].payload[1]] = (won, paid)
     # vectors that differ only in i's bid sort by that bid, so each dict
     # of by_rivals holds its bids in canonical order
-    for b, deviations, (won, paid, W, P) in vectors:
-        for v, (V, (t_won, t_paid, TW, TP)) in deviations.items():
-            if V is None or W is None or P is None or TW is None or TP is None:
-                hurts = _utility(v, won, paid) > _utility(v, t_won, t_paid)
-            else:
-                hurts = V * W - P * scale > V * TW - TP * scale
-            if hurts:
+    for b, deviations, won, paid in vectors:
+        for v, (t_won, t_paid) in deviations.items():
+            if _utility(v, won, paid) > _utility(v, t_won, t_paid):
                 return b, v
     return None
 
@@ -265,22 +253,21 @@ def _grid_counterexample(m: SingleGoodMechanism) -> tuple[Value, Value] | None:
     Vector idx of the product order holds i's bid at position
     idx // stride % g, for g grid values and stride g ** (n - 1 - k) with k
     i's index among the n bidders, so bidding q instead is vector
-    idx + (q - own) * stride.  On the grid G scaled by `_common_scale`, i's
-    utility at valuation q is G[q] - G[paid] where i wins and 0 where i
-    loses.  Vectors and valuations come in the walk's order, so the first
+    idx + (q - own) * stride.  i's utility at valuation q is
+    grid[q] - grid[x], for x the position i pays, or q itself where i
+    loses; the grid is in numeric order, so bidding q hurts exactly where
+    i pays a higher position there than here, and no number is read.
+    Vectors and valuations come in the walk's order, so the first
     counterexample is the walk's, and only it is turned into Values.
     """
     grid, paid_at = m.grid.payload, m._paid
     g = len(grid)
     stride = g ** (len(m.bidders.payload) - 1 - m.bidders.payload.index(m.bidder))
-    _, up = _common_scale(x.payload for x in grid)
-    G = [up(x.payload) for x in grid]
     for idx, paid in enumerate(paid_at):
         base = idx - idx // stride % g * stride
-        for q, Gq in enumerate(G):
+        for q in range(g):
             there = paid_at[base + q * stride]
-            here = 0 if paid is None else Gq - G[paid]
-            if here > (0 if there is None else Gq - G[there]):
+            if (q if there is None else there) > (q if paid is None else paid):
                 return m.alloc.payload[idx].payload[0], grid[q]
     return None
 

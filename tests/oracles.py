@@ -869,16 +869,17 @@ def _single_good_sweep():
         for i in range(1, n + 2)] for n in range(1, 5)}
 
 
-# grid values over 3^1900, 5^1300, 7^1100, 11^900 and 13^800: the common
-# denominator of all five has about 15,190 bits, past
-# auctions.MAX_SCALE_BITS, and of the first four about 12,230, below it
+# grid values over 3^1900, 5^1300, 7^1100, 11^900 and 13^800: thousands
+# of digits each, and about 15,190 bits of common denominator for all five
+# and 12,230 for the first four; both dominance checks must answer on them
+# as on small grids
 HUGE_DENOMINATOR_GRID = [rat(k, p**e) for k, (p, e) in enumerate(
     ((3, 1900), (5, 1300), (7, 1100), (11, 900), (13, 800)), start=1)]
 
 
 def _huge_denominator_mechanisms():
     """Second-price mechanisms for bidder 2 of two on the huge-denominator
-    grid, past the scale bound, and on its first four values, below it."""
+    grid and on its first four values."""
     return [auctions.second_price_single_good(V([1, 2]), fset(grid), 2)
             for grid in (HUGE_DENOMINATOR_GRID, HUGE_DENOMINATOR_GRID[:-1])]
 
@@ -891,7 +892,7 @@ def _grid_dominance_sweep():
         "both rules, 2-3 bidders, each of them, every numeric grid within the cap": [
             (build(V(list(range(1, n + 1))), grid, num(i)),)
             for build in builds for n in (2, 3) for grid in grids for i in range(1, n + 1)],
-        "grid denominators past the scale bound and below it": [
+        "grids of five and of four huge-denominator values": [
             (m,) for m in _huge_denominator_mechanisms()],
     }
 
@@ -920,7 +921,7 @@ def _dominance_sweep():
             (m.bidder, m.alloc, fset(paid + [pair(last.first, "x")])),
             (V(1), relation([(5, 0)]), relation([(5, 0)])),
         ],
-        "grid denominators past the scale bound and below it": [
+        "grids of five and of four huge-denominator values": [
             (x.bidder, x.alloc, x.price) for x in huge],
         "the bidder as a raw int": [(1, first.alloc, first.price)],
         # bidder 2 bids 0 and 2: the vector sorts after the one where 2

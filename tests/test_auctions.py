@@ -347,14 +347,6 @@ def test_clearing_sweep_has_a_case_on_each_side_of_the_scale_bound():
     assert _common_scale(distinct.valuations.values())[0] == 1
 
 
-def test_dominance_sweep_has_a_case_on_each_side_of_the_scale_bound():
-    # a grid mechanism's wins are 0 and 1 and its payments are grid values
-    # or 0, so the grid sets the common denominator of the comparison
-    grid = [as_fraction(x) for x in oracles.HUGE_DENOMINATOR_GRID]
-    assert _common_scale(grid)[0] == 1
-    assert _common_scale(grid[:-1])[0] > 1
-
-
 @pytest.mark.parametrize("n_goods, n_bidders, cases", [(2, 2, 39_366), (1, 3, 243)])
 def test_truthful_reporting_is_a_dominant_strategy(n_goods, n_bidders, cases):
     # every profile of nonempty-bundle values in {0, 1, 2}, and for each

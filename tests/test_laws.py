@@ -1,11 +1,17 @@
+import contextlib
 import inspect
+import io
 import itertools
+import operator
 import sys
 import threading
 
 import pytest
 
+import finrel.cli
+import oracles
 import work_counts
+from finrel import auctions
 from finrel.encoding import parse_value, serialize_value
 from finrel.errors import ValidationError
 from finrel.quotients import _touching, projector
@@ -375,3 +381,47 @@ def test_factorization_reuse_still_catches_a_wrong_compose(monkeypatch):
 
     monkeypatch.setattr(laws_mod, "compose", dropping_last)
     _assert_the_run_fails_where_the_stateless_check_first_does()
+
+
+def _grid_rule(lost, hurts):
+    """auctions._grid_counterexample with the position i counts as paying
+    where it loses at valuation q, lost(q), and the test of (position
+    there, position here) replaced."""
+    def position(at, q):
+        return lost(q) if at is None else at
+
+    def counterexample(m):
+        grid, paid_at = m.grid.payload, m._paid
+        g = len(grid)
+        stride = g ** (len(m.bidders.payload) - 1 - m.bidders.payload.index(m.bidder))
+        for idx, paid in enumerate(paid_at):
+            base = idx - idx // stride % g * stride
+            for q in range(g):
+                if hurts(position(paid_at[base + q * stride], q), position(paid, q)):
+                    return m.alloc.payload[idx].payload[0], grid[q]
+        return None
+
+    return counterexample
+
+
+def test_the_copy_of_the_grid_position_rule_is_the_rule():
+    # so that each mutant below differs from the rule by its one change
+    rule = _grid_rule(lambda q: q, operator.gt)
+    mechanisms = [m for cases in oracles._grid_dominance_sweep().values() for (m,) in cases]
+    assert [rule(m) for m in mechanisms] == list(map(auctions._grid_counterexample, mechanisms))
+
+
+@pytest.mark.parametrize("mutant", [
+    _grid_rule(lambda q: q, operator.ge),
+    _grid_rule(lambda q: 0, operator.gt),
+    _grid_rule(lambda q: q, operator.lt),
+], ids=[">= for >", "a loss pays position 0", "the comparison reversed"])
+def test_check_laws_kills_each_mutant_of_the_grid_position_rule(mutant):
+    # run-single's dominance step compares grid positions, not numbers;
+    # both dominance laws check it against the definition
+    out = io.StringIO()
+    with work_counts.patched({"auctions._grid_counterexample": mutant}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        status = finrel.cli.main(["check-laws", "--profile", "quick"])
+    failed = [line.split()[0] for line in out.getvalue().splitlines() if "result=fail" in line]
+    assert (status, failed) == (2, ["law=second_price_dominant", "law=first_price_not_dominant"])

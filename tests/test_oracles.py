@@ -88,6 +88,16 @@ def test_the_set_readers_read_pairs_not_the_point_index():
         assert not {"_by_first", "_index"} & set(_names(fn.__code__)), fn.__name__
 
 
+def test_only_clearing_names_the_integer_scaling_step():
+    # run-single compares grid positions and the dominance walk compares
+    # exact utilities, so the choice between integers and rationals is
+    # clearing's alone, and no oracle shares a step with what it checks
+    namers = [name for name, fn in vars(auctions).items()
+              if inspect.isfunction(fn) and fn.__module__ == auctions.__name__
+              and "_common_scale" in set(_names(fn.__code__))]
+    assert namers == ["_solve"]
+
+
 def _imported(path: Path):
     """The modules a source file imports, each with its names appended."""
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
